@@ -23,7 +23,6 @@ from .geometry import (
     GeometryConstants,
     McConfig,
     MsdEstimate,
-    ScalarMinConfig,
     dist_sq_scaled_subdiff,
     geometry_constants,
     lipschitz_upper_bound,

@@ -15,6 +15,13 @@ with structure-specific coefficients: for l1, nu holds the off-support
 magnitudes; for l1,2 the inactive block norms; for the nuclear norm the
 singular values of the part of g orthogonal to the signal's subspaces.
 Monte Carlo paths exploit this form to vectorize over samples.
+
+Minima over lam >= 0 are exact. Half the derivative of the profile,
+h(lam) = c2*lam - c1 - sum_j w_j max(nu_j - lam, 0), is concave, nondecreasing
+and linear on each active set A = {j : nu_j > lam}. Newton steps from lam = 0,
+lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
+sort-and-threshold l1-ball projection), rise to the smallest minimizer without
+passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
 """
 
 from __future__ import annotations
@@ -58,14 +65,6 @@ class McConfig:
             raise ValueError("need at least 2 Monte Carlo samples")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
-
-
-@dataclass(frozen=True)
-class ScalarMinConfig:
-    """Golden-section controls for the convex scalar minimizations over lam."""
-
-    tol: float = 1e-6
-    max_iters: int = 200
 
 
 @dataclass(frozen=True)
@@ -285,77 +284,87 @@ def _complement_basis(u: np.ndarray) -> np.ndarray:
     return q_perp
 
 
-def _profile_eval(p: _Profile, lam) -> np.ndarray:
+def _profile_eval(p: _Profile, lam, t: np.ndarray | None = None) -> np.ndarray:
+    """The profile at lam; a given ``t`` holds max(nu - lam, 0) and is squared in place."""
     lam = np.asarray(lam, dtype=float)
-    lam_col = lam[:, None] if lam.ndim == 1 else lam
-    t = np.maximum(p.nu - lam_col, 0.0)
+    if t is None:
+        t = np.maximum(p.nu - lam[..., None], 0.0)
     t *= t
     off = t @ p.w if p.w is not None else t.sum(axis=1)
     return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + off
 
 
-def _lam_bracket(p: _Profile) -> np.ndarray:
-    """Per-sample upper bound on the minimizing lam.
-
-    The minimum-norm subgradient has norm sqrt(c2); convexity of the distance
-    in lam then confines the minimizer to [0, 2*||g|| / sqrt(c2)]. When the
-    support part is empty (c2 = 0) the off-part is flat beyond its largest
-    clip threshold.
-    """
-    norm = np.sqrt(_profile_eval(p, np.zeros(p.c0.shape[0])))
-    if p.c2 > 0:
-        hi = 2.0 * norm / math.sqrt(p.c2)
+def _clip(p: _Profile, lam, t: np.ndarray):
+    """Fill t with max(nu - lam, 0); per sample, return the active count,
+    -h(lam) and the right derivative h'(lam) (see the module doc)."""
+    lam = np.asarray(lam, dtype=float)
+    np.subtract(p.nu, lam[..., None], out=t)
+    np.maximum(t, 0.0, out=t)
+    count = np.count_nonzero(t, axis=1)
+    if p.w is None:
+        weight, clipped = count, t.sum(axis=1)
     else:
-        hi = 2.0 * (p.nu.max(axis=1) if p.nu.shape[1] else np.zeros_like(norm))
-    return np.maximum(hi, 1e-12)
+        weight, clipped = (t > 0.0) @ p.w, t @ p.w
+    return count, p.c1 + clipped - p.c2 * lam, p.c2 + weight
 
 
-def _golden_argmin(f, hi: np.ndarray, opt: ScalarMinConfig) -> np.ndarray:
-    """Vectorized golden-section argmin of per-sample convex functions on [0, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a = np.zeros_like(hi)
-    b = hi.astype(float).copy()
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    fc = f(c)
-    fd = f(d)
-    it = 0
-    while h.max() > opt.tol and it < opt.max_iters:
-        left = fc < fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        h = b - a
-        c = a + invphi2 * h
-        d = a + invphi * h
-        probe = np.where(left, c, d)
-        fp = f(probe)
-        fc_new = np.where(left, fp, fd)
-        fd_new = np.where(left, fc, fp)
-        fc, fd = fc_new, fd_new
-        it += 1
-    if h.max() > opt.tol:
-        idx = int(np.argmax(h))
-        raise NumericalError(
-            f"scalar search did not reach tol={opt.tol} in {opt.max_iters} iterations",
-            index=idx,
-        )
-    return 0.5 * (a + b)
+def _newton_step(excess, slope):
+    """Step -h/h' from excess = -h(lam), slope = h'(lam); 0 where h' = 0 or h > 0."""
+    step = np.divide(excess, slope, out=np.zeros_like(excess, dtype=float), where=slope > 0)
+    return np.maximum(step, 0.0)
+
+
+def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
+    """Raise on the first sample whose c0 or -h(0) (c1 plus clipped sum) is not finite."""
+    bad = np.flatnonzero(~(np.isfinite(c0) & np.isfinite(excess)))
+    if bad.size:
+        raise NumericalError(f"non-finite scale profile at sample {start + bad[0]}",
+                             index=int(start + bad[0]))
+
+
+def _cone_argmin(p: _Profile, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample minimiser over lam >= 0 and minimum; a sample stops when its count repeats."""
+    n, j = p.nu.shape
+    lam = np.zeros(n)
+    count = np.full(n, -1)
+    t = np.empty_like(p.nu)
+    for passes in range(j + 2):
+        active, excess, slope = _clip(p, lam, t)
+        done = active == count
+        if done.all():
+            return lam, _profile_eval(p, lam, t)
+        if passes == 0:
+            _require_finite(start, p.c0, excess)
+        lam = np.where(done, lam, lam + _newton_step(excess, slope))
+        count = active
+    idx = start + int(np.argmin(done))
+    raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
+
+
+def _pooled_argmin(chunks: list[tuple[int, _Profile]]) -> float:
+    """Exact minimiser over lam >= 0 of the profiles summed over all samples."""
+    buf = np.empty_like(chunks[0][1].nu)   # the first chunk is the largest
+    lam, count = 0.0, -1
+    for passes in range(sum(p.nu.size for _, p in chunks) + 2):
+        active, excess, slope = 0, 0.0, 0.0
+        for start, p in chunks:
+            a, e, s = _clip(p, lam, buf[: p.c0.size])
+            if passes == 0:
+                _require_finite(start, p.c0, e)
+            active, excess, slope = active + int(a.sum()), excess + e.sum(), slope + s.sum()
+        if active == count:
+            return lam
+        lam += float(_newton_step(excess, slope))
+        count = active
+    raise NumericalError("pooled active set still moving after its pass limit")
 
 
 def _chunks(s: SignalStructure, mc: McConfig):
-    """Yield (chunk_index, start, profile) over the configured sample streams."""
-    dim = s.ambient_dim
-    done = 0
-    ci = 0
-    while done < mc.samples:
-        n_chunk = min(mc.chunk, mc.samples - done)
-        rng = stream(mc.seed, ci)
-        G = rng.standard_normal((n_chunk, dim))
-        yield ci, done, _profile(s, G)
-        done += n_chunk
-        ci += 1
+    """Yield (start, profile) over the configured sample streams; chunk i draws
+    from stream (seed, i)."""
+    for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
+        G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
+        yield start, _profile(s, G)
 
 
 def _estimate(values: np.ndarray, lam: float | None) -> MsdEstimate:
@@ -384,51 +393,38 @@ def msd_lambda_curve(s: SignalStructure, lams, mc: McConfig) -> list[MsdEstimate
     if any(l < 0 for l in lams):
         raise ValueError("lam must be nonnegative")
     vals = [[] for _ in lams]
-    for _, _, prof in _chunks(s, mc):
+    for _, prof in _chunks(s, mc):
         for j, lam in enumerate(lams):
             vals[j].append(_profile_eval(prof, lam))
     return [_estimate(np.concatenate(v), lam) for v, lam in zip(vals, lams)]
 
 
-def msd_cone(s: SignalStructure, mc: McConfig,
-             opt: ScalarMinConfig = ScalarMinConfig()) -> MsdEstimate:
+def msd_cone(s: SignalStructure, mc: McConfig) -> MsdEstimate:
     """Monte Carlo estimate of E min_{lam>=0} dist(g, lam*subdiff)^2.
 
     The inner minimum is the squared distance to the cone generated by the
-    subdifferential; the map lam -> dist is convex, so a golden-section
-    search per sample is exact to the configured tolerance.
+    subdifferential. It is found exactly for every sample by Newton steps
+    on the derivative of its scale profile (see the module doc), so the
+    estimate carries no search tolerance.
     """
-    vals = []
-    for _, _, prof in _chunks(s, mc):
-        hi = _lam_bracket(prof)
-        lam_star = _golden_argmin(lambda l: _profile_eval(prof, l), hi, opt)
-        vals.append(_profile_eval(prof, lam_star))
+    vals = [_cone_argmin(prof, start)[1] for start, prof in _chunks(s, mc)]
     return _estimate(np.concatenate(vals), None)
 
 
-def optimal_lambda(s: SignalStructure, mc: McConfig,
-                   opt: ScalarMinConfig = ScalarMinConfig()) -> tuple[float, MsdEstimate]:
+def optimal_lambda(s: SignalStructure, mc: McConfig) -> tuple[float, MsdEstimate]:
     """Scale minimizing the Monte Carlo estimate of the mean squared distance.
 
-    Uses common random numbers: the sample set is drawn once and the smooth
-    sample-average function of lam is minimized by golden-section search,
-    so the returned argmin is deterministic given the seed. The minimizer is
-    unique because the support part contributes a strictly convex c2*lam^2.
+    Uses common random numbers: the sample set is drawn once and the sample
+    average of the profiles, itself a convex piecewise quadratic in lam, is
+    minimized exactly by the same Newton steps as ``msd_cone``, run on the
+    sums over all samples. The returned lam is deterministic given the seed
+    and unique whenever the support part contributes a strictly convex
+    c2*lam^2; with c2 = 0 it is the smallest minimizer.
     """
-    profiles = [prof for _, _, prof in _chunks(s, mc)]
-    total = sum(p.c0.size for p in profiles)
-    hi = max(float(_lam_bracket(p).max()) for p in profiles)
-
-    def mean_at(lam_arr: np.ndarray) -> np.ndarray:
-        lam = float(lam_arr[0])
-        acc = 0.0
-        for p in profiles:
-            acc += float(_profile_eval(p, lam).sum())
-        return np.array([acc / total])
-
-    lam_star = float(_golden_argmin(mean_at, np.array([hi]), opt)[0])
-    vals = np.concatenate([_profile_eval(p, lam_star) for p in profiles])
-    return lam_star, _estimate(vals, lam_star)
+    chunks = list(_chunks(s, mc))
+    lam = _pooled_argmin(chunks)
+    vals = np.concatenate([_profile_eval(p, lam) for _, p in chunks])
+    return lam, _estimate(vals, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox
-from .errors import InvalidStructureError, RunQualityError
+from .errors import InvalidStructureError, NumericalError, RunQualityError
 from .geometry import McConfig, msd_cone
 from .signals import (
     BlockSparseStructure,
@@ -145,7 +145,7 @@ def _operator_norm_sq(a: np.ndarray, rel_tol: float = 1e-6, max_iters: int = 500
         w = a.T @ (a @ v)
         est = float(np.linalg.norm(w))
         if est == 0.0:
-            return 0.0
+            raise NumericalError("power iteration found A^T A v = 0: no step size")
         v = w / est
         if abs(est - prev) <= rel_tol * est:
             break

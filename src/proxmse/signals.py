@@ -90,6 +90,8 @@ class WeightedSparseStructure:
         k = self.support.size
         if k > self.n or k != np.unique(self.support).size:
             raise InvalidStructureError("invalid support")
+        if k and (self.support.min() < 0 or self.support.max() >= self.n):
+            raise InvalidStructureError("support index out of range")
         if self.signs.shape != (k,) or not np.all(np.abs(self.signs) == 1.0):
             raise InvalidStructureError("signs must be exactly +-1 on the support")
         if self.region_of.shape != (self.n,):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxmse import geometry, signals
 from proxmse.errors import BoundNotValidError, NumericalError
-from proxmse.geometry import McConfig, ScalarMinConfig
+from proxmse.geometry import McConfig
+from proxmse.streams import stream
 
 
 # Brute-force oracles (shared with the acceptance suite): discretize the
@@ -317,15 +320,126 @@ def test_optimal_lambda_dense_case_closed_form():
     b = e1.mean - e0.mean - a
     closed = max(0.0, -b / (2 * a))
     assert a == pytest.approx(9.0, rel=1e-9)
-    assert lam_star == pytest.approx(closed, abs=1e-4)
+    assert lam_star == pytest.approx(closed, rel=1e-9)
 
 
-def test_msd_cone_search_failure_surfaces():
-    inst = signals.make_sparse(10, 2, seed=1)
-    with pytest.raises(NumericalError) as exc_info:
-        geometry.msd_cone(inst.structure, McConfig(samples=64, seed=1),
-                          ScalarMinConfig(tol=1e-14, max_iters=3))
-    assert exc_info.value.index is not None
+class _PoisonedStream:
+    """A chunk stream whose draw holds ``value`` at one (row, column)."""
+
+    def __init__(self, rng, row, col, value):
+        self._rng, self._row, self._col, self._value = rng, row, col, value
+
+    def standard_normal(self, shape):
+        out = self._rng.standard_normal(shape)
+        if self._row < shape[0]:
+            out[self._row, self._col] = self._value
+        return out
+
+
+def test_non_finite_profile_surfaces_with_index(monkeypatch):
+    # sample 5 of the second 32-sample chunk is sample 37 overall; the bad
+    # draw sits on the support (c0, c1) or off it (a clip threshold nu)
+    s = signals.make_sparse(10, 2, seed=1).structure
+    off = np.setdiff1d(np.arange(10), s.support)
+    for value in (np.nan, np.inf):
+        for col in (int(s.support[0]), int(off[0])):
+            monkeypatch.setattr(
+                geometry, "stream",
+                lambda seed, ci, col=col, value=value: _PoisonedStream(
+                    stream(seed, ci), 5 if ci == 1 else 99, col, value))
+            for estimator in (geometry.msd_cone, geometry.optimal_lambda):
+                with pytest.raises(NumericalError) as exc_info:
+                    estimator(s, McConfig(samples=64, seed=1, chunk=32))
+                assert exc_info.value.index == 37
+
+
+# ---------------------------------------------------------------------------
+# Exact scale minimiser: KKT and grid dominance, per sample and pooled
+# ---------------------------------------------------------------------------
+
+def _structure(kind: str, seed: int):
+    """Small structures of every kind, including profiles with c2 = 0."""
+    rng = np.random.default_rng(seed)
+    if kind == "sparse":
+        return signals.make_sparse(9, 3, seed=seed).structure
+    if kind == "weighted":
+        return signals.make_weighted_sparse(
+            9, 3, rng.integers(0, 3, size=9), rng.uniform(0.0, 2.0, size=3), seed=seed).structure
+    if kind == "block":
+        return signals.make_block_sparse(4, 2, 1, seed=seed).structure
+    if kind == "lowrank":
+        return signals.make_low_rank(3, 1, seed=seed).structure
+    if kind == "weighted_zero_support":
+        base = signals.make_sparse(9, 3, seed=seed).structure
+        region_of = np.ones(9, dtype=int)
+        region_of[base.support] = 0
+        region_of[rng.integers(0, 9)] = 0
+        return signals.WeightedSparseStructure(
+            9, base.support, base.signs, region_of, [0.0, rng.uniform(0.5, 2.0)])
+    if kind == "empty_support":
+        return signals.SparseStructure(9, [], [])
+    raise ValueError(kind)
+
+
+def _derivative(p, lam) -> np.ndarray:
+    """h(lam) = c2*lam - c1 - sum_j w_j (nu_j - lam)_+, per sample."""
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), p.c1.shape)
+    t = np.maximum(p.nu - lam[:, None], 0.0)
+    return p.c2 * lam - p.c1 - (t @ p.w if p.w is not None else t.sum(axis=1))
+
+
+def _kkt_scale(p) -> np.ndarray:
+    w = p.w if p.w is not None else np.ones(p.nu.shape[1])
+    return 1.0 + np.abs(p.c1) + p.nu @ w
+
+
+KINDS = ["sparse", "weighted", "block", "lowrank", "weighted_zero_support", "empty_support"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20),
+       scale=st.sampled_from([0.1, 1.0, 5.0]))
+def test_cone_argmin_kkt_and_grid(kind, seed, scale):
+    s = _structure(kind, seed)
+    G = scale * np.random.default_rng(seed).standard_normal((4, s.ambient_dim))
+    p = geometry._profile(s, G)
+    with np.errstate(all="raise"):
+        lam, val = geometry._cone_argmin(p)
+    h = _derivative(p, lam)
+    tol = 1e-12 * _kkt_scale(p) * (1.0 + scale)
+    assert np.all(lam >= 0.0)
+    assert np.all((np.abs(h) <= tol) | ((lam == 0.0) & (h >= -tol)))
+    grid = np.linspace(0.0, 1.5 * float(lam.max()) + 2.0 * scale, 301)
+    for i, g in enumerate(G):
+        direct = geometry.dist_sq_scaled_subdiff(s, g, float(lam[i]))
+        assert val[i] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+        assert all(val[i] <= geometry.dist_sq_scaled_subdiff(s, g, float(x)) + 1e-9 * (1 + val[i])
+                   for x in grid)
+    if p.c2 == 0.0:
+        # flat beyond the largest clip threshold: the minimum is c0
+        assert np.allclose(val, p.c0, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20))
+def test_pooled_argmin_kkt_and_grid(kind, seed):
+    s = _structure(kind, seed)
+    rng = np.random.default_rng(seed)
+    chunks = [(0, geometry._profile(s, rng.standard_normal((5, s.ambient_dim)))),
+              (5, geometry._profile(s, rng.standard_normal((3, s.ambient_dim))))]
+    with np.errstate(all="raise"):
+        lam = geometry._pooled_argmin(chunks)
+    h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
+    tol = 1e-12 * sum(float(_kkt_scale(p).sum()) for _, p in chunks)
+    assert lam >= 0.0
+    assert abs(h) <= tol or (lam == 0.0 and h >= -tol)
+
+    def mean_at(x):
+        return sum(float(geometry._profile_eval(p, x).sum()) for _, p in chunks)
+
+    best = mean_at(lam)
+    for x in np.linspace(0.0, 1.5 * lam + 2.0, 301):
+        assert best <= mean_at(x) + 1e-9 * (1.0 + abs(best))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxmse import lasso, prox, signals
-from proxmse.errors import RunQualityError
+from proxmse.errors import NumericalError, RunQualityError
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,11 @@ def test_solver_gaussian_step_from_power_iteration():
     sol = lasso.solve_constrained_lasso(a, y, ball)   # step=None -> power iteration
     assert sol.converged
     assert np.linalg.norm(sol.x - inst.values) <= 1e-5 * np.linalg.norm(inst.values)
+
+
+def test_solver_zero_operator_raises_numerical_error():
+    with pytest.raises(NumericalError, match="no step size"):
+        lasso.solve_constrained_lasso(np.zeros((3, 5)), np.ones(3), lasso.BallSpec("l1", 1.0))
 
 
 def test_solver_flags_non_convergence():

@@ -196,6 +196,15 @@ def test_weighted_sparse_structure():
     )
 
 
+def test_weighted_sparse_rejects_out_of_range_support():
+    region_of = np.zeros(4, dtype=int)
+    for support in ([-1], [4]):
+        with pytest.raises(InvalidStructureError, match="support index out of range"):
+            signals.WeightedSparseStructure(4, support, [1.0], region_of, [1.0])
+        with pytest.raises(InvalidStructureError, match="support index out of range"):
+            signals.SparseStructure(4, support, [1.0])
+
+
 def test_min_magnitude():
     inst = signals.make_sparse(10, 2, "uniform", seed=5)
     nz = inst.values[np.flatnonzero(inst.values)]
