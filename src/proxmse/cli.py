@@ -337,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20_000,
                    help="MC samples for the cone MSD prediction")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=600_000)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="solver stop: last projected-gradient step length "
+                        "relative to ||x||")
     p.set_defaults(runner=run_lasso)
     return parser
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxmse import lasso, prox, signals
 from proxmse.errors import NumericalError, RunQualityError
@@ -118,6 +120,108 @@ def test_solver_zero_operator_raises_numerical_error():
         lasso.solve_constrained_lasso(np.zeros((3, 5)), np.ones(3), lasso.BallSpec("l1", 1.0))
 
 
+def test_solver_power_iteration_off_the_ones_null_space():
+    # the all-ones vector lies in the null space of A = [1, -1]; ||A||^2 = 2
+    a = np.array([[1.0, -1.0]])
+    assert lasso._operator_norm_sq(a) == pytest.approx(2.0, rel=1e-12)
+    ball = lasso.BallSpec("l1", 1.0)
+    sol = lasso.solve_constrained_lasso(a, [1.0], ball)
+    half = lasso.solve_constrained_lasso(a, [1.0], ball, lasso.SolverConfig(step=0.5))
+    assert sol.converged
+    assert np.allclose(sol.x, half.x, atol=1e-12)
+    assert np.allclose(sol.x, [0.5, -0.5], atol=1e-12)
+
+
+def test_solver_flags_cost_above_start():
+    # a step of 3/||A||^2 overshoots: the loose step-length stop fires at a
+    # point costlier than the start, which must not count as converged
+    a = np.array([[1.0, 0.0]])
+    sol = lasso.solve_constrained_lasso(a, [0.0], lasso.BallSpec("l1", 100.0),
+                                        lasso.SolverConfig(tol=0.01, step=3.0),
+                                        x_init=np.array([0.01, 10.0]))
+    assert sol.iterations == 1
+    assert sol.cost > 0.01 ** 2
+    assert not sol.converged
+
+
+def _gap(a, y, x, ball):
+    g = a.T @ (y - a @ x)
+    if ball.kind == "l1":
+        dual = np.max(np.abs(g))
+    elif ball.kind == "l12":
+        dual = np.max(np.linalg.norm(g.reshape(-1, ball.block_size), axis=1))
+    else:
+        d = math.isqrt(g.size)
+        dual = np.linalg.svd(g.reshape(d, d), compute_uv=False)[0]
+    return 2 * (ball.radius * dual - g @ x)
+
+
+@pytest.mark.parametrize("matrix_kind", ["unitary", "gaussian"])
+@pytest.mark.parametrize("make, m", [
+    (lambda: signals.make_block_sparse(50, 10, 5, seed=30), 250),   # cone MSD ~109
+    (lambda: signals.make_low_rank(30, 4, seed=31), 480),           # cone MSD ~389
+], ids=["block", "lowrank"])
+def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
+    inst = make()
+    x0 = inst.values
+    n = x0.size
+    if matrix_kind == "unitary":
+        a = lasso.sample_partial_unitary(m, n, seed=32)
+        cfg = lasso.SolverConfig(step=1.0)
+    else:
+        a = lasso.sample_gaussian_matrix(m, n, seed=32)
+        cfg = lasso.SolverConfig()                       # step from power iteration
+    sigma = lasso.default_sigma(inst)
+    v = np.random.default_rng(33).standard_normal(m)
+    y = a @ x0 + sigma * v
+    ball = lasso.ball_for(inst)
+    sol = lasso.solve_constrained_lasso(a, y, ball, cfg, x_init=x0)
+    assert sol.converged
+    noise_energy = float(v @ v)
+    assert sol.cost <= sigma ** 2 * noise_energy
+    proj_err = a @ (sol.x - x0)
+    energy = (float(proj_err @ proj_err) + sol.cost) / sigma ** 2
+    assert energy <= noise_energy * (1 + 1e-6)
+    # the reported gap is the Frank-Wolfe gap at x, and the step-length stop
+    # bounds it: gap <= (4/step) ||x+ - z|| diam <= (4/step) tol ||x|| 2 radius
+    gap = _gap(a, y, sol.x, ball)
+    assert sol.gap == pytest.approx(gap, rel=1e-6, abs=1e-15)
+    step = 1.0 / np.linalg.norm(a, 2) ** 2
+    bound = 8 * ball.radius * cfg.tol * np.linalg.norm(sol.x) / step
+    assert -1e-15 <= sol.gap <= bound
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 8), extra=st.integers(0, 6), seed=st.integers(0, 2**20),
+       frac=st.floats(0.05, 0.95), noise=st.sampled_from([0.0, 0.01, 1.0]))
+def test_solver_l1_face_solution_and_kkt(n, extra, seed, frac, noise):
+    # small full-column-rank problems whose least-squares point lies outside
+    # the ball, so the solution is unique and sits on the boundary
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    a = rng.standard_normal((m, n))
+    y = a @ (rng.standard_normal(n) * (rng.random(n) < 0.6)) + noise * rng.standard_normal(m)
+    radius = frac * float(np.abs(np.linalg.lstsq(a, y, rcond=None)[0]).sum())
+    if radius <= 1e-3:
+        return
+    sol = lasso.solve_constrained_lasso(a, y, lasso.BallSpec("l1", radius))
+    assert sol.converged
+    x = sol.x
+    support = np.flatnonzero(x)
+    signs = np.sign(x[support])
+    # least squares on the face {x_S : signs . x_S = radius, x off S = 0}
+    a_s = a[:, support]
+    kkt = np.block([[a_s.T @ a_s, signs[:, None]], [signs[None, :], np.zeros((1, 1))]])
+    face = np.zeros(n)
+    face[support] = np.linalg.solve(kkt, np.concatenate([a_s.T @ y, [radius]]))[:-1]
+    assert np.linalg.norm(x - face) <= 1e-6 * max(1.0, np.linalg.norm(x))
+    # KKT: A^T r is lam * sign(x) on the support and at most lam off it
+    g = a.T @ (y - a @ x)
+    lam = np.max(np.abs(g[support]))
+    assert np.allclose(g[support] * signs, lam, rtol=1e-6, atol=1e-12)
+    assert np.all(np.delete(np.abs(g), support) <= lam * (1 + 1e-6))
+
+
 def test_solver_flags_non_convergence():
     inst = signals.make_sparse(30, 2, "unit", seed=16)
     a = lasso.sample_partial_unitary(10, 30, seed=17)
@@ -172,6 +276,21 @@ def test_full_isometry_point_e_equals_eta():
     )
     for d in diags:
         assert d.e == pytest.approx(d.eta, rel=1e-6)
+
+
+def test_iteration_tail_near_transition():
+    # m = 80 sits just below the cone MSD (~86) of sparse:500:20, where
+    # unaccelerated projected gradient needed up to 379,538 iterations
+    inst = signals.make_sparse(500, 20, "unit", seed=1)
+    rec, diags = lasso.estimate_lasso_point(
+        inst, 80, lasso.default_sigma(inst), trials=10, matrix_kind="unitary",
+        seed=34, d_reference=89.0, collect=True,
+    )
+    assert rec.excluded_trials == 0
+    assert max(d.iterations for d in diags) < 10_000
+    for d in diags:
+        assert d.cost <= d.cost_at_truth
+        assert d.energy <= d.noise_energy * (1 + 1e-6)
 
 
 def test_run_quality_error_on_starved_solver():
