@@ -3,7 +3,8 @@
 Submodules:
 
 * :mod:`proxmse.signals`  - structured test signals (sparse, block-sparse,
-  low-rank, weighted-sparse) and their geometric descriptors.
+  low-rank, weighted-sparse) and their geometric descriptors; each structure
+  class owns the formulas of its norm.
 * :mod:`proxmse.geometry` - distances to scaled subdifferentials, Monte
   Carlo and exact mean-squared-distance estimates, closed-form bounds.
 * :mod:`proxmse.prox`     - proximal operators and norm-ball projections.
@@ -41,12 +42,10 @@ from .signals import (
     SignalInstance,
     SparseStructure,
     WeightedSparseStructure,
-    degrees_of_freedom,
     make_block_sparse,
     make_low_rank,
     make_sparse,
     make_weighted_sparse,
-    norm_value,
 )
 
 __version__ = "0.1.0"

@@ -69,32 +69,21 @@ def parse_structure(text: str, seed: int, magnitude_law: str) -> tuple[signals.S
             raise ConfigError(f"invalid structure JSON: {exc}") from exc
         if "seed" not in desc:
             raise ConfigError("structure JSON must carry a seed")
+    else:
+        kind, *parts = text.split(":")
         try:
-            inst = signals.instance_from_descriptor(desc, magnitude_law)
-        except InvalidStructureError as exc:
-            raise ConfigError(str(exc)) from exc
-        return inst, desc
-    parts = text.split(":")
-    kind = parts[0]
+            args = [int(p) for p in parts]
+        except ValueError as exc:
+            raise ConfigError(f"bad structure {text!r}: {exc}") from exc
+        fields = signals.DESCRIPTOR_FIELDS.get(kind)
+        if fields is None or len(args) != len(fields):
+            usage = ", ".join(":".join((k, *f)) for k, f in signals.DESCRIPTOR_FIELDS.items())
+            raise ConfigError(f"bad structure {text!r}: use {usage} or JSON")
+        desc = {"kind": kind, **dict(zip(fields, args)), "seed": seed}
     try:
-        args = [int(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise ConfigError(f"bad structure {text!r}: {exc}") from exc
-    try:
-        if kind == "sparse" and len(args) == 2:
-            desc = {"kind": "sparse", "n": args[0], "k": args[1], "seed": seed}
-        elif kind == "block" and len(args) == 3:
-            desc = {"kind": "block", "t": args[0], "b": args[1], "k": args[2], "seed": seed}
-        elif kind == "lowrank" and len(args) == 2:
-            desc = {"kind": "lowrank", "d": args[0], "r": args[1], "seed": seed}
-        else:
-            raise ConfigError(
-                f"bad structure {text!r}: use sparse:n:k, block:t:b:k, lowrank:d:r or JSON"
-            )
-        inst = signals.instance_from_descriptor(desc, magnitude_law)
+        return signals.instance_from_descriptor(desc, magnitude_law), desc
     except InvalidStructureError as exc:
         raise ConfigError(str(exc)) from exc
-    return inst, desc
 
 
 def _fmt(value) -> str:
@@ -109,17 +98,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_output(columns: list[str], rows: list[dict], config: dict, fmt: str) -> str:
-    """Render rows as CSV (with a '#' config header line) or JSON."""
+def render_output(rows: list[dict], config: dict, fmt: str) -> str:
+    """Render rows as CSV (with a '#' config header line) or JSON; the first
+    row's keys, in order, are the columns."""
     if fmt == "csv":
         lines = ["# config: " + json.dumps(config, sort_keys=True)]
-        lines.append(",".join(columns))
+        lines.append(",".join(rows[0]))
         for row in rows:
-            lines.append(",".join(_fmt(row.get(c)) for c in columns))
+            lines.append(",".join(_fmt(v) for v in row.values()))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        clean_rows = [{c: row.get(c) for c in columns} for row in rows]
-        return json.dumps({"config": config, "rows": clean_rows}, sort_keys=True) + "\n"
+        return json.dumps({"config": config, "rows": rows}, sort_keys=True) + "\n"
     raise ConfigError(f"unknown format {fmt!r}")
 
 
@@ -137,7 +126,7 @@ def run_msd(args) -> int:
     if args.lambda_grid is None and not args.cone:
         raise ConfigError("msd needs --lambda-grid and/or --cone")
     mc = geometry.McConfig(samples=args.samples, seed=args.seed, chunk=args.chunk)
-    label = signals.structure_label(inst.structure)
+    label = inst.structure.label
     config = {
         "command": "msd", "structure": desc, "lambda_grid": args.lambda_grid,
         "cone": args.cone, "samples": args.samples, "seed": args.seed,
@@ -153,8 +142,7 @@ def run_msd(args) -> int:
         est = geometry.msd_cone(inst.structure, mc)
         rows.append({"structure": label, "lambda": None, "mean": est.mean,
                      "stderr": est.stderr, "samples": est.samples})
-    columns = ["structure", "lambda", "mean", "stderr", "samples"]
-    _write(args.output, render_output(columns, rows, config, args.format))
+    _write(args.output, render_output(rows, config, args.format))
     return 0
 
 
@@ -162,7 +150,7 @@ def run_bounds(args) -> int:
     inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
     s = inst.structure
     gc = geometry.geometry_constants(s)
-    label = signals.structure_label(s)
+    label = s.label
     config = {
         "command": "bounds", "structure": desc, "lambda": args.lam,
         "cone_msd": args.cone_msd, "seed": args.seed, "format": args.format,
@@ -189,10 +177,7 @@ def run_bounds(args) -> int:
             row["bound_valid"] = False
     if args.cone_msd is not None:
         row["lipschitz_bound"] = geometry.lipschitz_upper_bound(s, args.cone_msd)
-    columns = ["structure", "lambda", "table1_bound", "bound_valid", "threshold",
-               "subgradient_radius", "sphere_max_value", "tuning_lipschitz", "dof",
-               "sandwich_gap", "cone_msd", "lipschitz_bound"]
-    _write(args.output, render_output(columns, [row], config, args.format))
+    _write(args.output, render_output([row], config, args.format))
     return 0
 
 
@@ -228,7 +213,7 @@ def run_denoise(args) -> int:
         )
     else:
         raise ConfigError(f"unknown estimator {estimator!r}")
-    label = signals.structure_label(inst.structure)
+    label = inst.structure.label
     rows = []
     for rec in run.records:
         rows.append({
@@ -237,9 +222,7 @@ def run_denoise(args) -> int:
             "nmse_stderr": rec.nmse_stderr, "trials": rec.trials,
             "d_reference": rec.d_mean if rec.d_mean is not None else d_ref,
         })
-    columns = ["structure", "estimator", "lambda", "sigma", "nmse_mean",
-               "nmse_stderr", "trials", "d_reference"]
-    _write(args.output, render_output(columns, rows, config, args.format))
+    _write(args.output, render_output(rows, config, args.format))
     return 0
 
 
@@ -259,7 +242,7 @@ def run_lasso(args) -> int:
         inst, m_grid, sigma=sigma, trials=args.trials, matrix_kind=args.matrix,
         cfg=cfg, seed=args.seed, mc=mc,
     )
-    label = signals.structure_label(inst.structure)
+    label = inst.structure.label
     rows = []
     for rec in records:
         rows.append({
@@ -270,10 +253,7 @@ def run_lasso(args) -> int:
             "predicted_eta": rec.predicted_eta, "trials": rec.trials,
             "excluded_trials": rec.excluded_trials,
         })
-    columns = ["structure", "matrix_kind", "m", "eta_mean", "eta_stderr",
-               "f_mean", "f_stderr", "e_mean", "e_stderr", "predicted_eta",
-               "trials", "excluded_trials"]
-    _write(args.output, render_output(columns, rows, config, args.format))
+    _write(args.output, render_output(rows, config, args.format))
     return 0
 
 
@@ -349,13 +329,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.runner(args)
-    except (ConfigError, InvalidStructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, RunQualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ValueError as exc:   # ConfigError and InvalidStructureError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

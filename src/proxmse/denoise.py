@@ -17,24 +17,14 @@ the regime where the first-order approximation is exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import prox
-from .errors import InvalidStructureError, NumericalError
-from .signals import (
-    BlockSparseStructure,
-    LowRankStructure,
-    SignalInstance,
-    SignalStructure,
-    SparseStructure,
-    WeightedSparseStructure,
-    as_matrix,
-    as_vector,
-    norm_value,
-)
+from .errors import InvalidStructureError, NumericalError, require_nonneg
+from .geometry import mean_stderr, project_scaled_subdiff
+from .signals import SignalInstance, SignalStructure, SparseStructure
 from .streams import stream
 
 RESIDUAL_TOL = 1e-8
@@ -76,27 +66,42 @@ def _check_grid(sigma_grid) -> np.ndarray:
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sigma grid must be a nonempty 1-D array")
-    if np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise ValueError("sigma grid must be strictly positive and sorted ascending")
+    if not (np.all(np.isfinite(grid) & (grid > 0)) and np.all(np.diff(grid) > 0)):
+        raise ValueError("sigma grid must be finite, strictly positive and sorted ascending")
     return grid
 
 
-def _prox_step(s: SignalStructure, y: np.ndarray, tau: float) -> prox.ProxResult:
-    if isinstance(s, SparseStructure):
-        return prox.soft_threshold(y, tau)
-    if isinstance(s, WeightedSparseStructure):
-        return prox.weighted_soft_threshold(y, tau, s.coordinate_weights)
-    if isinstance(s, BlockSparseStructure):
-        return prox.block_soft_threshold(y, tau, s.b)
-    if isinstance(s, LowRankStructure):
-        res = prox.singular_value_threshold(as_matrix(y, s.d), tau)
-        return prox.ProxResult(as_vector(res.minimizer), res.objective, res.residual)
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
+def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, trials: int,
+         seed: int, estimate, distance=None) -> DenoiseRun:
+    """The per-trial loop of every estimator.
 
-
-def _stats(values: list[float]) -> tuple[float, float]:
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
+    ``estimate(y, sigma)`` returns the estimate of x0 from y = x0 + sigma*v
+    and the optimality residual that certifies it (0 for an exact closed
+    form), which must be at most 1e-8; NaN fails. ``distance(v)``, when
+    given, is recorded beside the NMSE from the same noise draw.
+    """
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    grid = _check_grid(sigma_grid)
+    x0 = inst.values
+    records = []
+    for si, sigma in enumerate(grid):
+        nmse, dvals = [], []
+        for ti in range(trials):
+            v = trial_noise(seed, si, ti, inst.ambient_dim)
+            x_star, residual = estimate(x0 + sigma * v, sigma)
+            if not residual <= RESIDUAL_TOL:
+                raise NumericalError(
+                    f"prox residual {residual:.3e} above {RESIDUAL_TOL} "
+                    f"at sigma index {si}", index=ti,
+                )
+            err = x_star - x0
+            nmse.append(float(err @ err) / (sigma * sigma))
+            if distance is not None:
+                dvals.append(distance(v))
+        d_stats = mean_stderr(dvals) if dvals else (None, None)
+        records.append(SigmaRecord(float(sigma), *mean_stderr(nmse), trials, *d_stats))
+    return DenoiseRun(inst.structure, estimator, lam, tuple(grid.tolist()), tuple(records))
 
 
 def run_regularized(inst: SignalInstance, lam: float, sigma_grid, trials: int,
@@ -105,62 +110,20 @@ def run_regularized(inst: SignalInstance, lam: float, sigma_grid, trials: int,
 
     Every trial's optimality residual must certify the prox solve to 1e-8.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    grid = _check_grid(sigma_grid)
-    s = inst.structure
-    x0 = inst.values
-    records = []
-    for si, sigma in enumerate(grid):
-        nmse = []
-        for ti in range(trials):
-            v = trial_noise(seed, si, ti, inst.ambient_dim)
-            y = x0 + sigma * v
-            step = _prox_step(s, y, sigma * lam)
-            if step.residual > RESIDUAL_TOL:
-                raise NumericalError(
-                    f"prox residual {step.residual:.3e} above {RESIDUAL_TOL} "
-                    f"at sigma index {si}", index=ti,
-                )
-            err = step.minimizer - x0
-            nmse.append(float(err @ err) / (sigma * sigma))
-        mean, stderr = _stats(nmse)
-        records.append(SigmaRecord(float(sigma), mean, stderr, trials))
-    return DenoiseRun(s, "regularized", float(lam), tuple(grid.tolist()), tuple(records))
+    lam = require_nonneg(lam, "lam")
+
+    def estimate(y, sigma):
+        step = prox.prox_step(inst.structure, y, sigma * lam)
+        return step.minimizer, step.residual
+
+    return _run(inst, "regularized", lam, sigma_grid, trials, seed, estimate)
 
 
 def run_constrained(inst: SignalInstance, sigma_grid, trials: int, seed: int) -> DenoiseRun:
     """NMSE of the projection onto the norm ball of radius f(x0)."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    grid = _check_grid(sigma_grid)
-    s = inst.structure
-    x0 = inst.values
-    radius = norm_value(s, x0)
-    if isinstance(s, SparseStructure):
-        kind, bs = "l1", None
-    elif isinstance(s, BlockSparseStructure):
-        kind, bs = "l12", s.b
-    elif isinstance(s, LowRankStructure):
-        kind, bs = "nuclear", None
-    else:
-        raise InvalidStructureError(
-            f"no ball projection for {type(s).__name__}"
-        )
-    records = []
-    for si, sigma in enumerate(grid):
-        nmse = []
-        for ti in range(trials):
-            v = trial_noise(seed, si, ti, inst.ambient_dim)
-            y = x0 + sigma * v
-            x_star = prox.project_ball(y, kind, radius, block_size=bs)
-            err = x_star - x0
-            nmse.append(float(err @ err) / (sigma * sigma))
-        mean, stderr = _stats(nmse)
-        records.append(SigmaRecord(float(sigma), mean, stderr, trials))
-    return DenoiseRun(s, "constrained", None, tuple(grid.tolist()), tuple(records))
+    ball = prox.ball_for(inst)
+    return _run(inst, "constrained", None, sigma_grid, trials, seed,
+                lambda y, sigma: (ball.project(y), 0.0))
 
 
 def mixed_distance_sq(s: SparseStructure, g: np.ndarray, lam: float) -> float:
@@ -185,31 +148,16 @@ def run_mixed_nonneg_sparse(inst: SignalInstance, lam: float, sigma_grid,
     record carries both the NMSE and the Minkowski-sum distance estimate from
     the same noise draws, so the upper-bound comparison shares randomness.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    grid = _check_grid(sigma_grid)
+    lam = require_nonneg(lam, "lam")
     s = inst.structure
     if not isinstance(s, SparseStructure):
         raise InvalidStructureError("mixed estimator requires a sparse instance")
     x0 = inst.values
     if np.any(x0 < 0) or np.any(x0[s.support] <= 0):
         raise ValueError("mixed estimator requires x0 >= 0 with positive support")
-    records = []
-    for si, sigma in enumerate(grid):
-        nmse, dvals = [], []
-        for ti in range(trials):
-            v = trial_noise(seed, si, ti, inst.ambient_dim)
-            y = x0 + sigma * v
-            x_star = np.maximum(y - sigma * lam, 0.0)
-            err = x_star - x0
-            nmse.append(float(err @ err) / (sigma * sigma))
-            dvals.append(mixed_distance_sq(s, v, lam))
-        mean, stderr = _stats(nmse)
-        d_mean, d_stderr = _stats(dvals)
-        records.append(SigmaRecord(float(sigma), mean, stderr, trials, d_mean, d_stderr))
-    return DenoiseRun(s, "mixed", float(lam), tuple(grid.tolist()), tuple(records))
+    return _run(inst, "mixed", lam, sigma_grid, trials, seed,
+                lambda y, sigma: (np.maximum(y - sigma * lam, 0.0), 0.0),
+                lambda v: mixed_distance_sq(s, v, lam))
 
 
 def first_order_error(s: SignalStructure, z: np.ndarray, tau: float) -> np.ndarray:
@@ -218,6 +166,4 @@ def first_order_error(s: SignalStructure, z: np.ndarray, tau: float) -> np.ndarr
     For small noise the true prox error converges to this vector, which is
     what makes the small-sigma NMSE equal the mean squared distance.
     """
-    from . import geometry
-
-    return np.asarray(z, dtype=float) - geometry.project_scaled_subdiff(s, z, tau)
+    return np.asarray(z, dtype=float) - project_scaled_subdiff(s, z, tau)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the scalar check shared across the package."""
+
+import math
 
 
 class InvalidStructureError(ValueError):
@@ -23,3 +25,11 @@ class NumericalError(RuntimeError):
 
 class RunQualityError(RuntimeError):
     """An experiment produced too many unusable trials to report statistics."""
+
+
+def require_nonneg(value, name: str) -> float:
+    """``value`` as a float; ValueError unless it is finite and nonnegative (so NaN fails)."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value

@@ -11,10 +11,12 @@ All distances reduce to the same one-dimensional convex scale profile
 
     dist^2(lam) = c0 - 2*c1*lam + c2*lam^2 + sum_j w_j * max(nu_j - lam, 0)^2
 
-with structure-specific coefficients: for l1, nu holds the off-support
-magnitudes; for l1,2 the inactive block norms; for the nuclear norm the
-singular values of the part of g orthogonal to the signal's subspaces.
-Monte Carlo paths exploit this form to vectorize over samples.
+with coefficients that each structure class computes in its ``profile``
+method: for l1, nu holds the off-support magnitudes; for l1,2 the inactive
+block norms; for the nuclear norm the singular values of the part of g
+orthogonal to the signal's subspaces. Monte Carlo paths exploit this form to
+vectorize over samples, and the pointwise distance is the profile of one
+sample.
 
 Minima over lam >= 0 are exact. Half the derivative of the profile,
 h(lam) = c2*lam - c1 - sum_j w_j max(nu_j - lam, 0), is concave, nondecreasing
@@ -33,17 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .errors import BoundNotValidError, InvalidStructureError, NumericalError
-from .signals import (
-    BlockSparseStructure,
-    LowRankStructure,
-    SignalStructure,
-    SparseStructure,
-    WeightedSparseStructure,
-    as_matrix,
-    as_vector,
-    degrees_of_freedom,
-)
+from .errors import BoundNotValidError, InvalidStructureError, NumericalError, require_nonneg
+from .signals import ScaleProfile, SignalStructure, as_vector
 from .streams import stream
 
 
@@ -107,7 +100,7 @@ class GeometryConstants:
 
 def _check_vector(s: SignalStructure, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
-    if g.ndim == 2 and isinstance(s, LowRankStructure) and g.shape == (s.d, s.d):
+    if g.ndim == 2 and s.family == "nuclear" and g.shape == (s.d, s.d):
         g = as_vector(g)
     if g.shape != (s.ambient_dim,):
         raise ValueError(
@@ -119,172 +112,31 @@ def _check_vector(s: SignalStructure, g: np.ndarray) -> np.ndarray:
 def dist_sq_scaled_subdiff(s: SignalStructure, g: np.ndarray, lam: float) -> float:
     """Squared distance from g to the lam-scaled subdifferential at the signal.
 
+    It is the structure's scale profile (see the module doc) of the one
+    sample g, evaluated at lam; rounding can take that expanded quadratic a
+    little below 0, so it is clipped there.
     Sparse: sum_S (g_i - lam*sign_i)^2 + sum_off max(|g_i| - lam, 0)^2.
     Block:  active blocks pin to lam*direction; inactive block norms clip at lam.
     Low rank: the component inside the singular subspaces pins to lam*u v^T;
     the orthogonal component's singular values clip at lam (spectral ball).
     Weighted sparse: the l1 formula with lam replaced by lam*w per region.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = require_nonneg(lam, "lam")
     g = _check_vector(s, g)
-    if isinstance(s, SparseStructure):
-        on = (g[s.support] - lam * s.signs) ** 2
-        off = np.delete(g, s.support)
-        return float(on.sum() + (np.maximum(np.abs(off) - lam, 0.0) ** 2).sum())
-    if isinstance(s, WeightedSparseStructure):
-        w = s.coordinate_weights
-        on = (g[s.support] - lam * w[s.support] * s.signs) ** 2
-        mask = np.ones(s.n, dtype=bool)
-        mask[s.support] = False
-        off = np.maximum(np.abs(g[mask]) - lam * w[mask], 0.0) ** 2
-        return float(on.sum() + off.sum())
-    if isinstance(s, BlockSparseStructure):
-        blocks = g.reshape(s.t, s.b)
-        on = ((blocks[s.active] - lam * s.directions) ** 2).sum()
-        inactive = np.setdiff1d(np.arange(s.t), s.active)
-        norms = np.linalg.norm(blocks[inactive], axis=1)
-        return float(on + (np.maximum(norms - lam, 0.0) ** 2).sum())
-    if isinstance(s, LowRankStructure):
-        m = as_matrix(g, s.d)
-        h = _offspace_part(s, m)
-        pt = m - h
-        sv = np.linalg.svd(h, compute_uv=False) if s.r < s.d else np.zeros(0)
-        on = ((pt - lam * s.u @ s.v.T) ** 2).sum()
-        return float(on + (np.maximum(sv - lam, 0.0) ** 2).sum())
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
-
-
-def _offspace_part(s: LowRankStructure, m: np.ndarray) -> np.ndarray:
-    """(I - uu^T) m (I - vv^T): the component outside the signal's subspaces."""
-    um = s.u @ (s.u.T @ m)
-    h = m - um
-    return h - (h @ s.v) @ s.v.T
+    return max(float(_profile_eval(s.profile(g[None, :]), lam)[0]), 0.0)
 
 
 def project_scaled_subdiff(s: SignalStructure, g: np.ndarray, lam: float) -> np.ndarray:
     """Closest point to g inside the lam-scaled subdifferential (unique)."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    g = _check_vector(s, g)
-    if isinstance(s, SparseStructure):
-        p = np.clip(g, -lam, lam)
-        p[s.support] = lam * s.signs
-        return p
-    if isinstance(s, WeightedSparseStructure):
-        w = s.coordinate_weights
-        p = np.clip(g, -lam * w, lam * w)
-        p[s.support] = lam * w[s.support] * s.signs
-        return p
-    if isinstance(s, BlockSparseStructure):
-        blocks = g.reshape(s.t, s.b).copy()
-        norms = np.linalg.norm(blocks, axis=1)
-        big = norms > lam
-        scale = np.ones(s.t)
-        scale[big] = lam / norms[big]
-        blocks *= scale[:, None]
-        blocks[s.active] = lam * s.directions
-        return blocks.reshape(-1)
-    if isinstance(s, LowRankStructure):
-        m = as_matrix(g, s.d)
-        h = _offspace_part(s, m)
-        if s.r < s.d:
-            uu, sv, vvt = np.linalg.svd(h)
-            clipped = np.minimum(sv, lam)
-            w = (uu[:, : sv.size] * clipped) @ vvt
-        else:
-            w = np.zeros_like(m)
-        return as_vector(lam * s.u @ s.v.T + w)
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
+    lam = require_nonneg(lam, "lam")
+    return s.project_subdiff(_check_vector(s, g), lam)
 
 
 # ---------------------------------------------------------------------------
 # Reduced scale profiles (vectorized over Monte Carlo samples)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Profile:
-    """Per-sample coefficients of dist^2 as a function of lam (see module doc)."""
-
-    c0: np.ndarray          # (N,)
-    c1: np.ndarray          # (N,)
-    c2: float
-    nu: np.ndarray          # (N, J) clip thresholds
-    w: np.ndarray | None    # (J,) column weights, None means all ones
-
-
-def _profile(s: SignalStructure, G: np.ndarray) -> _Profile:
-    n_samp = G.shape[0]
-    if isinstance(s, SparseStructure):
-        gs = G[:, s.support]
-        mask = np.ones(s.n, dtype=bool)
-        mask[s.support] = False
-        return _Profile(
-            c0=(gs ** 2).sum(axis=1),
-            c1=gs @ s.signs,
-            c2=float(s.k),
-            nu=np.abs(G[:, mask]),
-            w=None,
-        )
-    if isinstance(s, WeightedSparseStructure):
-        w = s.coordinate_weights
-        gs = G[:, s.support]
-        ws = w[s.support]
-        mask = np.ones(s.n, dtype=bool)
-        mask[s.support] = False
-        off_idx = np.flatnonzero(mask)
-        pos = off_idx[w[off_idx] > 0]
-        zero = off_idx[w[off_idx] == 0]
-        c0 = (gs ** 2).sum(axis=1) + (G[:, zero] ** 2).sum(axis=1)
-        return _Profile(
-            c0=c0,
-            c1=gs @ (ws * s.signs),
-            c2=float((ws ** 2).sum()),
-            nu=np.abs(G[:, pos]) / w[pos],
-            w=w[pos] ** 2,
-        )
-    if isinstance(s, BlockSparseStructure):
-        blocks = G.reshape(n_samp, s.t, s.b)
-        ga = blocks[:, s.active, :]
-        inactive = np.setdiff1d(np.arange(s.t), s.active)
-        return _Profile(
-            c0=(ga ** 2).sum(axis=(1, 2)),
-            c1=np.einsum("nkb,kb->n", ga, s.directions),
-            c2=float(s.k),
-            nu=np.linalg.norm(blocks[:, inactive, :], axis=2),
-            w=None,
-        )
-    if isinstance(s, LowRankStructure):
-        d, r = s.d, s.r
-        # rows are column-major flattenings, so the C-order reshape is the transpose
-        mats = np.transpose(G.reshape(n_samp, d, d), (0, 2, 1))
-        uvt = s.u @ s.v.T
-        c1 = np.einsum("nij,ij->n", mats, uvt)
-        if r < d:
-            uperp = _complement_basis(s.u)
-            vperp = _complement_basis(s.v)
-            b = np.einsum("ip,nij->npj", uperp, mats) @ vperp
-            nu = np.linalg.svd(b, compute_uv=False)
-            c0 = (mats ** 2).sum(axis=(1, 2)) - (b ** 2).sum(axis=(1, 2))
-        else:
-            nu = np.zeros((n_samp, 0))
-            c0 = (mats ** 2).sum(axis=(1, 2))
-        return _Profile(c0=c0, c1=c1, c2=float(r), nu=nu, w=None)
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
-
-
-def _complement_basis(u: np.ndarray) -> np.ndarray:
-    d, r = u.shape
-    q, _ = np.linalg.qr(u, mode="complete")
-    # columns r..d of the full Q span the orthogonal complement of range(u)
-    q_perp = q[:, r:]
-    # re-orthogonalize against u explicitly to kill rounding leakage
-    q_perp = q_perp - u @ (u.T @ q_perp)
-    q_perp, _ = np.linalg.qr(q_perp)
-    return q_perp
-
-
-def _profile_eval(p: _Profile, lam, t: np.ndarray | None = None) -> np.ndarray:
+def _profile_eval(p: ScaleProfile, lam, t: np.ndarray | None = None) -> np.ndarray:
     """The profile at lam; a given ``t`` holds max(nu - lam, 0) and is squared in place."""
     lam = np.asarray(lam, dtype=float)
     if t is None:
@@ -294,7 +146,7 @@ def _profile_eval(p: _Profile, lam, t: np.ndarray | None = None) -> np.ndarray:
     return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + off
 
 
-def _clip(p: _Profile, lam, t: np.ndarray):
+def _clip(p: ScaleProfile, lam, t: np.ndarray):
     """Fill t with max(nu - lam, 0); per sample, return the active count,
     -h(lam) and the right derivative h'(lam) (see the module doc)."""
     lam = np.asarray(lam, dtype=float)
@@ -322,7 +174,7 @@ def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
                              index=int(start + bad[0]))
 
 
-def _cone_argmin(p: _Profile, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _cone_argmin(p: ScaleProfile, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample minimiser over lam >= 0 and minimum; a sample stops when its count repeats."""
     n, j = p.nu.shape
     lam = np.zeros(n)
@@ -341,7 +193,7 @@ def _cone_argmin(p: _Profile, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
 
 
-def _pooled_argmin(chunks: list[tuple[int, _Profile]]) -> float:
+def _pooled_argmin(chunks: list[tuple[int, ScaleProfile]]) -> float:
     """Exact minimiser over lam >= 0 of the profiles summed over all samples."""
     buf = np.empty_like(chunks[0][1].nu)   # the first chunk is the largest
     lam, count = 0.0, -1
@@ -364,14 +216,13 @@ def _chunks(s: SignalStructure, mc: McConfig):
     from stream (seed, i)."""
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
         G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
-        yield start, _profile(s, G)
+        yield start, s.profile(G)
 
 
-def _estimate(values: np.ndarray, lam: float | None) -> MsdEstimate:
-    n = values.size
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n))
-    return MsdEstimate(mean=mean, stderr=stderr, samples=n, lam=lam)
+def mean_stderr(values) -> tuple[float, float]:
+    """Sample mean and its standard error (ddof = 1)."""
+    arr = np.asarray(values)
+    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +240,13 @@ def msd_lambda_curve(s: SignalStructure, lams, mc: McConfig) -> list[MsdEstimate
     Common random numbers across lam make the curve smooth in lam and keep
     comparisons between scales free of independent sampling noise.
     """
-    lams = [float(l) for l in lams]
-    if any(l < 0 for l in lams):
-        raise ValueError("lam must be nonnegative")
+    lams = [require_nonneg(l, "lam") for l in lams]
     vals = [[] for _ in lams]
     for _, prof in _chunks(s, mc):
         for j, lam in enumerate(lams):
             vals[j].append(_profile_eval(prof, lam))
-    return [_estimate(np.concatenate(v), lam) for v, lam in zip(vals, lams)]
+    vals = [np.concatenate(v) for v in vals]
+    return [MsdEstimate(*mean_stderr(v), v.size, lam) for v, lam in zip(vals, lams)]
 
 
 def msd_cone(s: SignalStructure, mc: McConfig) -> MsdEstimate:
@@ -407,8 +257,8 @@ def msd_cone(s: SignalStructure, mc: McConfig) -> MsdEstimate:
     on the derivative of its scale profile (see the module doc), so the
     estimate carries no search tolerance.
     """
-    vals = [_cone_argmin(prof, start)[1] for start, prof in _chunks(s, mc)]
-    return _estimate(np.concatenate(vals), None)
+    vals = np.concatenate([_cone_argmin(prof, start)[1] for start, prof in _chunks(s, mc)])
+    return MsdEstimate(*mean_stderr(vals), vals.size)
 
 
 def optimal_lambda(s: SignalStructure, mc: McConfig) -> tuple[float, MsdEstimate]:
@@ -424,7 +274,7 @@ def optimal_lambda(s: SignalStructure, mc: McConfig) -> tuple[float, MsdEstimate
     chunks = list(_chunks(s, mc))
     lam = _pooled_argmin(chunks)
     vals = np.concatenate([_profile_eval(p, lam) for _, p in chunks])
-    return lam, _estimate(vals, lam)
+    return lam, MsdEstimate(*mean_stderr(vals), vals.size, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -451,44 +301,26 @@ def msd_lambda_exact_l1(n: int, k: int, lam: float) -> float:
     """
     if k < 1 or k > n:
         raise InvalidStructureError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    lam = require_nonneg(lam, "lam")
     return float(k * (1.0 + lam * lam) + (n - k) * soft_tail_moment(lam))
 
 
 def geometry_constants(s: SignalStructure) -> GeometryConstants:
     """Subdifferential radius, peak sphere value, tuning Lipschitz constant, dof."""
-    if isinstance(s, SparseStructure):
-        radius, peak = math.sqrt(s.n), math.sqrt(s.k)
-    elif isinstance(s, WeightedSparseStructure):
-        w = s.coordinate_weights
-        radius = math.sqrt(float((w ** 2).sum()))
-        peak = math.sqrt(float((w[s.support] ** 2).sum()))
-    elif isinstance(s, BlockSparseStructure):
-        radius, peak = math.sqrt(s.t), math.sqrt(s.k)
-    elif isinstance(s, LowRankStructure):
-        radius, peak = math.sqrt(s.d), math.sqrt(s.r)
-    else:
-        raise InvalidStructureError(f"unknown structure {type(s).__name__}")
+    radius, peak = s.radius_and_peak()
     if peak <= 0:
         raise InvalidStructureError("structure has an empty support")
     return GeometryConstants(
         subgradient_radius=radius,
         sphere_max_value=peak,
         tuning_lipschitz=1.0 / peak,
-        dof=degrees_of_freedom(s),
+        dof=s.dof,
     )
 
 
 def table1_threshold(s: SignalStructure) -> float:
     """Smallest lam at which the closed-form MSD bound is valid."""
-    if isinstance(s, SparseStructure):
-        return math.sqrt(2.0 * math.log(s.n / s.k))
-    if isinstance(s, BlockSparseStructure):
-        return math.sqrt(s.b) + math.sqrt(2.0 * math.log(s.t / s.k))
-    if isinstance(s, LowRankStructure):
-        return 2.0 * math.sqrt(s.d)
-    raise InvalidStructureError(f"no closed-form bound for {type(s).__name__}")
+    return s.table1_threshold()
 
 
 def table1_bound(s: SignalStructure, lam: float) -> float:
@@ -498,18 +330,13 @@ def table1_bound(s: SignalStructure, lam: float) -> float:
     Low rank: (lam^2 + 2d) r + 2d   for lam >= 2 sqrt(d)
     Block: (lam^2 + b + 2) k        for lam >= sqrt(b) + sqrt(2 log(t/k))
     """
-    thr = table1_threshold(s)
+    thr = s.table1_threshold()
+    lam = require_nonneg(lam, "lam")
     if lam < thr:
         raise BoundNotValidError(
             f"bound requires lam >= {thr:.6g}, got {lam}", threshold=thr
         )
-    if isinstance(s, SparseStructure):
-        return float((lam * lam + 3.0) * s.k)
-    if isinstance(s, BlockSparseStructure):
-        return float((lam * lam + s.b + 2.0) * s.k)
-    if isinstance(s, LowRankStructure):
-        return float((lam * lam + 2.0 * s.d) * s.r + 2.0 * s.d)
-    raise InvalidStructureError(f"no closed-form bound for {type(s).__name__}")
+    return s.table1_bound(lam)
 
 
 def _lipschitz_excess(radius_lipschitz: float, cone_msd: float) -> float:
@@ -525,8 +352,7 @@ def lipschitz_upper_bound(s: SignalStructure, cone_msd: float) -> float:
     subdifferential radius and L the tuning Lipschitz constant. Unlike the
     sandwich gap this needs no norm value, only subdifferential data.
     """
-    if cone_msd < 0:
-        raise ValueError("cone_msd must be nonnegative")
+    cone_msd = require_nonneg(cone_msd, "cone_msd")
     gc = geometry_constants(s)
     rl = gc.subgradient_radius * gc.tuning_lipschitz
     return float(cone_msd + _lipschitz_excess(rl, cone_msd))

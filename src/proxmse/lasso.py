@@ -24,17 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import prox
-from .errors import InvalidStructureError, NumericalError, RunQualityError
-from .geometry import McConfig, msd_cone
-from .signals import (
-    BlockSparseStructure,
-    LowRankStructure,
-    SignalInstance,
-    SparseStructure,
-    as_matrix,
-    norm_value,
-)
+from .errors import NumericalError, RunQualityError, require_nonneg
+from .geometry import McConfig, mean_stderr, msd_cone
+from .prox import BallSpec, ball_for
+from .signals import SignalInstance, haar_columns
 from .streams import stream
 
 
@@ -62,17 +55,9 @@ class SolverConfig:
     cost_floor: float = 0.0
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.cost_floor < 0:
-            raise ValueError("cost_floor must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    kind: str                      # "l1" | "l12" | "nuclear"
-    radius: float
-    block_size: int | None = None
+        require_nonneg(self.cost_floor, "cost_floor")
 
 
 @dataclass(frozen=True)
@@ -114,32 +99,11 @@ class LassoSweepRecord:
     excluded_trials: int
 
 
-def ball_for(inst: SignalInstance) -> BallSpec:
-    """The level-set ball {f(x) <= f(x0)} of the instance's structure norm."""
-    s = inst.structure
-    radius = norm_value(s, inst.values)
-    if isinstance(s, SparseStructure):
-        return BallSpec("l1", radius)
-    if isinstance(s, BlockSparseStructure):
-        return BallSpec("l12", radius, block_size=s.b)
-    if isinstance(s, LowRankStructure):
-        return BallSpec("nuclear", radius)
-    raise InvalidStructureError(f"no ball constraint for {type(s).__name__}")
-
-
-def _haar_partial_unitary(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, m))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return (q * signs).T
-
-
 def sample_partial_unitary(m: int, n: int, seed: int) -> np.ndarray:
     """Haar-random m x n matrix with orthonormal rows (A A^T = I_m)."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    return _haar_partial_unitary(stream(seed), m, n)
+    return haar_columns(stream(seed), n, m).T
 
 
 def sample_gaussian_matrix(m: int, n: int, seed: int) -> np.ndarray:
@@ -168,21 +132,6 @@ def _operator_norm_sq(a: np.ndarray, rel_tol: float = 1e-6, max_iters: int = 500
             break
         prev = est
     return est
-
-
-def _project(x: np.ndarray, ball: BallSpec) -> np.ndarray:
-    return prox.project_ball(x, ball.kind, ball.radius, block_size=ball.block_size)
-
-
-def _dual_norm(g: np.ndarray, ball: BallSpec) -> float:
-    """Dual of the ball's norm: max entry, max block norm or top singular value."""
-    if ball.kind == "l1":
-        return float(np.max(np.abs(g)))
-    if ball.kind == "l12":
-        return float(np.max(np.linalg.norm(g.reshape(-1, ball.block_size), axis=1)))
-    if ball.kind == "nuclear":
-        return float(np.linalg.norm(as_matrix(g, math.isqrt(g.size)), 2))
-    raise ValueError(f"unknown ball kind {ball.kind!r}")
 
 
 def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
@@ -214,7 +163,7 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     y = np.asarray(y, dtype=float)
     step = cfg.step if cfg.step is not None else 1.0 / _operator_norm_sq(a)
     x = np.zeros(a.shape[1]) if x_init is None else np.asarray(x_init, dtype=float)
-    x = _project(x, ball)
+    x = ball.project(x)
     ax = a @ x
     r = y - ax
     cost = start_cost = float(r @ r)
@@ -223,7 +172,7 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     it = restarts = 0
     tol_sq = cfg.tol * cfg.tol
     while not converged and it < cfg.max_iters:
-        x_new = _project(z + step * (a.T @ (y - az)), ball)
+        x_new = ball.project(z + step * (a.T @ (y - az)))
         ax_new = a @ x_new
         r = y - ax_new
         cost = float(r @ r)
@@ -243,8 +192,16 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     if cost > start_cost:
         converged = False
     g = a.T @ r
-    gap = 2.0 * (ball.radius * _dual_norm(g, ball) - float(g @ x))
+    gap = 2.0 * (ball.radius * ball.dual_norm(g) - float(g @ x))
     return LassoSolution(x, cost, it, converged, restarts, gap)
+
+
+def _cone_reference(inst: SignalInstance, d_reference: float | None, mc: McConfig | None,
+                    seed: int) -> float:
+    """``d_reference``, or else the cone MSD estimated via ``mc`` (default 20,000 samples)."""
+    if d_reference is not None:
+        return d_reference
+    return msd_cone(inst.structure, mc or McConfig(samples=20_000, seed=seed)).mean
 
 
 def estimate_lasso_point(inst: SignalInstance, m: int, sigma: float, trials: int,
@@ -262,6 +219,12 @@ def estimate_lasso_point(inst: SignalInstance, m: int, sigma: float, trials: int
     exclusions raise RunQualityError. ``predicted_eta`` is min(m, D) with D
     the cone MSD (``d_reference``, estimated via ``mc`` when not supplied).
 
+    E is not always a property of the problem. Where the set
+    {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
+    transition, every point of it has zero cost, and E = ||x* - x0||^2 / sigma^2
+    depends on which of them the solver stops at; eta and F do not, since
+    A x* and the cost are the same at all of them.
+
     Returns the sweep record, or (record, diagnostics) when ``collect``.
     """
     n = inst.ambient_dim
@@ -269,20 +232,18 @@ def estimate_lasso_point(inst: SignalInstance, m: int, sigma: float, trials: int
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     if matrix_kind not in ("unitary", "gaussian"):
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    if d_reference is None:
-        d_reference = msd_cone(inst.structure, mc or McConfig(samples=20_000, seed=seed)).mean
+    d_reference = _cone_reference(inst, d_reference, mc, seed)
     ball = ball_for(inst)
     x0 = inst.values
-    etas, fs, es, diags = [], [], [], []
-    excluded = 0
+    diags = []
     for ti in range(trials):
         rng = stream(seed, m, ti)
         if matrix_kind == "unitary":
-            a = _haar_partial_unitary(rng, m, n)
+            a = haar_columns(rng, n, m).T
             step = 1.0 if cfg.step is None else cfg.step
         else:
             a = rng.standard_normal((m, n))
@@ -295,7 +256,6 @@ def estimate_lasso_point(inst: SignalInstance, m: int, sigma: float, trials: int
         cfg_t = SolverConfig(cfg.max_iters, cfg.tol, step, floor)
         sol = solve_constrained_lasso(a, y, ball, cfg_t, x_init=x0)
         if not sol.converged:
-            excluded += 1
             continue
         proj_err = a @ (sol.x - x0)
         s2 = sigma * sigma
@@ -303,29 +263,21 @@ def estimate_lasso_point(inst: SignalInstance, m: int, sigma: float, trials: int
         f_val = sol.cost / s2
         err = sol.x - x0
         e_val = float(err @ err) / s2
-        etas.append(eta)
-        fs.append(f_val)
-        es.append(e_val)
-        if collect:
-            diags.append(TrialDiagnostics(
-                eta=eta, f=f_val, e=e_val, energy=eta + f_val,
-                noise_energy=float(v @ v), cost=sol.cost,
-                cost_at_truth=s2 * float(v @ v),
-                iterations=sol.iterations, converged=sol.converged,
-                restarts=sol.restarts, gap=sol.gap,
-            ))
+        diags.append(TrialDiagnostics(
+            eta=eta, f=f_val, e=e_val, energy=eta + f_val,
+            noise_energy=float(v @ v), cost=sol.cost,
+            cost_at_truth=s2 * float(v @ v),
+            iterations=sol.iterations, converged=sol.converged,
+            restarts=sol.restarts, gap=sol.gap,
+        ))
+    excluded = trials - len(diags)
     if excluded > 0.1 * trials:
         raise RunQualityError(
             f"{excluded}/{trials} trials failed to converge at m={m}"
         )
-
-    def ms(vals):
-        arr = np.asarray(vals)
-        return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))
-
-    eta_mean, eta_stderr = ms(etas)
-    f_mean, f_stderr = ms(fs)
-    e_mean, e_stderr = ms(es)
+    eta_mean, eta_stderr = mean_stderr([d.eta for d in diags])
+    f_mean, f_stderr = mean_stderr([d.f for d in diags])
+    e_mean, e_stderr = mean_stderr([d.e for d in diags])
     record = LassoSweepRecord(
         m=m, eta_mean=eta_mean, eta_stderr=eta_stderr,
         f_mean=f_mean, f_stderr=f_stderr, e_mean=e_mean, e_stderr=e_stderr,
@@ -358,18 +310,12 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
         raise ValueError("measurement counts cannot exceed the ambient dimension")
     if sigma is None:
         sigma = default_sigma(inst)
-    if d_reference is None:
-        d_reference = msd_cone(inst.structure, mc or McConfig(samples=20_000, seed=seed)).mean
+    d_reference = _cone_reference(inst, d_reference, mc, seed)
     records, all_diags = [], {}
     for m in m_grid:
-        out = estimate_lasso_point(
+        rec, all_diags[m] = estimate_lasso_point(
             inst, m, sigma, trials, matrix_kind, cfg, seed,
-            d_reference=d_reference, collect=collect,
+            d_reference=d_reference, collect=True,
         )
-        if collect:
-            rec, diags = out
-            all_diags[m] = diags
-        else:
-            rec = out
         records.append(rec)
     return (records, all_diags) if collect else records

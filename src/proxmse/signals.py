@@ -7,13 +7,24 @@ matrices. Values (magnitudes) live on :class:`SignalInstance`, not on the
 structure, because the subdifferential geometry depends only on signs and
 subspaces.
 
+Each structure class also owns every formula that depends on its kind: the
+norm value, the structure at a point (:meth:`at`), the coefficients of the
+scale profile (:meth:`profile`, see :mod:`proxmse.geometry`) and the
+projection onto the scaled subdifferential, the geometry constants, the
+Table-1 threshold and bound, the degrees of freedom, its label and its
+descriptor fields. ``family`` names the norm family ("l1", "wl1", "l12",
+"nuclear") that keys the formulas shared by a whole family in
+:mod:`proxmse.prox`: the prox, the ball projection and the dual norm.
+
 Matrices are stored flattened column-major as vectors of length d*d.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -32,14 +43,52 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class SparseStructure:
-    """k-sparse vector in R^n: support set and +-1 signs on the support."""
+@dataclass
+class ScaleProfile:
+    """Per-sample coefficients of dist^2 as a function of lam (see geometry's module doc)."""
 
-    n: int
-    support: np.ndarray
-    signs: np.ndarray
-    seed: int | None = None
+    c0: np.ndarray          # (N,)
+    c1: np.ndarray          # (N,)
+    c2: float
+    nu: np.ndarray          # (N, J) clip thresholds
+    w: np.ndarray | None    # (J,) column weights, None means all ones
+
+
+class _Structure:
+    """Defaults every structure class shares; the formulas of each kind are its methods.
+
+    Every class provides ``kind``, ``family``, ``block_size``, ``ambient_dim``,
+    ``dof``, ``label``, ``norm(values)``, ``at(values)``, ``profile(G)``,
+    ``project_subdiff(g, lam)``, ``radius_and_peak()`` (the largest
+    subgradient norm and the largest norm value on the unit sphere with the
+    same subdifferential), ``check_values(values)``, ``min_magnitude(values)``
+    and ``equivalent(other, tol)``; those with a closed-form bound also
+    ``table1_threshold()`` and ``table1_bound(lam)``.
+    """
+
+    block_size = None
+    descriptor_fields: tuple[str, ...] = ()
+
+    @property
+    def label(self) -> str:
+        """Compact tag used in CSV output, e.g. 'sparse:500:20'."""
+        return ":".join([self.kind, *(str(getattr(self, f)) for f in self.descriptor_fields)])
+
+    def table1_threshold(self) -> float:
+        """Smallest lam at which the closed-form (Table 1) MSD bound holds."""
+        raise InvalidStructureError(f"no closed-form bound for {type(self).__name__}")
+
+    def equivalent(self, other, tol: float) -> bool:
+        """Same subdifferential: every field but the seed equal to within ``tol``."""
+        pairs = [(getattr(self, f.name), getattr(other, f.name))
+                 for f in fields(self) if f.name != "seed"]
+        return all(np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=tol)
+                   for a, b in pairs)
+
+
+class _SignedSupport(_Structure):
+    """Validation and formulas of the weighted l1 norm sum_i w_i |x_i|, shared by the
+    plain sparse structure (unit weights) and the weighted one."""
 
     def __post_init__(self):
         object.__setattr__(self, "support", _frozen_array(self.support, dtype=int))
@@ -49,10 +98,11 @@ class SparseStructure:
         k = self.support.size
         if k > self.n:
             raise InvalidStructureError(f"support size {k} exceeds ambient dimension {self.n}")
-        if k != np.unique(self.support).size:
-            raise InvalidStructureError("support indices must be distinct")
-        if k and (self.support.min() < 0 or self.support.max() >= self.n):
+        ordered = np.sort(self.support)
+        if k and (ordered[0] < 0 or ordered[-1] >= self.n):
             raise InvalidStructureError("support index out of range")
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise InvalidStructureError("support indices must be distinct")
         if self.signs.shape != (k,) or not np.all(np.abs(self.signs) == 1.0):
             raise InvalidStructureError("signs must be exactly +-1 on the support")
 
@@ -64,11 +114,96 @@ class SparseStructure:
     def ambient_dim(self) -> int:
         return self.n
 
-    kind = "sparse"
+    @property
+    def dof(self) -> int:
+        """Parameter count of the structure class."""
+        return self.k
+
+    def norm(self, values) -> float:
+        return float(np.sum(self.coordinate_weights * np.abs(values)))
+
+    def at(self, values: np.ndarray):
+        """The structure of the same norm at the point ``values``.
+
+        Support detection thresholds at 1e-12, so for a valid instance this
+        reproduces the stored descriptor.
+        """
+        support = np.flatnonzero(np.abs(values) > SUPPORT_TOL)
+        return replace(self, support=support, signs=np.sign(values[support]), seed=None)
+
+    def profile(self, G: np.ndarray) -> ScaleProfile:
+        """Support coordinates pin to lam*w*sign, the others clip at lam*w;
+        zero-weight coordinates off the support count in full."""
+        w = self.coordinate_weights
+        gs = G[:, self.support]
+        ws = w[self.support]
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.support] = False
+        off_idx = np.flatnonzero(mask)
+        pos = off_idx[w[off_idx] > 0]
+        zero = off_idx[w[off_idx] == 0]
+        unit = np.all(w[pos] == 1.0)
+        nu = np.abs(G[:, pos])
+        if not unit:
+            nu /= w[pos]
+        return ScaleProfile(
+            c0=(gs ** 2).sum(axis=1) + (G[:, zero] ** 2).sum(axis=1),
+            c1=gs @ (ws * self.signs),
+            c2=float((ws ** 2).sum()),
+            nu=nu,
+            w=None if unit else w[pos] ** 2,
+        )
+
+    def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:
+        w = self.coordinate_weights
+        p = np.clip(g, -lam * w, lam * w)
+        p[self.support] = lam * w[self.support] * self.signs
+        return p
+
+    def radius_and_peak(self) -> tuple[float, float]:
+        w = self.coordinate_weights
+        return math.sqrt(float((w ** 2).sum())), math.sqrt(float((w[self.support] ** 2).sum()))
+
+    def check_values(self, values: np.ndarray) -> None:
+        off = np.setdiff1d(np.arange(self.n), self.support)
+        if off.size and np.max(np.abs(values[off])) > SUPPORT_TOL:
+            raise InvalidStructureError("values leak outside the declared support")
+        if np.any(np.sign(values[self.support]) != self.signs):
+            raise InvalidStructureError("value signs disagree with the declared signs")
+
+    def min_magnitude(self, values: np.ndarray) -> float:
+        return float(np.min(np.abs(values[self.support])))
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedSparseStructure:
+class SparseStructure(_SignedSupport):
+    """k-sparse vector in R^n: support set and +-1 signs on the support.
+
+    Its norm is l1, the weighted l1 norm with unit weights.
+    """
+
+    n: int
+    support: np.ndarray
+    signs: np.ndarray
+    seed: int | None = None
+
+    kind = "sparse"
+    family = "l1"
+    descriptor_fields = ("n", "k")
+
+    @property
+    def coordinate_weights(self) -> np.ndarray:
+        return np.ones(self.n)
+
+    def table1_threshold(self) -> float:
+        return math.sqrt(2.0 * math.log(self.n / self.k))
+
+    def table1_bound(self, lam: float) -> float:
+        return float((lam * lam + 3.0) * self.k)
+
+
+@dataclass(frozen=True, eq=False)
+class WeightedSparseStructure(_SignedSupport):
     """Sparse vector with a region partition and one nonnegative weight per region.
 
     ``region_of[i]`` gives the region index of coordinate i; ``weights[j]`` is
@@ -82,44 +217,33 @@ class WeightedSparseStructure:
     weights: np.ndarray
     seed: int | None = None
 
+    kind = "weighted"
+    family = "wl1"
+
     def __post_init__(self):
-        object.__setattr__(self, "support", _frozen_array(self.support, dtype=int))
-        object.__setattr__(self, "signs", _frozen_array(self.signs))
+        super().__post_init__()
         object.__setattr__(self, "region_of", _frozen_array(self.region_of, dtype=int))
         object.__setattr__(self, "weights", _frozen_array(self.weights))
-        k = self.support.size
-        if k > self.n or k != np.unique(self.support).size:
-            raise InvalidStructureError("invalid support")
-        if k and (self.support.min() < 0 or self.support.max() >= self.n):
-            raise InvalidStructureError("support index out of range")
-        if self.signs.shape != (k,) or not np.all(np.abs(self.signs) == 1.0):
-            raise InvalidStructureError("signs must be exactly +-1 on the support")
         if self.region_of.shape != (self.n,):
             raise InvalidStructureError("region_of must assign every coordinate")
         t = self.weights.size
         if self.region_of.min() < 0 or self.region_of.max() >= t:
             raise InvalidStructureError("region index out of range")
-        if np.any(self.weights < 0):
-            raise InvalidStructureError("weights must be nonnegative")
-
-    @property
-    def k(self) -> int:
-        return self.support.size
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
+            raise InvalidStructureError("weights must be finite and nonnegative")
 
     @property
     def coordinate_weights(self) -> np.ndarray:
         """Per-coordinate weight w_{region(i)}, shape (n,)."""
         return self.weights[self.region_of]
 
-    kind = "weighted"
+    @property
+    def label(self) -> str:
+        return f"weighted:{self.n}:{self.k}:{self.weights.size}"
 
 
 @dataclass(frozen=True, eq=False)
-class BlockSparseStructure:
+class BlockSparseStructure(_Structure):
     """t blocks of size b (n = t*b); k active blocks each with a unit direction."""
 
     t: int
@@ -127,6 +251,10 @@ class BlockSparseStructure:
     active: np.ndarray
     directions: np.ndarray
     seed: int | None = None
+
+    kind = "block"
+    family = "l12"
+    descriptor_fields = ("t", "b", "k")
 
     def __post_init__(self):
         object.__setattr__(self, "active", _frozen_array(self.active, dtype=int))
@@ -153,11 +281,71 @@ class BlockSparseStructure:
     def ambient_dim(self) -> int:
         return self.t * self.b
 
-    kind = "block"
+    @property
+    def block_size(self) -> int:
+        return self.b
+
+    @property
+    def dof(self) -> int:
+        return self.b * self.k
+
+    def norm(self, values) -> float:
+        """l1,2 norm: the sum of the block norms."""
+        blocks = np.asarray(values, dtype=float).reshape(self.t, self.b)
+        return float(np.sum(np.linalg.norm(blocks, axis=1)))
+
+    def at(self, values: np.ndarray) -> BlockSparseStructure:
+        """The structure at ``values``: blocks with norm above 1e-12 are active."""
+        blocks = values.reshape(self.t, self.b)
+        norms = np.linalg.norm(blocks, axis=1)
+        active = np.flatnonzero(norms > SUPPORT_TOL)
+        directions = blocks[active] / norms[active, None]
+        return replace(self, active=active, directions=directions, seed=None)
+
+    def profile(self, G: np.ndarray) -> ScaleProfile:
+        blocks = G.reshape(G.shape[0], self.t, self.b)
+        ga = blocks[:, self.active, :]
+        inactive = np.setdiff1d(np.arange(self.t), self.active)
+        return ScaleProfile(
+            c0=(ga ** 2).sum(axis=(1, 2)),
+            c1=np.einsum("nkb,kb->n", ga, self.directions),
+            c2=float(self.k),
+            nu=np.linalg.norm(blocks[:, inactive, :], axis=2),
+            w=None,
+        )
+
+    def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:
+        blocks = g.reshape(self.t, self.b).copy()
+        norms = np.linalg.norm(blocks, axis=1)
+        big = norms > lam
+        scale = np.ones(self.t)
+        scale[big] = lam / norms[big]
+        blocks *= scale[:, None]
+        blocks[self.active] = lam * self.directions
+        return blocks.reshape(-1)
+
+    def radius_and_peak(self) -> tuple[float, float]:
+        return math.sqrt(self.t), math.sqrt(self.k)
+
+    def table1_threshold(self) -> float:
+        return math.sqrt(self.b) + math.sqrt(2.0 * math.log(self.t / self.k))
+
+    def table1_bound(self, lam: float) -> float:
+        return float((lam * lam + self.b + 2.0) * self.k)
+
+    def check_values(self, values: np.ndarray) -> None:
+        blocks = values.reshape(self.t, self.b)
+        inactive = np.setdiff1d(np.arange(self.t), self.active)
+        if inactive.size and np.max(np.abs(blocks[inactive])) > SUPPORT_TOL:
+            raise InvalidStructureError("values leak outside the active blocks")
+
+    def min_magnitude(self, values: np.ndarray) -> float:
+        blocks = values.reshape(self.t, self.b)
+        return float(np.min(np.linalg.norm(blocks[self.active], axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
-class LowRankStructure:
+class LowRankStructure(_Structure):
     """Rank-r d x d matrix: orthonormal factors u, v of shape (d, r)."""
 
     d: int
@@ -166,9 +354,15 @@ class LowRankStructure:
     v: np.ndarray
     seed: int | None = None
 
+    kind = "lowrank"
+    family = "nuclear"
+    descriptor_fields = ("d", "r")
+
     def __post_init__(self):
         object.__setattr__(self, "u", _frozen_array(self.u))
         object.__setattr__(self, "v", _frozen_array(self.v))
+        if self.d < 1:
+            raise InvalidStructureError("matrix side must be positive")
         if self.r > self.d:
             raise InvalidStructureError(f"rank {self.r} exceeds side {self.d}")
         if self.u.shape != (self.d, self.r) or self.v.shape != (self.d, self.r):
@@ -182,7 +376,101 @@ class LowRankStructure:
     def ambient_dim(self) -> int:
         return self.d * self.d
 
-    kind = "lowrank"
+    @property
+    def dof(self) -> int:
+        return self.r * (2 * self.d - self.r)
+
+    def norm(self, values) -> float:
+        """Nuclear norm: the sum of the singular values."""
+        return float(np.sum(np.linalg.svd(as_matrix(values, self.d), compute_uv=False)))
+
+    def at(self, values: np.ndarray) -> LowRankStructure:
+        """The structure at ``values``: rank detection thresholds at 1e-10.
+
+        Singular-vector signs may differ from the stored factors; the
+        geometry never sees them. The full SVD also gives the complement
+        bases, so the derived structure never computes them again.
+        """
+        u, sv, vt = np.linalg.svd(as_matrix(values, self.d))
+        r = int(np.sum(sv > RANK_TOL))
+        out = replace(self, r=r, u=u[:, :r], v=vt[:r].T, seed=None)
+        out.__dict__["complements"] = (u[:, r:], vt[r:].T)
+        return out
+
+    @cached_property
+    def complements(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal bases of the complements of range(u) and range(v)."""
+        return _complement_basis(self.u), _complement_basis(self.v)
+
+    def profile(self, G: np.ndarray) -> ScaleProfile:
+        n_samp = G.shape[0]
+        d, r = self.d, self.r
+        # rows are column-major flattenings, so the C-order reshape is the transpose
+        mats = np.transpose(G.reshape(n_samp, d, d), (0, 2, 1))
+        uvt = self.u @ self.v.T
+        c1 = np.einsum("nij,ij->n", mats, uvt)
+        if r < d:
+            uperp, vperp = self.complements
+            b = np.einsum("ip,nij->npj", uperp, mats) @ vperp
+            nu = np.linalg.svd(b, compute_uv=False)
+            c0 = (mats ** 2).sum(axis=(1, 2)) - (b ** 2).sum(axis=(1, 2))
+        else:
+            nu = np.zeros((n_samp, 0))
+            c0 = (mats ** 2).sum(axis=(1, 2))
+        return ScaleProfile(c0=c0, c1=c1, c2=float(r), nu=nu, w=None)
+
+    def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:
+        p = lam * self.u @ self.v.T
+        if self.r < self.d:
+            # the component outside the signal's subspaces, in the complement
+            # bases, with its singular values clipped at lam (unchanged when
+            # none exceeds lam, as at a prox solution)
+            uperp, vperp = self.complements
+            b = uperp.T @ as_matrix(g, self.d) @ vperp
+            if np.linalg.norm(b, 2) > lam:
+                ub, sv, vbt = np.linalg.svd(b)
+                b = (ub * np.minimum(sv, lam)) @ vbt
+            p = p + uperp @ b @ vperp.T
+        return as_vector(p)
+
+    def radius_and_peak(self) -> tuple[float, float]:
+        return math.sqrt(self.d), math.sqrt(self.r)
+
+    def table1_threshold(self) -> float:
+        return 2.0 * math.sqrt(self.d)
+
+    def table1_bound(self, lam: float) -> float:
+        return float((lam * lam + 2.0 * self.d) * self.r + 2.0 * self.d)
+
+    def check_values(self, values: np.ndarray) -> None:
+        x = as_matrix(values, self.d)
+        resid = x - self.u @ (self.u.T @ x @ self.v) @ self.v.T
+        if np.max(np.abs(resid)) > 1e-9 * max(1.0, np.max(np.abs(x))):
+            raise InvalidStructureError("values leave the declared singular subspaces")
+
+    def min_magnitude(self, values: np.ndarray) -> float:
+        sv = np.linalg.svd(as_matrix(values, self.d), compute_uv=False)
+        return float(sv[self.r - 1])
+
+    def equivalent(self, other, tol: float) -> bool:
+        """Compares u v^T and the two subspace projectors, exactly the data
+        the subdifferential depends on."""
+        if self.d != other.d or self.r != other.r:
+            return False
+        return (np.allclose(self.u @ self.v.T, other.u @ other.v.T, atol=tol)
+                and np.allclose(self.u @ self.u.T, other.u @ other.u.T, atol=tol)
+                and np.allclose(self.v @ self.v.T, other.v @ other.v.T, atol=tol))
+
+
+def _complement_basis(u: np.ndarray) -> np.ndarray:
+    d, r = u.shape
+    q, _ = np.linalg.qr(u, mode="complete")
+    # columns r..d of the full Q span the orthogonal complement of range(u)
+    q_perp = q[:, r:]
+    # re-orthogonalize against u explicitly to kill rounding leakage
+    q_perp = q_perp - u @ (u.T @ q_perp)
+    q_perp, _ = np.linalg.qr(q_perp)
+    return q_perp
 
 
 SignalStructure = Union[
@@ -210,22 +498,7 @@ class SignalInstance:
             raise InvalidStructureError("values must be a dense vector of the ambient dimension")
         if np.linalg.norm(self.values) <= SUPPORT_TOL:
             raise InvalidStructureError("signal values must not be the zero vector")
-        if isinstance(s, (SparseStructure, WeightedSparseStructure)):
-            off = np.setdiff1d(np.arange(s.n), s.support)
-            if off.size and np.max(np.abs(self.values[off])) > SUPPORT_TOL:
-                raise InvalidStructureError("values leak outside the declared support")
-            if np.any(np.sign(self.values[s.support]) != s.signs):
-                raise InvalidStructureError("value signs disagree with the declared signs")
-        elif isinstance(s, BlockSparseStructure):
-            blocks = self.values.reshape(s.t, s.b)
-            inactive = np.setdiff1d(np.arange(s.t), s.active)
-            if inactive.size and np.max(np.abs(blocks[inactive])) > SUPPORT_TOL:
-                raise InvalidStructureError("values leak outside the active blocks")
-        elif isinstance(s, LowRankStructure):
-            x = as_matrix(self.values, s.d)
-            resid = x - s.u @ (s.u.T @ x @ s.v) @ s.v.T
-            if np.max(np.abs(resid)) > 1e-9 * max(1.0, np.max(np.abs(x))):
-                raise InvalidStructureError("values leave the declared singular subspaces")
+        s.check_values(self.values)
 
     @property
     def ambient_dim(self) -> int:
@@ -233,14 +506,7 @@ class SignalInstance:
 
     def min_magnitude(self) -> float:
         """Smallest structural feature: min nonzero |entry| / block norm / singular value."""
-        s = self.structure
-        if isinstance(s, (SparseStructure, WeightedSparseStructure)):
-            return float(np.min(np.abs(self.values[s.support])))
-        if isinstance(s, BlockSparseStructure):
-            blocks = self.values.reshape(s.t, s.b)
-            return float(np.min(np.linalg.norm(blocks[s.active], axis=1)))
-        sv = np.linalg.svd(as_matrix(self.values, s.d), compute_uv=False)
-        return float(sv[s.r - 1])
+        return self.structure.min_magnitude(self.values)
 
 
 def as_matrix(values: np.ndarray, d: int) -> np.ndarray:
@@ -313,14 +579,15 @@ def make_low_rank(d: int, r: int, seed: int = 0,
     if r < 1 or r > d:
         raise InvalidStructureError(f"need 1 <= r <= d, got r={r}, d={d}")
     rng = stream(seed)
-    u = _haar_columns(rng, d, r)
-    v = _haar_columns(rng, d, r)
+    u = haar_columns(rng, d, r)
+    v = haar_columns(rng, d, r)
     sv = np.sort(_magnitudes(rng, r, magnitude_law))[::-1]
     x = u @ np.diag(sv) @ v.T
     return SignalInstance(LowRankStructure(d, r, u, v, seed=seed), as_vector(x))
 
 
-def _haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
+def haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
+    """Haar-random d x r matrix with orthonormal columns (QR of a Gaussian matrix)."""
     g = rng.standard_normal((d, r))
     q, rr = np.linalg.qr(g)
     signs = np.sign(np.diag(rr))
@@ -347,125 +614,37 @@ def nonnegative(inst: SignalInstance) -> SignalInstance:
     return SignalInstance(flipped, np.abs(inst.values))
 
 
-def degrees_of_freedom(s: SignalStructure) -> int:
-    """Parameter count of the structure class: k, b*k, or r(2d - r)."""
-    if isinstance(s, (SparseStructure, WeightedSparseStructure)):
-        return s.k
-    if isinstance(s, BlockSparseStructure):
-        return s.b * s.k
-    if isinstance(s, LowRankStructure):
-        return s.r * (2 * s.d - s.r)
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
-
-
-def norm_value(s: SignalStructure, values: np.ndarray) -> float:
-    """Evaluate the structure-inducing norm (l1 / weighted l1 / l1,2 / nuclear)."""
-    values = np.asarray(values, dtype=float)
-    if isinstance(s, SparseStructure):
-        return float(np.sum(np.abs(values)))
-    if isinstance(s, WeightedSparseStructure):
-        return float(np.sum(s.coordinate_weights * np.abs(values)))
-    if isinstance(s, BlockSparseStructure):
-        return float(np.sum(np.linalg.norm(values.reshape(s.t, s.b), axis=1)))
-    if isinstance(s, LowRankStructure):
-        return float(np.sum(np.linalg.svd(as_matrix(values, s.d), compute_uv=False)))
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
-
-
-def derive_structure(inst: SignalInstance) -> SignalStructure:
-    """Re-derive the geometric descriptor from the dense values.
-
-    Support detection thresholds at 1e-12, rank detection at 1e-10. For a
-    valid instance this reproduces the stored descriptor (for low-rank, up to
-    the per-singular-vector sign convention, which the geometry never sees).
-    """
-    s = inst.structure
-    if isinstance(s, (SparseStructure, WeightedSparseStructure)):
-        support = np.flatnonzero(np.abs(inst.values) > SUPPORT_TOL)
-        signs = np.sign(inst.values[support])
-        if isinstance(s, WeightedSparseStructure):
-            return WeightedSparseStructure(s.n, support, signs, s.region_of, s.weights)
-        return SparseStructure(s.n, support, signs)
-    if isinstance(s, BlockSparseStructure):
-        blocks = inst.values.reshape(s.t, s.b)
-        norms = np.linalg.norm(blocks, axis=1)
-        active = np.flatnonzero(norms > SUPPORT_TOL)
-        directions = blocks[active] / norms[active, None]
-        return BlockSparseStructure(s.t, s.b, active, directions)
-    if isinstance(s, LowRankStructure):
-        u, sv, vt = np.linalg.svd(as_matrix(inst.values, s.d))
-        r = int(np.sum(sv > RANK_TOL))
-        return LowRankStructure(s.d, r, u[:, :r], vt[:r].T)
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
-
-
 def structures_equivalent(a: SignalStructure, b: SignalStructure, tol: float = 1e-10) -> bool:
-    """Geometric equality: same subdifferential, ignoring seed provenance.
-
-    Low-rank factors compare through u v^T and the two subspace projectors,
-    which is exactly the data the subdifferential depends on.
-    """
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, SparseStructure):
-        return a.n == b.n and np.array_equal(a.support, b.support) and np.array_equal(a.signs, b.signs)
-    if isinstance(a, WeightedSparseStructure):
-        return (a.n == b.n and np.array_equal(a.support, b.support)
-                and np.array_equal(a.signs, b.signs)
-                and np.array_equal(a.region_of, b.region_of)
-                and np.allclose(a.weights, b.weights, atol=tol))
-    if isinstance(a, BlockSparseStructure):
-        return (a.t == b.t and a.b == b.b and np.array_equal(a.active, b.active)
-                and np.allclose(a.directions, b.directions, atol=tol))
-    if isinstance(a, LowRankStructure):
-        if a.d != b.d or a.r != b.r:
-            return False
-        return (np.allclose(a.u @ a.v.T, b.u @ b.v.T, atol=tol)
-                and np.allclose(a.u @ a.u.T, b.u @ b.u.T, atol=tol)
-                and np.allclose(a.v @ a.v.T, b.v @ b.v.T, atol=tol))
-    return False
+    """Geometric equality: same subdifferential, ignoring seed provenance."""
+    return type(a) is type(b) and a.equivalent(b, tol)
 
 
-def structure_label(s: SignalStructure) -> str:
-    """Compact human-readable tag used in CSV output, e.g. 'sparse:500:20'."""
-    if isinstance(s, SparseStructure):
-        return f"sparse:{s.n}:{s.k}"
-    if isinstance(s, WeightedSparseStructure):
-        return f"weighted:{s.n}:{s.k}:{s.weights.size}"
-    if isinstance(s, BlockSparseStructure):
-        return f"block:{s.t}:{s.b}:{s.k}"
-    if isinstance(s, LowRankStructure):
-        return f"lowrank:{s.d}:{s.r}"
-    raise InvalidStructureError(f"unknown structure {type(s).__name__}")
+# the structures built by a seeded constructor, hence with a JSON descriptor
+# and a CLI shorthand kind:field:field...
+_MAKERS = {"sparse": make_sparse, "block": make_block_sparse, "lowrank": make_low_rank}
+DESCRIPTOR_FIELDS = {cls.kind: cls.descriptor_fields
+                     for cls in (SparseStructure, BlockSparseStructure, LowRankStructure)}
 
 
 def structure_to_json(s: SignalStructure) -> str:
     """Serialize the constructor descriptor, e.g. {"kind":"sparse","n":500,"k":20,"seed":1}."""
     if s.seed is None:
         raise InvalidStructureError("structure was not built by a seeded constructor")
-    if isinstance(s, SparseStructure):
-        d = {"kind": "sparse", "n": s.n, "k": s.k, "seed": s.seed}
-    elif isinstance(s, BlockSparseStructure):
-        d = {"kind": "block", "t": s.t, "b": s.b, "k": s.k, "seed": s.seed}
-    elif isinstance(s, LowRankStructure):
-        d = {"kind": "lowrank", "d": s.d, "r": s.r, "seed": s.seed}
-    else:
+    if s.kind not in DESCRIPTOR_FIELDS:
         raise InvalidStructureError(f"no JSON descriptor for {type(s).__name__}")
-    return json.dumps(d)
+    args = {f: getattr(s, f) for f in DESCRIPTOR_FIELDS[s.kind]}
+    return json.dumps({"kind": s.kind, **args, "seed": s.seed})
 
 
 def instance_from_descriptor(desc: dict, magnitude_law: str = "uniform") -> SignalInstance:
     """Build a SignalInstance from a JSON-style descriptor dict."""
     try:
-        kind = desc["kind"]
+        kind = str(desc["kind"])
         seed = int(desc["seed"])
         law = desc.get("magnitude_law", magnitude_law)
-        if kind == "sparse":
-            return make_sparse(int(desc["n"]), int(desc["k"]), law, seed)
-        if kind == "block":
-            return make_block_sparse(int(desc["t"]), int(desc["b"]), int(desc["k"]), seed, law)
-        if kind == "lowrank":
-            return make_low_rank(int(desc["d"]), int(desc["r"]), seed, law)
+        if kind in _MAKERS:
+            args = {f: int(desc[f]) for f in DESCRIPTOR_FIELDS[kind]}
+            return _MAKERS[kind](**args, seed=seed, magnitude_law=law)
     except KeyError as exc:
         raise InvalidStructureError(f"descriptor missing field {exc}") from exc
     raise InvalidStructureError(f"unknown structure kind {kind!r}")

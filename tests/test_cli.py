@@ -236,6 +236,23 @@ def test_lasso_sweep_csv(tmp_path):
         assert int(row["excluded_trials"]) == 0
 
 
+@pytest.mark.parametrize("args", [
+    ["msd", "--lambda-grid", "nan", "--samples", "2000"],
+    ["denoise", "--estimator", "regularized", "--lambda", "nan", "--trials", "5"],
+    ["bounds", "--lambda", "nan"],
+    ["bounds", "--cone-msd", "nan"],
+    ["denoise", "--estimator", "regularized", "--lambda", "1.0", "--sigma-grid", "nan",
+     "--trials", "5"],
+    ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--sigma-scale", "inf"],
+], ids=["msd-lambda", "denoise-lambda", "bounds-lambda", "bounds-cone-msd", "sigma-grid",
+        "lasso-sigma"])
+def test_non_finite_scalars_exit_2_no_file(tmp_path, args):
+    out = tmp_path / "nan.csv"
+    code = run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # determinism and process-level behavior
 # ---------------------------------------------------------------------------

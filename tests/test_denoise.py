@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxmse import denoise, geometry, prox, signals
-from proxmse.errors import InvalidStructureError
+from proxmse.errors import InvalidStructureError, NumericalError
 
 
 def combined_se(a, b):
@@ -58,6 +58,14 @@ def test_regularized_lowrank_runs_with_certified_prox():
     assert all(rec.trials == 10 for rec in run.records)
 
 
+def test_regularized_weighted_with_unit_weights_matches_sparse():
+    sparse = signals.make_sparse(30, 4, seed=3)
+    weighted = signals.make_weighted_sparse(30, 4, np.zeros(30, dtype=int), [1.0], seed=3)
+    a = denoise.run_regularized(sparse, 1.5, [0.01, 0.5], 6, seed=9)
+    b = denoise.run_regularized(weighted, 1.5, [0.01, 0.5], 6, seed=9)
+    assert a.records == b.records
+
+
 def test_constrained_small_sigma_near_cone_msd():
     inst = signals.make_sparse(80, 6, "uniform", seed=8)
     grid = denoise.default_sigma_grid(inst)
@@ -69,7 +77,7 @@ def test_constrained_small_sigma_near_cone_msd():
 
 def test_constrained_identity_when_noise_shrinks_signal():
     inst = signals.make_sparse(10, 2, seed=13)
-    radius = signals.norm_value(inst.structure, inst.values)
+    radius = inst.structure.norm(inst.values)
     y = 0.9 * inst.values    # strictly inside the ball
     assert np.array_equal(prox.project_ball(y, "l1", radius), y)
 
@@ -140,6 +148,14 @@ def test_grid_validation():
         denoise.run_regularized(inst, 1.0, [-0.1, 0.2], 5, seed=1)
     with pytest.raises(ValueError):
         denoise.run_regularized(inst, 1.0, [0.1], 1, seed=1)
+
+
+def test_uncertified_trial_fails_closed():
+    # a NaN residual compares False with the tolerance; the check must still fail
+    inst = signals.make_sparse(10, 2, seed=1)
+    for residual in (float("nan"), 1e-6):
+        with pytest.raises(NumericalError):
+            denoise._run(inst, "regularized", 1.0, [0.1], 2, 1, lambda y, sigma: (y, residual))
 
 
 def test_constrained_rejects_weighted():

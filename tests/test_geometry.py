@@ -204,12 +204,15 @@ def test_profile_matches_direct_distance():
     ]
     for s in cases:
         G = rng.standard_normal((6, s.ambient_dim))
-        prof = geometry._profile(s, G)
+        prof = s.profile(G)
         for lam in (0.0, 0.5, 1.9):
             vals = geometry._profile_eval(prof, lam)
             for i in range(6):
-                direct = geometry.dist_sq_scaled_subdiff(s, G[i], lam)
+                p = geometry.project_scaled_subdiff(s, G[i], lam)
+                direct = float((G[i] - p) @ (G[i] - p))
                 assert vals[i] == pytest.approx(direct, rel=1e-9, abs=1e-9)
+                assert geometry.dist_sq_scaled_subdiff(s, G[i], lam) == pytest.approx(
+                    direct, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +405,7 @@ KINDS = ["sparse", "weighted", "block", "lowrank", "weighted_zero_support", "emp
 def test_cone_argmin_kkt_and_grid(kind, seed, scale):
     s = _structure(kind, seed)
     G = scale * np.random.default_rng(seed).standard_normal((4, s.ambient_dim))
-    p = geometry._profile(s, G)
+    p = s.profile(G)
     with np.errstate(all="raise"):
         lam, val = geometry._cone_argmin(p)
     h = _derivative(p, lam)
@@ -425,8 +428,8 @@ def test_cone_argmin_kkt_and_grid(kind, seed, scale):
 def test_pooled_argmin_kkt_and_grid(kind, seed):
     s = _structure(kind, seed)
     rng = np.random.default_rng(seed)
-    chunks = [(0, geometry._profile(s, rng.standard_normal((5, s.ambient_dim)))),
-              (5, geometry._profile(s, rng.standard_normal((3, s.ambient_dim))))]
+    chunks = [(0, s.profile(rng.standard_normal((5, s.ambient_dim)))),
+              (5, s.profile(rng.standard_normal((3, s.ambient_dim))))]
     with np.errstate(all="raise"):
         lam = geometry._pooled_argmin(chunks)
     h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
@@ -440,6 +443,22 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
     best = mean_at(lam)
     for x in np.linspace(0.0, 1.5 * lam + 2.0, 301):
         assert best <= mean_at(x) + 1e-9 * (1.0 + abs(best))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20),
+       scale=st.sampled_from([0.1, 1.0, 5.0]), lam=st.floats(0.0, 4.0))
+def test_distance_is_residual_of_projection(kind, seed, scale, lam):
+    # the profile of one sample against the independent projection formula
+    s = _structure(kind, seed)
+    g = scale * np.random.default_rng(seed).standard_normal(s.ambient_dim)
+    p = geometry.project_scaled_subdiff(s, g, lam)
+    direct = float((g - p) @ (g - p))
+    size = float(g @ g) + lam * lam * 4.0 * s.ambient_dim
+    assert geometry.dist_sq_scaled_subdiff(s, g, lam) == pytest.approx(
+        direct, rel=1e-9, abs=1e-12 * (1.0 + size))
+    # a member of the set: the expanded quadratic cancels, and must not go below 0
+    assert 0.0 <= geometry.dist_sq_scaled_subdiff(s, p, lam) <= 1e-12 * (1.0 + size)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,28 @@ def test_block_rejects_indivisible_length():
         prox.block_soft_threshold(np.arange(5.0), 1.0, 2)
 
 
+@pytest.mark.parametrize("block_size", [0, -2, None])
+def test_block_size_must_be_positive(block_size):
+    y = np.arange(4.0)
+    with pytest.raises(ValueError, match="block size must be a positive integer"):
+        prox.block_soft_threshold(y, 1.0, block_size)
+    with pytest.raises(ValueError, match="block size must be a positive integer"):
+        prox.project_ball(y, "l12", 1.0, block_size=block_size)
+    with pytest.raises(ValueError, match="block size must be a positive integer"):
+        prox.prox_residual("l12", y, y, 1.0, block_size=block_size)
+
+
+def test_non_finite_scale_rejected():
+    y = np.array([1.0, -2.0])
+    for call in (lambda: prox.soft_threshold(y, np.nan),
+                 lambda: prox.block_soft_threshold(y, np.inf, 1),
+                 lambda: prox.singular_value_threshold(np.eye(2), np.nan),
+                 lambda: prox.project_ball(y, "l1", np.nan),
+                 lambda: prox.prox_residual("l1", y, y, np.nan)):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # singular value threshold
 # ---------------------------------------------------------------------------

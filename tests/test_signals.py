@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from proxmse import signals
+from proxmse import geometry, signals
 from proxmse.errors import InvalidStructureError
 
 
@@ -92,9 +92,9 @@ def test_make_low_rank_rejects_bad_rank():
 
 
 def test_degrees_of_freedom():
-    assert signals.degrees_of_freedom(signals.make_sparse(500, 20, seed=1).structure) == 20
-    assert signals.degrees_of_freedom(signals.make_low_rank(30, 4, seed=1).structure) == 224
-    assert signals.degrees_of_freedom(signals.make_block_sparse(50, 10, 5, seed=1).structure) == 50
+    assert signals.make_sparse(500, 20, seed=1).structure.dof == 20
+    assert signals.make_low_rank(30, 4, seed=1).structure.dof == 224
+    assert signals.make_block_sparse(50, 10, 5, seed=1).structure.dof == 50
 
 
 def test_degrees_of_freedom_bounded_by_ambient():
@@ -105,7 +105,7 @@ def test_degrees_of_freedom_bounded_by_ambient():
         signals.make_low_rank(9, 2, seed=0).structure,
     ]
     for s in cases:
-        assert signals.degrees_of_freedom(s) <= s.ambient_dim
+        assert s.dof <= s.ambient_dim
 
 
 def test_constructors_deterministic():
@@ -121,14 +121,21 @@ def test_constructors_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_derive_structure_roundtrip():
-    for inst in (
-        signals.make_sparse(30, 5, "uniform", seed=8),
-        signals.make_block_sparse(6, 4, 3, seed=8),
-        signals.make_low_rank(9, 3, seed=8),
-    ):
-        derived = signals.derive_structure(inst)
-        assert signals.structures_equivalent(inst.structure, derived, tol=1e-9)
+@pytest.mark.parametrize("make", [
+    lambda: signals.make_sparse(30, 5, "uniform", seed=8),
+    lambda: signals.make_weighted_sparse(12, 4, np.arange(12) % 3, [0.0, 1.0, 2.5], seed=8),
+    lambda: signals.make_block_sparse(6, 4, 3, seed=8),
+    lambda: signals.make_low_rank(9, 3, seed=8),
+], ids=["sparse", "weighted", "block", "lowrank"])
+def test_at_reproduces_structure(make):
+    inst = make()
+    derived = inst.structure.at(inst.values)
+    assert derived.seed is None
+    assert signals.structures_equivalent(inst.structure, derived, tol=1e-9)
+    # same subdifferential, same distances (low rank: through the SVD's complement bases)
+    g = np.random.default_rng(1).standard_normal(inst.ambient_dim)
+    assert geometry.dist_sq_scaled_subdiff(derived, g, 0.7) == pytest.approx(
+        geometry.dist_sq_scaled_subdiff(inst.structure, g, 0.7), rel=1e-10)
 
 
 def test_instance_rejects_zero_vector():
@@ -145,15 +152,15 @@ def test_instance_rejects_support_leak():
 
 def test_norm_values():
     inst = signals.make_sparse(10, 3, "unit", seed=1)
-    assert signals.norm_value(inst.structure, inst.values) == pytest.approx(3.0)
+    assert inst.structure.norm(inst.values) == pytest.approx(3.0)
     inst = signals.make_block_sparse(4, 2, 2, seed=1, magnitude_law="unit")
     blocks = inst.values.reshape(4, 2)
-    assert signals.norm_value(inst.structure, inst.values) == pytest.approx(
+    assert inst.structure.norm(inst.values) == pytest.approx(
         np.linalg.norm(blocks, axis=1).sum()
     )
     inst = signals.make_low_rank(5, 2, seed=1)
     sv = np.linalg.svd(signals.as_matrix(inst.values, 5), compute_uv=False)
-    assert signals.norm_value(inst.structure, inst.values) == pytest.approx(sv.sum())
+    assert inst.structure.norm(inst.values) == pytest.approx(sv.sum())
 
 
 def test_structure_json_roundtrip():
@@ -191,7 +198,7 @@ def test_weighted_sparse_structure():
     s = inst.structure
     assert s.coordinate_weights.shape == (12,)
     assert set(np.unique(s.coordinate_weights)) == {1.0, 2.0}
-    assert signals.norm_value(s, inst.values) == pytest.approx(
+    assert s.norm(inst.values) == pytest.approx(
         float(np.sum(s.coordinate_weights * np.abs(inst.values)))
     )
 
@@ -203,6 +210,26 @@ def test_weighted_sparse_rejects_out_of_range_support():
             signals.WeightedSparseStructure(4, support, [1.0], region_of, [1.0])
         with pytest.raises(InvalidStructureError, match="support index out of range"):
             signals.SparseStructure(4, support, [1.0])
+
+
+def test_weighted_sparse_validation_matches_sparse():
+    with pytest.raises(InvalidStructureError, match="ambient dimension must be positive"):
+        signals.WeightedSparseStructure(0, [], [], [], [1.0])
+    with pytest.raises(InvalidStructureError, match="ambient dimension must be positive"):
+        signals.SparseStructure(0, [], [])
+    with pytest.raises(InvalidStructureError, match="support indices must be distinct"):
+        signals.WeightedSparseStructure(4, [1, 1], [1.0, 1.0], np.zeros(4, dtype=int), [1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_weighted_sparse_rejects_non_finite_weights(bad):
+    with pytest.raises(InvalidStructureError, match="weights must be finite and nonnegative"):
+        signals.WeightedSparseStructure(3, [0], [1.0], [0, 1, 1], [1.0, bad])
+
+
+def test_low_rank_rejects_empty_side():
+    with pytest.raises(InvalidStructureError, match="matrix side must be positive"):
+        signals.LowRankStructure(0, 0, np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_min_magnitude():
