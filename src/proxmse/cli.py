@@ -196,16 +196,17 @@ def run_denoise(args) -> int:
         "seed": args.seed, "reference_samples": args.reference_samples,
         "format": args.format,
     }
+    # built first, so an invalid sample count fails before any trial runs
+    mc = (geometry.McConfig(samples=args.reference_samples, seed=args.seed)
+          if args.reference_samples else None)
     d_ref = None
     if estimator == "regularized":
         run = denoise_lab.run_regularized(inst, args.lam, grid, args.trials, args.seed)
-        if args.reference_samples:
-            mc = geometry.McConfig(samples=args.reference_samples, seed=args.seed)
+        if mc:
             d_ref = geometry.msd_lambda(inst.structure, args.lam, mc).mean
     elif estimator == "constrained":
         run = denoise_lab.run_constrained(inst, grid, args.trials, args.seed)
-        if args.reference_samples:
-            mc = geometry.McConfig(samples=args.reference_samples, seed=args.seed)
+        if mc:
             d_ref = geometry.msd_cone(inst.structure, mc).mean
     elif estimator == "mixed":
         run = denoise_lab.run_mixed_nonneg_sparse(

@@ -35,9 +35,11 @@ from .streams import stream
 class SolverConfig:
     """Accelerated projected-gradient controls.
 
-    ``step=None`` selects 1/sigma_max(A)^2, estimated by power iteration to
-    1e-6 relative accuracy (``estimate_lasso_point`` passes 1 for
-    partial-unitary operators, whose operator norm is exactly one).
+    ``step=None`` selects 1/sigma_max(A)^2, with sigma_max(A) the largest
+    singular value computed exactly by ``np.linalg.norm(A, 2)``, so the step
+    never exceeds the 1/L the step-length bound below assumes
+    (``estimate_lasso_point`` passes 1 for partial-unitary operators, whose
+    operator norm is exactly one, and takes no SVD for them).
 
     ``tol`` is a relative step length: the solver has converged once its
     last projected-gradient step, taken from the extrapolated point z to
@@ -113,27 +115,6 @@ def sample_gaussian_matrix(m: int, n: int, seed: int) -> np.ndarray:
     return stream(seed).standard_normal((m, n))
 
 
-def _operator_norm_sq(a: np.ndarray, rel_tol: float = 1e-6, max_iters: int = 500) -> float:
-    """Largest squared singular value by power iteration on A^T A."""
-    # start at the longest row a_i: ||A a_i||^2 >= ||a_i||^4 > 0 unless A = 0
-    row_norms = np.linalg.norm(a, axis=1)
-    i = int(np.argmax(row_norms))
-    if row_norms[i] == 0.0:
-        raise NumericalError("A is zero: no step size")
-    v = a[i] / row_norms[i]
-    prev = 0.0
-    for _ in range(max_iters):
-        w = a.T @ (a @ v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            raise NumericalError("power iteration found A^T A v = 0: no step size")
-        v = w / est
-        if abs(est - prev) <= rel_tol * est:
-            break
-        prev = est
-    return est
-
-
 def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
                             cfg: SolverConfig = SolverConfig(),
                             x_init: np.ndarray | None = None) -> LassoSolution:
@@ -161,7 +142,12 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
-    step = cfg.step if cfg.step is not None else 1.0 / _operator_norm_sq(a)
+    step = cfg.step
+    if step is None:
+        norm_sq = float(np.linalg.norm(a, 2)) ** 2
+        if norm_sq == 0.0:
+            raise NumericalError("A is zero: no step size")
+        step = 1.0 / norm_sq
     x = np.zeros(a.shape[1]) if x_init is None else np.asarray(x_init, dtype=float)
     x = ball.project(x)
     ax = a @ x

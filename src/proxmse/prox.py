@@ -5,15 +5,19 @@ objective value tau*f(x) + 0.5*||y - x||^2, and an optimality residual: the
 distance from y - x to the tau-scaled subdifferential at the minimizer,
 which is zero exactly when x solves the proximal problem.
 
-The formulas that belong to a norm family rather than to one structure are
-keyed here, once each, by the family tag of :mod:`proxmse.signals` ("l1",
-"wl1", "l12", "nuclear"): the prox (:func:`prox_step`), the ball projection
-(:func:`project_ball`) and the dual norm (:func:`dual_norm`).
+Each operator moves only the magnitudes of :func:`proxmse.signals.split`
+(|entries|, block norms or singular values) and rebuilds the point from
+them: the prox (:func:`prox_step`) shrinks them by tau times their
+weights, the ball projection (:func:`project_ball`) shrinks them by the
+threshold of the l1 ball of magnitudes, and the dual norm
+(:func:`dual_norm`) is their largest value. The thresholds
+``soft_threshold``, ``weighted_soft_threshold``, ``block_soft_threshold``
+and ``singular_value_threshold`` are :func:`prox_step` at the zero
+structure of their norm.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,8 +31,7 @@ from .signals import (
     SignalStructure,
     SparseStructure,
     WeightedSparseStructure,
-    as_matrix,
-    as_vector,
+    split,
 )
 
 # the families with a ball projection and a dual norm
@@ -42,29 +45,26 @@ class ProxResult:
     residual: float
 
 
-def _blocks(y: np.ndarray, block_size) -> np.ndarray:
-    """The 1-D array y as rows of length block_size."""
-    if block_size is None or block_size < 1:
-        raise ValueError(f"block size must be a positive integer, got {block_size!r}")
-    if y.ndim != 1 or y.size % block_size:
-        raise ValueError(f"length {y.size} not divisible by block size {block_size}")
-    return y.reshape(-1, block_size)
+def prox_step(s: SignalStructure, y, tau: float) -> ProxResult:
+    """The prox of tau times the norm of structure s at y.
 
-
-def _square(y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A square matrix from y or its column-major flattening, and whether y was flat."""
-    if y.ndim == 1:
-        d = int(round(np.sqrt(y.size)))
-        if d * d != y.size:
-            raise ValueError("flattened input must have square length")
-        return as_matrix(y, d), True
-    if y.ndim != 2 or y.shape[0] != y.shape[1]:
-        raise ValueError("matrix input must be square")
-    return y, False
+    y is a vector of the structure's ambient dimension, or for the nuclear
+    norm also a square matrix; the minimizer comes back in y's layout. Each
+    magnitude m_j of y becomes max(m_j - tau * w_j, 0), with w_j the
+    structure's ``coordinate_weights``.
+    """
+    tau = require_nonneg(tau, "tau")
+    y = np.asarray(y, dtype=float)
+    mags, rebuild = split(y, s.family, s.block_size)
+    level = tau * s.coordinate_weights
+    shrunk = np.maximum(mags - level, 0.0)
+    x = rebuild(shrunk)
+    obj = (level * shrunk).sum() + 0.5 * ((y - x) ** 2).sum()
+    return ProxResult(x, float(obj), prox_residual(s, y, x, tau))
 
 
 def soft_threshold(y, tau: float) -> ProxResult:
-    """Coordinatewise shrink toward zero by tau; kills entries with |y_i| < tau."""
+    """Shrink each entry of the vector y toward zero by tau; kills entries with |y_i| < tau."""
     return weighted_soft_threshold(y, tau, 1.0)
 
 
@@ -75,33 +75,16 @@ def weighted_soft_threshold(y, tau: float, weights) -> ProxResult:
     w = np.asarray(weights, dtype=float)
     if not (w >= 0).all():
         raise ValueError("weights must be nonnegative")
-    level = tau * w
-    x = np.where(y >= level, y - level, np.where(np.abs(y) < level, 0.0, y + level))
-    obj = tau * (w * np.abs(x)).sum() + 0.5 * ((y - x) ** 2).sum()
-    if w.ndim:
-        # one region per coordinate
-        w = np.broadcast_to(w, y.shape).ravel()
-        res = prox_residual(WeightedSparseStructure(y.size, [], [], np.arange(y.size), w),
-                            y, x, tau)
-    else:
-        res = prox_residual("l1", y, x, float(level))
-    return ProxResult(x, float(obj), res)
+    if not w.ndim:
+        return prox_step(_zero_structure("l1", y.size, None), y, tau * float(w))
+    # one region per coordinate
+    w = np.broadcast_to(w, y.shape).ravel()
+    return prox_step(WeightedSparseStructure(y.size, [], [], np.arange(y.size), w), y, tau)
 
 
 def block_soft_threshold(y, tau: float, block_size: int) -> ProxResult:
-    """Scale each size-b block by max(1 - tau/||y_b||, 0)."""
-    tau = require_nonneg(tau, "tau")
-    y = np.asarray(y, dtype=float)
-    blocks = _blocks(y, block_size)
-    norms = np.linalg.norm(blocks, axis=1)
-    scale = np.zeros_like(norms)
-    big = norms > tau
-    scale[big] = 1.0 - tau / norms[big]
-    x = (blocks * scale[:, None]).reshape(-1)
-    xn = np.linalg.norm(x.reshape(-1, block_size), axis=1)
-    obj = tau * xn.sum() + 0.5 * ((y - x) ** 2).sum()
-    res = prox_residual("l12", y, x, tau, block_size=block_size)
-    return ProxResult(x, float(obj), res)
+    """Scale each size-b block y_b by max(||y_b|| - tau, 0) / ||y_b||."""
+    return prox_step(_zero_structure("l12", np.size(y), block_size), y, tau)
 
 
 def singular_value_threshold(y, tau: float) -> ProxResult:
@@ -110,28 +93,7 @@ def singular_value_threshold(y, tau: float) -> ProxResult:
     Accepts a (d, d) matrix or its column-major flattening; the minimizer is
     returned in the same layout as the input.
     """
-    tau = require_nonneg(tau, "tau")
-    m, flat_input = _square(np.asarray(y, dtype=float))
-    u, sv, vt = np.linalg.svd(m)
-    shrunk = np.maximum(sv - tau, 0.0)
-    x = (u[:, : sv.size] * shrunk) @ vt
-    obj = tau * shrunk.sum() + 0.5 * ((m - x) ** 2).sum()
-    res = prox_residual("nuclear", as_vector(m), as_vector(x), tau)
-    out = as_vector(x) if flat_input else x
-    return ProxResult(out, float(obj), res)
-
-
-_PROX = {
-    "l1": lambda s, y, tau: soft_threshold(y, tau),
-    "wl1": lambda s, y, tau: weighted_soft_threshold(y, tau, s.coordinate_weights),
-    "l12": lambda s, y, tau: block_soft_threshold(y, tau, s.block_size),
-    "nuclear": lambda s, y, tau: singular_value_threshold(y, tau),
-}
-
-
-def prox_step(s: SignalStructure, y: np.ndarray, tau: float) -> ProxResult:
-    """The prox of tau times the norm of structure s, at the flat vector y."""
-    return _PROX[s.family](s, y, tau)
+    return prox_step(_zero_structure("nuclear", np.size(y), None), y, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -148,54 +110,33 @@ def _l1_ball_shrink(mags: np.ndarray, radius: float) -> float:
     return float((css[rho - 1] - radius) / rho)
 
 
+def _ball_kind(kind: str) -> str:
+    if kind not in BALL_KINDS:
+        raise ValueError(f"unknown ball kind {kind!r}")
+    return kind
+
+
 def project_ball(y, kind: str, radius: float, *, block_size: int | None = None) -> np.ndarray:
     """Euclidean projection onto {x : f(x) <= radius} for f in {l1, l1,2, nuclear}.
 
-    l1 uses the sort-then-threshold rule; l1,2 applies it to the vector of
-    block norms; nuclear applies the l1 rule to the singular values. Points
-    already inside the ball are returned unchanged.
+    The magnitudes (|entries|, block norms, singular values) are projected
+    onto the l1 ball by the sort-then-threshold rule. Points already inside
+    the ball are returned unchanged.
     """
     radius = require_nonneg(radius, "radius")
     y = np.asarray(y, dtype=float)
     if radius == 0:
         return np.zeros_like(y)
-    if kind == "l1":
-        mags = np.abs(y)
-        if mags.sum() <= radius:
-            return y.copy()
-        theta = _l1_ball_shrink(mags.ravel(), radius)
-        return np.sign(y) * np.maximum(mags - theta, 0.0)
-    if kind == "l12":
-        blocks = _blocks(y, block_size)
-        norms = np.linalg.norm(blocks, axis=1)
-        if norms.sum() <= radius:
-            return y.copy()
-        theta = _l1_ball_shrink(norms, radius)
-        new_norms = np.maximum(norms - theta, 0.0)
-        scale = np.zeros_like(norms)
-        nz = norms > 0
-        scale[nz] = new_norms[nz] / norms[nz]
-        return (blocks * scale[:, None]).reshape(-1)
-    if kind == "nuclear":
-        m, flat_input = _square(y)
-        u, sv, vt = np.linalg.svd(m)
-        if sv.sum() <= radius:
-            return y.copy()
-        theta = _l1_ball_shrink(sv, radius)
-        x = (u[:, : sv.size] * np.maximum(sv - theta, 0.0)) @ vt
-        return as_vector(x) if flat_input else x
-    raise ValueError(f"unknown ball kind {kind!r}")
+    mags, rebuild = split(y, _ball_kind(kind), block_size)
+    if mags.sum() <= radius:
+        return y.copy()
+    theta = _l1_ball_shrink(mags.ravel(), radius)
+    return rebuild(np.maximum(mags - theta, 0.0))
 
 
 def dual_norm(g: np.ndarray, kind: str, block_size: int | None = None) -> float:
-    """Dual of the family's norm: max entry, max block norm or top singular value."""
-    if kind == "l1":
-        return float(np.max(np.abs(g)))
-    if kind == "l12":
-        return float(np.max(np.linalg.norm(_blocks(g, block_size), axis=1)))
-    if kind == "nuclear":
-        return float(np.linalg.norm(as_matrix(g, math.isqrt(g.size)), 2))
-    raise ValueError(f"unknown ball kind {kind!r}")
+    """Dual of the family's norm: the largest magnitude (entry, block norm, singular value)."""
+    return float(np.max(split(g, _ball_kind(kind), block_size)[0]))
 
 
 @dataclass(frozen=True)
@@ -229,14 +170,14 @@ def _zero_structure(kind: str, size: int, block_size: int | None) -> SignalStruc
 
     Structures are immutable, so one per (family, size) serves every call.
     """
+    # one magnitude per coordinate, block or matrix row; split checks the layout
+    count = split(np.zeros(size), kind, block_size)[0].size
     if kind == "l1":
-        return SparseStructure(size, [], [])
+        return SparseStructure(count, [], [])
     if kind == "l12":
-        t, b = _blocks(np.zeros(size), block_size).shape
-        return BlockSparseStructure(t, b, [], np.zeros((0, b)))
+        return BlockSparseStructure(count, block_size, [], np.zeros((0, block_size)))
     if kind == "nuclear":
-        d = _square(np.zeros(size))[0].shape[0]
-        return LowRankStructure(d, 0, np.zeros((d, 0)), np.zeros((d, 0)))
+        return LowRankStructure(count, 0, np.zeros((count, 0)), np.zeros((count, 0)))
     raise InvalidStructureError(f"unknown norm family {kind!r}")
 
 

@@ -13,8 +13,11 @@ scale profile (:meth:`profile`, see :mod:`proxmse.geometry`) and the
 projection onto the scaled subdifferential, the geometry constants, the
 Table-1 threshold and bound, the degrees of freedom, its label and its
 descriptor fields. ``family`` names the norm family ("l1", "wl1", "l12",
-"nuclear") that keys the formulas shared by a whole family in
-:mod:`proxmse.prox`: the prox, the ball projection and the dual norm.
+"nuclear"). :func:`split` takes a point apart into that family's
+magnitudes (|entries|, block norms or singular values) and a map that
+rebuilds a point from new magnitudes; the prox, the ball projection and the
+dual norm in :mod:`proxmse.prox`, and each class's projection onto the
+scaled subdifferential, only move the magnitudes.
 
 Matrices are stored flattened column-major as vectors of length d*d.
 """
@@ -68,6 +71,9 @@ class _Structure:
 
     block_size = None
     descriptor_fields: tuple[str, ...] = ()
+    # the weight of each magnitude of split() in the norm; the l1 classes
+    # override it with one weight per coordinate
+    coordinate_weights = 1.0
 
     @property
     def label(self) -> str:
@@ -156,7 +162,8 @@ class _SignedSupport(_Structure):
 
     def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:
         w = self.coordinate_weights
-        p = np.clip(g, -lam * w, lam * w)
+        mags, rebuild = split(g, self.family)
+        p = rebuild(np.minimum(mags, lam * w))
         p[self.support] = lam * w[self.support] * self.signs
         return p
 
@@ -315,14 +322,10 @@ class BlockSparseStructure(_Structure):
         )
 
     def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:
-        blocks = g.reshape(self.t, self.b).copy()
-        norms = np.linalg.norm(blocks, axis=1)
-        big = norms > lam
-        scale = np.ones(self.t)
-        scale[big] = lam / norms[big]
-        blocks *= scale[:, None]
-        blocks[self.active] = lam * self.directions
-        return blocks.reshape(-1)
+        norms, rebuild = split(g, self.family, self.b)
+        p = rebuild(np.minimum(norms, lam))
+        p.reshape(self.t, self.b)[self.active] = lam * self.directions
+        return p
 
     def radius_and_peak(self) -> tuple[float, float]:
         return math.sqrt(self.t), math.sqrt(self.k)
@@ -428,8 +431,8 @@ class LowRankStructure(_Structure):
             uperp, vperp = self.complements
             b = uperp.T @ as_matrix(g, self.d) @ vperp
             if np.linalg.norm(b, 2) > lam:
-                ub, sv, vbt = np.linalg.svd(b)
-                b = (ub * np.minimum(sv, lam)) @ vbt
+                sv, rebuild = split(b, self.family)
+                b = rebuild(np.minimum(sv, lam))
             p = p + uperp @ b @ vperp.T
         return as_vector(p)
 
@@ -517,6 +520,50 @@ def as_matrix(values: np.ndarray, d: int) -> np.ndarray:
 def as_vector(matrix: np.ndarray) -> np.ndarray:
     """Flatten a square matrix column-major."""
     return np.asarray(matrix).flatten(order="F")
+
+
+def split(y, family: str, block_size: int | None = None):
+    """The magnitudes of y under a norm family, and the map that rebuilds a point from them.
+
+    The magnitudes are |y_i| for "l1" and "wl1", the norms of the size-b
+    blocks of a vector for "l12", and the singular values of a square matrix
+    (or of its column-major flattening) for "nuclear". ``rebuild(m)`` returns
+    the point in y's layout with y's signs, block directions or singular
+    vectors and the magnitudes m; a zero block stays zero.
+    """
+    y = np.asarray(y, dtype=float)
+    if family in ("l1", "wl1"):
+        return np.abs(y), lambda m: np.sign(y) * m
+    if family == "l12":
+        if block_size is None or block_size < 1:
+            raise ValueError(f"block size must be a positive integer, got {block_size!r}")
+        if y.ndim != 1 or y.size % block_size:
+            raise ValueError(f"length {y.size} not divisible by block size {block_size}")
+        blocks = y.reshape(-1, block_size)
+        norms = np.linalg.norm(blocks, axis=1)
+
+        def rebuild_blocks(m):
+            scale = np.zeros_like(norms)
+            nz = norms > 0
+            scale[nz] = m[nz] / norms[nz]
+            return (blocks * scale[:, None]).reshape(-1)
+        return norms, rebuild_blocks
+    if family == "nuclear":
+        flat = y.ndim == 1
+        if flat:
+            d = math.isqrt(y.size)
+            if d * d != y.size:
+                raise ValueError("flattened input must have square length")
+            y = as_matrix(y, d)
+        elif y.ndim != 2 or y.shape[0] != y.shape[1]:
+            raise ValueError("matrix input must be square")
+        u, sv, vt = np.linalg.svd(y)
+
+        def rebuild_matrix(m):
+            x = (u * m) @ vt
+            return as_vector(x) if flat else x
+        return sv, rebuild_matrix
+    raise ValueError(f"unknown norm family {family!r}")
 
 
 def _magnitudes(rng: np.random.Generator, count: int, law: str) -> np.ndarray:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from proxmse import cli
+from proxmse import cli, denoise
 
 
 def run_cli(args):
@@ -218,6 +218,25 @@ def test_denoise_mixed_fills_reference(tmp_path):
     assert code == 0
     rows = read_lines(out)[2:]
     assert all(r.split(",")[-1] != "" for r in rows)
+
+
+@pytest.mark.parametrize("estimator", ["regularized", "constrained"])
+def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, monkeypatch, estimator):
+    draws = []
+
+    def counting_noise(*args):
+        draws.append(args)
+        return noise(*args)
+
+    noise = denoise.trial_noise
+    monkeypatch.setattr(denoise, "trial_noise", counting_noise)
+    out = tmp_path / "never.csv"
+    code = run_cli(["denoise", "--structure", "sparse:200:10", "--seed", "4",
+                    "--estimator", estimator, "--lambda", "2", "--trials", "400",
+                    "--reference-samples", "1", "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert draws == []
 
 
 def test_lasso_sweep_csv(tmp_path):

@@ -115,19 +115,37 @@ def test_solver_gaussian_step_from_power_iteration():
     assert np.linalg.norm(sol.x - inst.values) <= 1e-5 * np.linalg.norm(inst.values)
 
 
+def test_solver_default_step_is_exact_on_gaussian_operator():
+    # a power-iteration estimate of ||A||^2 falls short of it, and 1/estimate
+    # then exceeds the 1/L that the step-length stop assumes
+    inst = signals.make_sparse(100, 5, "unit", seed=16)
+    a = lasso.sample_gaussian_matrix(80, 100, seed=17)
+    y = a @ inst.values + 0.01 * np.random.default_rng(18).standard_normal(80)
+    ball = lasso.ball_for(inst)
+    sol = lasso.solve_constrained_lasso(a, y, ball)
+    assert np.array_equal(sol.x, _exact_step_solution(a, y, ball).x)
+
+
 def test_solver_zero_operator_raises_numerical_error():
     with pytest.raises(NumericalError, match="no step size"):
         lasso.solve_constrained_lasso(np.zeros((3, 5)), np.ones(3), lasso.BallSpec("l1", 1.0))
 
 
+def _exact_step_solution(a, y, ball):
+    """The solve with the step 1/||A||^2 set by hand, from the exact operator norm."""
+    step = 1.0 / np.linalg.norm(a, 2) ** 2
+    return lasso.solve_constrained_lasso(a, y, ball, lasso.SolverConfig(step=step))
+
+
 def test_solver_power_iteration_off_the_ones_null_space():
-    # the all-ones vector lies in the null space of A = [1, -1]; ||A||^2 = 2
+    # the all-ones vector lies in the null space of A = [1, -1]; ||A||^2 = 2,
+    # so the default step is 1/2
     a = np.array([[1.0, -1.0]])
-    assert lasso._operator_norm_sq(a) == pytest.approx(2.0, rel=1e-12)
     ball = lasso.BallSpec("l1", 1.0)
     sol = lasso.solve_constrained_lasso(a, [1.0], ball)
     half = lasso.solve_constrained_lasso(a, [1.0], ball, lasso.SolverConfig(step=0.5))
     assert sol.converged
+    assert np.array_equal(sol.x, _exact_step_solution(a, [1.0], ball).x)
     assert np.allclose(sol.x, half.x, atol=1e-12)
     assert np.allclose(sol.x, [0.5, -0.5], atol=1e-12)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxmse import prox, signals
 
@@ -323,3 +325,59 @@ def test_objective_values():
     r = prox.soft_threshold(y, 1.0)
     # x = (2, 0): 1*2 + 0.5*(1 + 0.04)
     assert r.objective == pytest.approx(2.0 + 0.5 * (1.0 + 0.04))
+
+
+# ---------------------------------------------------------------------------
+# properties of the magnitude split: Moreau identity, ball projections
+# ---------------------------------------------------------------------------
+
+def _zero_structure(family, seed):
+    """The structure of the zero point, whose subdifferential is the dual-norm unit ball."""
+    if family == "l1":
+        return signals.SparseStructure(12, [], [])
+    if family == "wl1":
+        rng = np.random.default_rng(seed)
+        return signals.WeightedSparseStructure(12, [], [], rng.integers(0, 3, 12),
+                                               rng.uniform(0.0, 2.0, 3))
+    if family == "l12":
+        return signals.BlockSparseStructure(4, 3, [], np.zeros((0, 3)))
+    return signals.LowRankStructure(4, 0, np.zeros((4, 0)), np.zeros((4, 0)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["l1", "wl1", "l12", "nuclear"]), seed=st.integers(0, 2**20),
+       scale=st.sampled_from([0.1, 1.0, 5.0]), tau=st.floats(0.0, 3.0))
+def test_moreau_identity(family, seed, scale, tau):
+    # prox_{tau f}(y) + projection of y onto tau * (dual unit ball) = y
+    s0 = _zero_structure(family, seed)
+    y = scale * np.random.default_rng(seed).standard_normal(s0.ambient_dim)
+    x = prox.prox_step(s0, y, tau).minimizer
+    p = s0.project_subdiff(y, tau)
+    assert np.linalg.norm(x + p - y) <= 1e-12 * np.linalg.norm(y)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(prox.BALL_KINDS), seed=st.integers(0, 2**20),
+       scale=st.sampled_from([0.1, 1.0, 5.0]), fraction=st.floats(0.05, 1.5))
+def test_project_ball_feasible_idempotent_nonexpansive(kind, seed, scale, fraction):
+    s0 = _zero_structure(kind, seed)
+    a, b = scale * np.random.default_rng(seed).standard_normal((2, s0.ambient_dim))
+    radius = fraction * s0.norm(a)
+
+    def project(z):
+        return prox.project_ball(z, kind, radius, block_size=s0.block_size)
+
+    pa, pb = project(a), project(b)
+    assert s0.norm(pa) <= radius * (1.0 + 1e-12)
+    assert np.linalg.norm(project(pa) - pa) <= 1e-12 * np.linalg.norm(a)
+    assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) * (1.0 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**20), scale=st.sampled_from([0.1, 1.0, 5.0]),
+       tau=st.floats(0.0, 2.0))
+def test_scalar_weight_soft_threshold_certifies_at_its_level(seed, scale, tau):
+    y = scale * np.random.default_rng(seed).standard_normal(15)
+    got = prox.weighted_soft_threshold(y, tau, 2.0)
+    assert np.array_equal(got.minimizer, prox.soft_threshold(y, 2.0 * tau).minimizer)
+    assert got.residual <= 1e-8
