@@ -10,17 +10,20 @@ Four subcommands drive the labs and persist results for external plotting:
 Structures are given either as colon shorthand (sparse:n:k, block:t:b:k,
 lowrank:d:r; the signal seed is --seed) or as a JSON descriptor such as
 {"kind":"sparse","n":500,"k":20,"seed":1}. Seeds are mandatory everywhere;
-identical configs produce byte-identical output files. Every output embeds
-the fully resolved configuration (CSV: leading '#' comment line; JSON: a
-"config" field next to the "rows" array).
+identical configs produce byte-identical output files. ``main`` parses the
+structure, runs the subcommand and writes its one file, which embeds the
+fully resolved configuration (CSV: leading '#' line; JSON: a "config" field).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/run-quality error.
+Exit codes: 0 success, 2 configuration error, 3 numerical/run-quality error;
+a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -80,6 +83,8 @@ def parse_structure(text: str, seed: int, magnitude_law: str) -> tuple[signals.S
             usage = ", ".join(":".join((k, *f)) for k, f in signals.DESCRIPTOR_FIELDS.items())
             raise ConfigError(f"bad structure {text!r}: use {usage} or JSON")
         desc = {"kind": kind, **dict(zip(fields, args)), "seed": seed}
+    # the law the instance is built with, so the config reproduces it
+    desc.setdefault("magnitude_law", magnitude_law)
     try:
         return signals.instance_from_descriptor(desc, magnitude_law), desc
     except InvalidStructureError as exc:
@@ -113,50 +118,53 @@ def render_output(rows: list[dict], config: dict, fmt: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path`` whole or not at all: a temporary file in the
+    target's directory is renamed over it. A target that is not a regular
+    file (a pipe, /dev/stdout) is written in place, as a rename would replace it."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+        return
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
-# Subcommand runners
+# Subcommand runners: each returns its rows, without the structure label
+# column, and the settings it resolved, for the config
 # ---------------------------------------------------------------------------
 
-def run_msd(args) -> int:
-    inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
+def run_msd(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     if args.lambda_grid is None and not args.cone:
         raise ConfigError("msd needs --lambda-grid and/or --cone")
     mc = geometry.McConfig(samples=args.samples, seed=args.seed, chunk=args.chunk)
-    label = inst.structure.label
-    config = {
-        "command": "msd", "structure": desc, "lambda_grid": args.lambda_grid,
-        "cone": args.cone, "samples": args.samples, "seed": args.seed,
-        "chunk": args.chunk, "format": args.format,
-    }
     rows = []
     if args.lambda_grid is not None:
         lams = parse_grid(args.lambda_grid)
         for est in geometry.msd_lambda_curve(inst.structure, lams, mc):
-            rows.append({"structure": label, "lambda": est.lam, "mean": est.mean,
-                         "stderr": est.stderr, "samples": est.samples})
+            rows.append({"lambda": est.lam, "mean": est.mean, "stderr": est.stderr,
+                         "samples": est.samples})
     if args.cone:
         est = geometry.msd_cone(inst.structure, mc)
-        rows.append({"structure": label, "lambda": None, "mean": est.mean,
-                     "stderr": est.stderr, "samples": est.samples})
-    _write(args.output, render_output(rows, config, args.format))
-    return 0
+        rows.append({"lambda": None, "mean": est.mean, "stderr": est.stderr,
+                     "samples": est.samples})
+    return rows, {"lambda_grid": args.lambda_grid, "cone": args.cone,
+                  "samples": args.samples, "chunk": args.chunk}
 
 
-def run_bounds(args) -> int:
-    inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
+def run_bounds(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     s = inst.structure
     gc = geometry.geometry_constants(s)
-    label = s.label
-    config = {
-        "command": "bounds", "structure": desc, "lambda": args.lam,
-        "cone_msd": args.cone_msd, "seed": args.seed, "format": args.format,
-    }
     row = {
-        "structure": label,
         "lambda": args.lam,
         "table1_bound": None,
         "bound_valid": None,
@@ -177,25 +185,19 @@ def run_bounds(args) -> int:
             row["bound_valid"] = False
     if args.cone_msd is not None:
         row["lipschitz_bound"] = geometry.lipschitz_upper_bound(s, args.cone_msd)
-    _write(args.output, render_output([row], config, args.format))
-    return 0
+    return [row], {"lambda": args.lam, "cone_msd": args.cone_msd}
 
 
-def run_denoise(args) -> int:
-    inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
+def run_denoise(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     estimator = args.estimator
     if estimator in ("regularized", "mixed") and args.lam is None:
         raise ConfigError(f"--lambda is required for the {estimator} estimator")
+    if estimator == "mixed" and args.reference_samples:
+        raise ConfigError("the mixed estimator takes no --reference-samples")
     if args.sigma_grid is not None:
         grid = parse_grid(args.sigma_grid)
     else:
         grid = denoise_lab.default_sigma_grid(inst).tolist()
-    config = {
-        "command": "denoise", "structure": desc, "estimator": estimator,
-        "lambda": args.lam, "sigma_grid": grid, "trials": args.trials,
-        "seed": args.seed, "reference_samples": args.reference_samples,
-        "format": args.format,
-    }
     # built first, so an invalid sample count fails before any trial runs
     mc = (geometry.McConfig(samples=args.reference_samples, seed=args.seed)
           if args.reference_samples else None)
@@ -208,54 +210,31 @@ def run_denoise(args) -> int:
         run = denoise_lab.run_constrained(inst, grid, args.trials, args.seed)
         if mc:
             d_ref = geometry.msd_cone(inst.structure, mc).mean
-    elif estimator == "mixed":
+    else:
         run = denoise_lab.run_mixed_nonneg_sparse(
             signals.nonnegative(inst), args.lam, grid, args.trials, args.seed
         )
-    else:
-        raise ConfigError(f"unknown estimator {estimator!r}")
-    label = inst.structure.label
-    rows = []
-    for rec in run.records:
-        rows.append({
-            "structure": label, "estimator": estimator, "lambda": run.lam,
-            "sigma": rec.sigma, "nmse_mean": rec.nmse_mean,
-            "nmse_stderr": rec.nmse_stderr, "trials": rec.trials,
-            "d_reference": rec.d_mean if rec.d_mean is not None else d_ref,
-        })
-    _write(args.output, render_output(rows, config, args.format))
-    return 0
+    rows = [{"estimator": estimator, "lambda": run.lam, "sigma": rec.sigma,
+             "nmse_mean": rec.nmse_mean, "nmse_stderr": rec.nmse_stderr,
+             "trials": rec.trials,
+             "d_reference": rec.d_mean if rec.d_mean is not None else d_ref}
+            for rec in run.records]
+    return rows, {"estimator": estimator, "lambda": args.lam, "sigma_grid": grid,
+                  "trials": args.trials, "reference_samples": args.reference_samples}
 
 
-def run_lasso(args) -> int:
-    inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
+def run_lasso(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     m_grid = [int(m) for m in parse_grid(args.m_grid)]
     sigma = lasso.default_sigma(inst, args.sigma_scale)
-    cfg = lasso.SolverConfig(max_iters=args.max_iters, tol=args.tol)
-    config = {
-        "command": "lasso", "structure": desc, "m_grid": m_grid,
-        "trials": args.trials, "sigma": sigma, "matrix_kind": args.matrix,
-        "samples": args.samples, "max_iters": args.max_iters, "tol": args.tol,
-        "seed": args.seed, "format": args.format,
-    }
-    mc = geometry.McConfig(samples=args.samples, seed=args.seed)
     records = lasso.sweep_measurements(
         inst, m_grid, sigma=sigma, trials=args.trials, matrix_kind=args.matrix,
-        cfg=cfg, seed=args.seed, mc=mc,
+        cfg=lasso.SolverConfig(max_iters=args.max_iters, tol=args.tol), seed=args.seed,
+        mc=geometry.McConfig(samples=args.samples, seed=args.seed),
     )
-    label = inst.structure.label
-    rows = []
-    for rec in records:
-        rows.append({
-            "structure": label, "matrix_kind": args.matrix, "m": rec.m,
-            "eta_mean": rec.eta_mean, "eta_stderr": rec.eta_stderr,
-            "f_mean": rec.f_mean, "f_stderr": rec.f_stderr,
-            "e_mean": rec.e_mean, "e_stderr": rec.e_stderr,
-            "predicted_eta": rec.predicted_eta, "trials": rec.trials,
-            "excluded_trials": rec.excluded_trials,
-        })
-    _write(args.output, render_output(rows, config, args.format))
-    return 0
+    rows = [{"matrix_kind": args.matrix, **dataclasses.asdict(rec)} for rec in records]
+    return rows, {"m_grid": m_grid, "trials": args.trials, "sigma": sigma,
+                  "matrix_kind": args.matrix, "samples": args.samples,
+                  "max_iters": args.max_iters, "tol": args.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="noise grid start:step:stop (default: log grid from the signal)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--reference-samples", dest="reference_samples", type=int, default=0,
-                   help="MC samples for the matching distance reference (0 = skip)")
+                   help="MC samples for the matching distance reference (0 = skip); "
+                        "the mixed estimator takes its reference from its own "
+                        "trials and exits 2 on any other value")
     p.set_defaults(runner=run_denoise)
 
     p = sub.add_parser("lasso", help="constrained-LASSO measurement sweeps")
@@ -326,10 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.runner(args)
+        inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
+        rows, settings = args.runner(args, inst)
+        config = {"command": args.command, "structure": desc, "seed": args.seed,
+                  "format": args.format, **settings}
+        rows = [{"structure": inst.structure.label, **row} for row in rows]
+        _write(args.output, render_output(rows, config, args.format))
+        return 0
     except (NumericalError, RunQualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

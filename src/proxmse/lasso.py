@@ -38,7 +38,7 @@ class SolverConfig:
     ``step=None`` selects 1/sigma_max(A)^2, with sigma_max(A) the largest
     singular value computed exactly by ``np.linalg.norm(A, 2)``, so the step
     never exceeds the 1/L the step-length bound below assumes
-    (``estimate_lasso_point`` passes 1 for partial-unitary operators, whose
+    (``sweep_measurements`` passes 1 for partial-unitary operators, whose
     operator norm is exactly one, and takes no SVD for them).
 
     ``tol`` is a relative step length: the solver has converged once its
@@ -82,7 +82,6 @@ class TrialDiagnostics:
     cost: float
     cost_at_truth: float
     iterations: int
-    converged: bool
     restarts: int
     gap: float
 
@@ -182,97 +181,6 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     return LassoSolution(x, cost, it, converged, restarts, gap)
 
 
-def _cone_reference(inst: SignalInstance, d_reference: float | None, mc: McConfig | None,
-                    seed: int) -> float:
-    """``d_reference``, or else the cone MSD estimated via ``mc`` (default 20,000 samples)."""
-    if d_reference is not None:
-        return d_reference
-    return msd_cone(inst.structure, mc or McConfig(samples=20_000, seed=seed)).mean
-
-
-def estimate_lasso_point(inst: SignalInstance, m: int, sigma: float, trials: int,
-                         matrix_kind: str = "unitary",
-                         cfg: SolverConfig = SolverConfig(), seed: int = 0,
-                         d_reference: float | None = None,
-                         mc: McConfig | None = None,
-                         collect: bool = False):
-    """Estimate (eta, F, E) at one measurement count m.
-
-    Each trial draws a fresh operator and noise vector from the stream keyed
-    (seed, m, trial), solves from the feasible warm start x0 (so the cost can
-    never exceed the cost at the truth), and accumulates the three normalized
-    statistics. Non-converged trials are excluded but counted; more than 10%
-    exclusions raise RunQualityError. ``predicted_eta`` is min(m, D) with D
-    the cone MSD (``d_reference``, estimated via ``mc`` when not supplied).
-
-    E is not always a property of the problem. Where the set
-    {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
-    transition, every point of it has zero cost, and E = ||x* - x0||^2 / sigma^2
-    depends on which of them the solver stops at; eta and F do not, since
-    A x* and the cost are the same at all of them.
-
-    Returns the sweep record, or (record, diagnostics) when ``collect``.
-    """
-    n = inst.ambient_dim
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
-    if matrix_kind not in ("unitary", "gaussian"):
-        raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    d_reference = _cone_reference(inst, d_reference, mc, seed)
-    ball = ball_for(inst)
-    x0 = inst.values
-    diags = []
-    for ti in range(trials):
-        rng = stream(seed, m, ti)
-        if matrix_kind == "unitary":
-            a = haar_columns(rng, n, m).T
-            step = 1.0 if cfg.step is None else cfg.step
-        else:
-            a = rng.standard_normal((m, n))
-            step = cfg.step
-        v = rng.standard_normal(m)
-        y = a @ x0 + sigma * v
-        # floor small enough that stopping on it perturbs the per-trial
-        # energy identity by at most ~2e-7 of the noise energy
-        floor = cfg.cost_floor or 1e-14 * sigma * sigma * float(v @ v)
-        cfg_t = SolverConfig(cfg.max_iters, cfg.tol, step, floor)
-        sol = solve_constrained_lasso(a, y, ball, cfg_t, x_init=x0)
-        if not sol.converged:
-            continue
-        proj_err = a @ (sol.x - x0)
-        s2 = sigma * sigma
-        eta = float(proj_err @ proj_err) / s2
-        f_val = sol.cost / s2
-        err = sol.x - x0
-        e_val = float(err @ err) / s2
-        diags.append(TrialDiagnostics(
-            eta=eta, f=f_val, e=e_val, energy=eta + f_val,
-            noise_energy=float(v @ v), cost=sol.cost,
-            cost_at_truth=s2 * float(v @ v),
-            iterations=sol.iterations, converged=sol.converged,
-            restarts=sol.restarts, gap=sol.gap,
-        ))
-    excluded = trials - len(diags)
-    if excluded > 0.1 * trials:
-        raise RunQualityError(
-            f"{excluded}/{trials} trials failed to converge at m={m}"
-        )
-    eta_mean, eta_stderr = mean_stderr([d.eta for d in diags])
-    f_mean, f_stderr = mean_stderr([d.f for d in diags])
-    e_mean, e_stderr = mean_stderr([d.e for d in diags])
-    record = LassoSweepRecord(
-        m=m, eta_mean=eta_mean, eta_stderr=eta_stderr,
-        f_mean=f_mean, f_stderr=f_stderr, e_mean=e_mean, e_stderr=e_stderr,
-        predicted_eta=float(min(m, d_reference)), trials=trials - excluded,
-        excluded_trials=excluded,
-    )
-    return (record, diags) if collect else record
-
-
 def default_sigma(inst: SignalInstance, scale: float = 1e-4) -> float:
     """Operational small-noise level: scale times the signal's Euclidean norm."""
     return float(scale * np.linalg.norm(inst.values))
@@ -284,24 +192,85 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
                        mc: McConfig | None = None,
                        d_reference: float | None = None,
                        collect: bool = False):
-    """One LassoSweepRecord per measurement count in ascending m_grid.
+    """One LassoSweepRecord of (eta, F, E) per measurement count in ascending m_grid.
 
-    The cone MSD is estimated once and shared by every record's prediction.
-    Returns the list of records, or (records, {m: diagnostics}) if ``collect``.
+    Each trial draws a fresh operator and noise vector from the stream keyed
+    (seed, m, trial), solves from the feasible warm start x0 (so the cost can
+    never exceed the cost at the truth), and accumulates the three normalized
+    statistics. Non-converged trials are excluded but counted; more than 10%
+    exclusions at any m raise RunQualityError. ``predicted_eta`` is
+    min(m, D) with D the cone MSD: ``d_reference``, or else estimated once
+    via ``mc`` (default 20,000 samples) and shared by every record; every
+    argument is checked before that. ``sigma`` defaults to ``default_sigma(inst)``.
+
+    E is not always a property of the problem. Where the set
+    {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
+    transition, every point of it has zero cost, and E = ||x* - x0||^2 / sigma^2
+    depends on which of them the solver stops at; eta and F do not, since
+    A x* and the cost are the same at all of them.
+
+    Returns the list of records, or (records, {m: diagnostics of the
+    converged trials}) if ``collect``.
     """
+    n = inst.ambient_dim
     m_grid = [int(m) for m in m_grid]
     if any(m2 <= m1 for m1, m2 in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be sorted strictly ascending")
-    if m_grid and m_grid[-1] > inst.ambient_dim:
-        raise ValueError("measurement counts cannot exceed the ambient dimension")
-    if sigma is None:
-        sigma = default_sigma(inst)
-    d_reference = _cone_reference(inst, d_reference, mc, seed)
+    if m_grid and not (1 <= m_grid[0] and m_grid[-1] <= n):
+        raise ValueError(f"need 1 <= m <= n = {n}, got m grid {m_grid}")
+    if trials < 2:
+        raise ValueError("need at least 2 trials")
+    sigma = default_sigma(inst) if sigma is None else sigma
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
+    if matrix_kind not in ("unitary", "gaussian"):
+        raise ValueError(f"unknown matrix kind {matrix_kind!r}")
+    if d_reference is None:
+        d_reference = msd_cone(inst.structure, mc or McConfig(samples=20_000, seed=seed)).mean
+    ball = ball_for(inst)
+    x0 = inst.values
+    s2 = sigma * sigma
     records, all_diags = [], {}
     for m in m_grid:
-        rec, all_diags[m] = estimate_lasso_point(
-            inst, m, sigma, trials, matrix_kind, cfg, seed,
-            d_reference=d_reference, collect=True,
-        )
-        records.append(rec)
+        diags = all_diags[m] = []
+        for ti in range(trials):
+            rng = stream(seed, m, ti)
+            if matrix_kind == "unitary":
+                a = haar_columns(rng, n, m).T
+                step = 1.0 if cfg.step is None else cfg.step
+            else:
+                a = rng.standard_normal((m, n))
+                step = cfg.step
+            v = rng.standard_normal(m)
+            y = a @ x0 + sigma * v
+            # floor small enough that stopping on it perturbs the per-trial
+            # energy identity by at most ~2e-7 of the noise energy
+            floor = cfg.cost_floor or 1e-14 * sigma * sigma * float(v @ v)
+            cfg_t = SolverConfig(cfg.max_iters, cfg.tol, step, floor)
+            sol = solve_constrained_lasso(a, y, ball, cfg_t, x_init=x0)
+            if not sol.converged:
+                continue
+            proj_err = a @ (sol.x - x0)
+            eta = float(proj_err @ proj_err) / s2
+            f_val = sol.cost / s2
+            err = sol.x - x0
+            e_val = float(err @ err) / s2
+            diags.append(TrialDiagnostics(
+                eta=eta, f=f_val, e=e_val, energy=eta + f_val,
+                noise_energy=float(v @ v), cost=sol.cost,
+                cost_at_truth=s2 * float(v @ v),
+                iterations=sol.iterations, restarts=sol.restarts, gap=sol.gap,
+            ))
+        excluded = trials - len(diags)
+        if excluded > 0.1 * trials:
+            raise RunQualityError(f"{excluded}/{trials} trials failed to converge at m={m}")
+        eta_mean, eta_stderr = mean_stderr([d.eta for d in diags])
+        f_mean, f_stderr = mean_stderr([d.f for d in diags])
+        e_mean, e_stderr = mean_stderr([d.e for d in diags])
+        records.append(LassoSweepRecord(
+            m=m, eta_mean=eta_mean, eta_stderr=eta_stderr,
+            f_mean=f_mean, f_stderr=f_stderr, e_mean=e_mean, e_stderr=e_stderr,
+            predicted_eta=float(min(m, d_reference)), trials=trials - excluded,
+            excluded_trials=excluded,
+        ))
     return (records, all_diags) if collect else records

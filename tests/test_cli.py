@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -42,7 +44,7 @@ def test_parse_grid_rejects_garbage():
 
 def test_parse_structure_shorthand_and_json():
     inst, desc = cli.parse_structure("sparse:50:5", seed=3, magnitude_law="uniform")
-    assert desc == {"kind": "sparse", "n": 50, "k": 5, "seed": 3}
+    assert desc == {"kind": "sparse", "n": 50, "k": 5, "seed": 3, "magnitude_law": "uniform"}
     assert inst.ambient_dim == 50
     inst2, desc2 = cli.parse_structure(json.dumps(desc), seed=99, magnitude_law="uniform")
     assert desc2["seed"] == 3           # JSON descriptor seed wins
@@ -110,6 +112,20 @@ def test_invalid_structure_json_exits_2_no_file(tmp_path):
                     "--cone", "--samples", "2000", "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_config_structure_reproduces_magnitude_law(tmp_path):
+    first = tmp_path / "unit.csv"
+    args = ["denoise", "--seed", "4", "--estimator", "regularized", "--lambda", "1.5",
+            "--trials", "10", "--sigma-grid", "0.01:0.01:0.02"]
+    assert run_cli(args + ["--structure", "sparse:30:3", "--magnitude-law", "unit",
+                           "--output", str(first)]) == 0
+    config = json.loads(read_lines(first)[0][len("# config: "):])
+    again = tmp_path / "again.csv"
+    assert run_cli(args + ["--structure", json.dumps(config["structure"]),
+                           "--output", str(again)]) == 0
+    assert read_lines(again) == read_lines(first)
+    assert config["structure"]["magnitude_law"] == "unit"
 
 
 def test_json_format_same_rows(tmp_path):
@@ -220,8 +236,15 @@ def test_denoise_mixed_fills_reference(tmp_path):
     assert all(r.split(",")[-1] != "" for r in rows)
 
 
-@pytest.mark.parametrize("estimator", ["regularized", "constrained"])
-def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, monkeypatch, estimator):
+@pytest.mark.parametrize("estimator, samples", [
+    pytest.param("regularized", "1", id="regularized"),
+    pytest.param("constrained", "1", id="constrained"),
+    # the mixed reference comes from the trials' own draws: any sample count
+    # would be written into the config without having been used
+    pytest.param("mixed", "4000", id="mixed"),
+])
+def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, monkeypatch, estimator,
+                                                            samples):
     draws = []
 
     def counting_noise(*args):
@@ -233,7 +256,7 @@ def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, monkeypatc
     out = tmp_path / "never.csv"
     code = run_cli(["denoise", "--structure", "sparse:200:10", "--seed", "4",
                     "--estimator", estimator, "--lambda", "2", "--trials", "400",
-                    "--reference-samples", "1", "--output", str(out)])
+                    "--reference-samples", samples, "--output", str(out)])
     assert code == 2
     assert not out.exists()
     assert draws == []
@@ -270,6 +293,40 @@ def test_non_finite_scalars_exit_2_no_file(tmp_path, args):
     code = run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# result files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fail, error", [("write", UnicodeEncodeError), ("rename", OSError)])
+def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch, fail, error):
+    out = tmp_path / "result.csv"
+    out.write_bytes(b"earlier result\n")
+    text = "row\n" * 10_000
+    if fail == "write":
+        text += "\ud800"       # a lone surrogate: UTF-8 encoding raises
+    else:
+        def refuse(*args):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(error):
+        cli._write(str(out), text)
+    assert out.read_bytes() == b"earlier result\n"
+    assert os.listdir(tmp_path) == ["result.csv"]
+
+
+def test_write_to_pipe_writes_through(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_text()), daemon=True)
+    reader.start()
+    cli._write(str(pipe), "a,b\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == ["a,b\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -259,10 +259,11 @@ def test_estimate_point_energy_split():
     # transition: eta tracks m and the cost vanishes
     inst = signals.make_sparse(300, 10, "unit", seed=19)
     sigma = lasso.default_sigma(inst)
-    rec, diags = lasso.estimate_lasso_point(
-        inst, 20, sigma, trials=20, matrix_kind="unitary", seed=20,
+    (rec,), diags = lasso.sweep_measurements(
+        inst, [20], sigma, trials=20, matrix_kind="unitary", seed=20,
         d_reference=45.0, collect=True,
     )
+    diags = diags[20]
     for d in diags:
         assert d.cost <= d.cost_at_truth
         assert d.energy <= d.noise_energy * (1 + 1e-6)
@@ -273,10 +274,11 @@ def test_estimate_point_energy_split():
 def test_estimate_point_above_transition_sum_rule():
     inst = signals.make_sparse(300, 10, "unit", seed=19)
     sigma = lasso.default_sigma(inst)
-    rec, diags = lasso.estimate_lasso_point(
-        inst, 150, sigma, trials=20, matrix_kind="unitary", seed=21,
+    (rec,), diags = lasso.sweep_measurements(
+        inst, [150], sigma, trials=20, matrix_kind="unitary", seed=21,
         d_reference=45.0, collect=True,
     )
+    diags = diags[150]
     sums = np.array([d.energy for d in diags])
     se = sums.std(ddof=1) / math.sqrt(sums.size)
     assert abs(sums.mean() - 150) <= 3 * se
@@ -288,10 +290,11 @@ def test_estimate_point_above_transition_sum_rule():
 def test_full_isometry_point_e_equals_eta():
     inst = signals.make_sparse(50, 3, "unit", seed=22)
     sigma = lasso.default_sigma(inst)
-    rec, diags = lasso.estimate_lasso_point(
-        inst, 50, sigma, trials=10, matrix_kind="unitary", seed=23,
+    (rec,), diags = lasso.sweep_measurements(
+        inst, [50], sigma, trials=10, matrix_kind="unitary", seed=23,
         d_reference=20.0, collect=True,
     )
+    diags = diags[50]
     for d in diags:
         assert d.e == pytest.approx(d.eta, rel=1e-6)
 
@@ -300,10 +303,11 @@ def test_iteration_tail_near_transition():
     # m = 80 sits just below the cone MSD (~86) of sparse:500:20, where
     # unaccelerated projected gradient needed up to 379,538 iterations
     inst = signals.make_sparse(500, 20, "unit", seed=1)
-    rec, diags = lasso.estimate_lasso_point(
-        inst, 80, lasso.default_sigma(inst), trials=10, matrix_kind="unitary",
+    (rec,), diags = lasso.sweep_measurements(
+        inst, [80], lasso.default_sigma(inst), trials=10, matrix_kind="unitary",
         seed=34, d_reference=89.0, collect=True,
     )
+    diags = diags[80]
     assert rec.excluded_trials == 0
     assert max(d.iterations for d in diags) < 10_000
     for d in diags:
@@ -315,9 +319,9 @@ def test_run_quality_error_on_starved_solver():
     inst = signals.make_sparse(60, 6, "unit", seed=24)
     sigma = lasso.default_sigma(inst)
     with pytest.raises(RunQualityError):
-        lasso.estimate_lasso_point(
-            inst, 35, sigma, trials=10, matrix_kind="unitary", seed=25,
-            d_reference=30.0, cfg=lasso.SolverConfig(max_iters=2),
+        lasso.sweep_measurements(
+            inst, [35], sigma, trials=10, matrix_kind="unitary", seed=25,
+            d_reference=30.0, cfg=lasso.SolverConfig(max_iters=2), collect=True,
         )
 
 
@@ -333,6 +337,28 @@ def test_sweep_validation_and_reproducibility():
     assert [r.m for r in recs1] == [10, 30]
     assert recs1[0].predicted_eta == pytest.approx(10.0)
     assert recs1[1].predicted_eta == pytest.approx(15.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 1},
+    {"matrix_kind": "haar"},
+    {"sigma": float("nan")},
+    {"m_grid": [0, 10]},
+], ids=["trials", "matrix-kind", "sigma", "m-range"])
+def test_sweep_validates_before_cone_monte_carlo(monkeypatch, kwargs):
+    calls = []
+
+    def counting_cone(*args, **kw):
+        calls.append(args)
+        return cone(*args, **kw)
+
+    cone = lasso.msd_cone
+    monkeypatch.setattr(lasso, "msd_cone", counting_cone)
+    inst = signals.make_sparse(500, 20, "unit", seed=1)
+    args = {"m_grid": [40, 80], "trials": 2, "seed": 1, **kwargs}
+    with pytest.raises(ValueError):
+        lasso.sweep_measurements(inst, **args)
+    assert calls == []
 
 
 def test_gaussian_sweep_runs():

@@ -1,0 +1,73 @@
+"""Run the fixed-seed CLI jobs whose result files must not change by accident.
+
+    PYTHONPATH=src python tools/cli_jobs.py OUTDIR
+
+Each of the 17 jobs below is one `proxmse` command line with a fixed seed.
+It writes one result file, `OUTDIR/<name>.csv` or `.json`, and under its
+seed the file is byte-identical from run to run (acceptance criterion 11).
+The script exits 1 if any job exits nonzero, after running all of them.
+
+To see whether a change alters any output, run the script once per
+checkout, pointing PYTHONPATH at that checkout's `src`, and compare the two
+directories file by file with `cmp`; see README.md.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+
+from proxmse import cli
+
+STRUCTURES = ("sparse:500:20", "lowrank:30:4", "block:50:10:5")
+DENOISE = ["denoise", "--seed", "11", "--trials", "50"]
+LASSO = ["lasso", "--seed", "7", "--trials", "10", "--samples", "5000"]
+
+JOBS = {
+    **{f"msd_{s.split(':')[0]}": ["msd", "--structure", s, "--lambda-grid", "0:0.5:3",
+                                  "--cone", "--samples", "20000", "--format", "json",
+                                  "--seed", "1"] for s in STRUCTURES},
+    **{f"bounds_{s.split(':')[0]}": ["bounds", "--structure", s, "--lambda", "11",
+                                     "--cone-msd", "389", "--seed", "1"] for s in STRUCTURES},
+    "denoise_sparse_regularized": DENOISE + ["--structure", "sparse:200:10", "--estimator",
+                                             "regularized", "--lambda", "2.0",
+                                             "--reference-samples", "4000"],
+    "denoise_sparse_constrained": DENOISE + ["--structure", "sparse:200:10", "--estimator",
+                                             "constrained", "--reference-samples", "4000"],
+    "denoise_sparse_mixed": DENOISE + ["--structure", "sparse:200:10", "--estimator", "mixed",
+                                       "--lambda", "2.0"],
+    "denoise_block_regularized": DENOISE + ["--structure", "block:20:5:3", "--estimator",
+                                            "regularized", "--lambda", "4.5"],
+    "denoise_block_constrained": DENOISE + ["--structure", "block:20:5:3", "--estimator",
+                                            "constrained"],
+    "denoise_lowrank_regularized": DENOISE + ["--structure", "lowrank:30:4", "--estimator",
+                                              "regularized", "--lambda", "11"],
+    "denoise_lowrank_constrained": DENOISE + ["--structure", "lowrank:30:4", "--estimator",
+                                              "constrained"],
+    "lasso_sparse": LASSO + ["--structure", "sparse:100:5", "--m-grid", "20:30:80"],
+    "lasso_block": LASSO + ["--structure", "block:20:5:3", "--m-grid", "40:30:100"],
+    "lasso_lowrank": LASSO + ["--structure", "lowrank:10:2", "--m-grid", "40:30:100"],
+    "lasso_sparse_gaussian": LASSO + ["--structure", "sparse:100:5", "--m-grid", "50:30:80",
+                                      "--matrix", "gaussian"],
+}
+
+
+def main(outdir: str) -> int:
+    os.makedirs(outdir, exist_ok=True)
+    failed = []
+    for name, argv in JOBS.items():
+        ext = "json" if "json" in argv else "csv"
+        path = os.path.join(outdir, f"{name}.{ext}")
+        code = cli.main(argv + ["--output", path])
+        print(f"{name}: exit {code}", file=sys.stderr)
+        if code != 0:
+            failed.append(name)
+    if failed:
+        print(f"failed: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1]))
