@@ -14,14 +14,16 @@ identical configs produce byte-identical output files. ``main`` parses the
 structure, runs the subcommand and writes its one file, which embeds the
 fully resolved configuration (CSV: leading '#' line; JSON: a "config" field).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/run-quality error;
-a failed run leaves no partial file.
+Exit codes: 0 success, 2 configuration error (an output directory that does
+not exist is found before any work, and a file that cannot be written exits
+2 too), 3 numerical/run-quality error; a failed run leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -241,7 +243,10 @@ def run_lasso(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing fills a new
+    namespace from it on every call and never changes it."""
     parser = argparse.ArgumentParser(
         prog="proxmse",
         description="Worst-case NMSE geometry of proximal denoising: "
@@ -306,15 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Fail before any work when the result file's directory does not exist."""
+    directory = os.path.dirname(os.path.realpath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: no directory {directory}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         inst, desc = parse_structure(args.structure, args.seed, args.magnitude_law)
         rows, settings = args.runner(args, inst)
         config = {"command": args.command, "structure": desc, "seed": args.seed,
                   "format": args.format, **settings}
         rows = [{"structure": inst.structure.label, **row} for row in rows]
-        _write(args.output, render_output(rows, config, args.format))
+        try:
+            _write(args.output, render_output(rows, config, args.format))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
         return 0
     except (NumericalError, RunQualityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

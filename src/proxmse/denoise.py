@@ -23,11 +23,14 @@ import numpy as np
 
 from . import prox
 from .errors import InvalidStructureError, NumericalError, require_nonneg
-from .geometry import mean_stderr, project_scaled_subdiff
+from .geometry import mean_stderr
 from .signals import SignalInstance, SignalStructure, SparseStructure
 from .streams import stream
 
 RESIDUAL_TOL = 1e-8
+# trials stacked into one estimator call: the per-call cost of numpy is paid
+# once per block, and memory stays O(BLOCK * n)
+BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,18 @@ def _check_grid(sigma_grid) -> np.ndarray:
 
 def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, trials: int,
          seed: int, estimate, distance=None) -> DenoiseRun:
-    """The per-trial loop of every estimator.
+    """The trial loop of every estimator, BLOCK trials per call.
 
-    ``estimate(y, sigma)`` returns the estimate of x0 from y = x0 + sigma*v
-    and the optimality residual that certifies it (0 for an exact closed
-    form), which must be at most 1e-8; NaN fails. ``distance(v)``, when
-    given, is recorded beside the NMSE from the same noise draw.
+    A block stacks the draws v = ``trial_noise(seed, si, ti, n)`` of its
+    trials as rows, so memory is O(BLOCK * n) and every trial sees the draw
+    it would see alone. ``estimate(Y, sigma)`` gets the rows
+    y = x0 + sigma*v in the layout of :func:`proxmse.signals.split` (the
+    structure's ``layout``: (B, n) vectors, or (B, d, d) matrices for low
+    rank) and returns the estimates of x0 in that layout and each row's
+    optimality residual (0 for an exact closed form), which must be at most
+    1e-8; NaN fails, and the first failing trial raises with its index.
+    ``distance(V)``, when given, returns one value per row of the (B, n)
+    draws, recorded beside the NMSE.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
@@ -87,18 +96,22 @@ def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, tr
     records = []
     for si, sigma in enumerate(grid):
         nmse, dvals = [], []
-        for ti in range(trials):
-            v = trial_noise(seed, si, ti, inst.ambient_dim)
-            x_star, residual = estimate(x0 + sigma * v, sigma)
-            if not residual <= RESIDUAL_TOL:
+        for start in range(0, trials, BLOCK):
+            block = range(start, min(start + BLOCK, trials))
+            V = np.stack([trial_noise(seed, si, ti, inst.ambient_dim) for ti in block])
+            points, flatten = inst.structure.layout(x0 + sigma * V)
+            X, residuals = estimate(points, sigma)
+            failed = np.flatnonzero(~(residuals <= RESIDUAL_TOL))
+            if failed.size:
+                row = failed[0]
                 raise NumericalError(
-                    f"prox residual {residual:.3e} above {RESIDUAL_TOL} "
-                    f"at sigma index {si}", index=ti,
+                    f"prox residual {residuals[row]:.3e} above {RESIDUAL_TOL} "
+                    f"at sigma index {si}", index=block[row],
                 )
-            err = x_star - x0
-            nmse.append(float(err @ err) / (sigma * sigma))
+            # one dot per trial, as for a single draw, so the sums round alike
+            nmse.extend(float(err @ err) / (sigma * sigma) for err in flatten(X) - x0)
             if distance is not None:
-                dvals.append(distance(v))
+                dvals.extend(distance(V))
         d_stats = mean_stderr(dvals) if dvals else (None, None)
         records.append(SigmaRecord(float(sigma), *mean_stderr(nmse), trials, *d_stats))
     return DenoiseRun(inst.structure, estimator, lam, tuple(grid.tolist()), tuple(records))
@@ -112,8 +125,8 @@ def run_regularized(inst: SignalInstance, lam: float, sigma_grid, trials: int,
     """
     lam = require_nonneg(lam, "lam")
 
-    def estimate(y, sigma):
-        step = prox.prox_step(inst.structure, y, sigma * lam)
+    def estimate(Y, sigma):
+        step = prox.prox_step(inst.structure, Y, sigma * lam)
         return step.minimizer, step.residual
 
     return _run(inst, "regularized", lam, sigma_grid, trials, seed, estimate)
@@ -123,21 +136,25 @@ def run_constrained(inst: SignalInstance, sigma_grid, trials: int, seed: int) ->
     """NMSE of the projection onto the norm ball of radius f(x0)."""
     ball = prox.ball_for(inst)
     return _run(inst, "constrained", None, sigma_grid, trials, seed,
-                lambda y, sigma: (ball.project(y), 0.0))
+                lambda Y, sigma: (ball.project(Y), np.zeros(len(Y))))
 
 
-def mixed_distance_sq(s: SparseStructure, g: np.ndarray, lam: float) -> float:
+def mixed_distance_sq(s: SparseStructure, g: np.ndarray, lam: float) -> float | np.ndarray:
     """Squared distance for the nonnegative + l1 estimator's error set.
 
     The set is the Minkowski sum of lam*subdiff(l1) at an entrywise-positive
     sparse point and the polar of the orthant's tangent cone: support
     coordinates pin to lam, off-support coordinates contribute only above lam.
+    g is one vector (n,), or a stack (..., n) that gets one distance per row.
     """
     g = np.asarray(g, dtype=float)
     on = np.zeros(s.n, dtype=bool)
     on[s.support] = True
-    return float(((g[on] - lam) ** 2).sum()
-                 + (np.maximum(g[~on] - lam, 0.0) ** 2).sum())
+    # each part is gathered into contiguous rows, so a row sums as one vector
+    pinned = np.ascontiguousarray(g[..., on])
+    free = np.ascontiguousarray(g[..., ~on])
+    return (((pinned - lam) ** 2).sum(axis=-1)
+            + (np.maximum(free - lam, 0.0) ** 2).sum(axis=-1))
 
 
 def run_mixed_nonneg_sparse(inst: SignalInstance, lam: float, sigma_grid,
@@ -156,14 +173,6 @@ def run_mixed_nonneg_sparse(inst: SignalInstance, lam: float, sigma_grid,
     if np.any(x0 < 0) or np.any(x0[s.support] <= 0):
         raise ValueError("mixed estimator requires x0 >= 0 with positive support")
     return _run(inst, "mixed", lam, sigma_grid, trials, seed,
-                lambda y, sigma: (np.maximum(y - sigma * lam, 0.0), 0.0),
-                lambda v: mixed_distance_sq(s, v, lam))
+                lambda Y, sigma: (np.maximum(Y - sigma * lam, 0.0), np.zeros(len(Y))),
+                lambda V: mixed_distance_sq(s, V, lam))
 
-
-def first_order_error(s: SignalStructure, z: np.ndarray, tau: float) -> np.ndarray:
-    """Error vector of the linearized problem: z minus its projection on tau*subdiff.
-
-    For small noise the true prox error converges to this vector, which is
-    what makes the small-sigma NMSE equal the mean squared distance.
-    """
-    return np.asarray(z, dtype=float) - project_scaled_subdiff(s, z, tau)

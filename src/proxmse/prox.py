@@ -14,6 +14,11 @@ threshold of the l1 ball of magnitudes, and the dual norm
 ``soft_threshold``, ``weighted_soft_threshold``, ``block_soft_threshold``
 and ``singular_value_threshold`` are :func:`prox_step` at the zero
 structure of their norm.
+
+Every operator also takes a stack of points along leading batch axes, in
+the layout of :func:`proxmse.signals.split` ((..., n) vectors, (..., d, d)
+matrices), and answers per row: each row of a stacked call is bitwise the
+call on that row alone, so a single point is a batch of one.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ import numpy as np
 
 from .errors import InvalidStructureError, require_nonneg
 from .signals import (
+    RANK_TOL,
+    SUPPORT_TOL,
     BlockSparseStructure,
     LowRankStructure,
     SignalInstance,
@@ -32,6 +39,7 @@ from .signals import (
     SparseStructure,
     WeightedSparseStructure,
     split,
+    square_matrices,
 )
 
 # the families with a ball projection and a dual norm
@@ -41,17 +49,24 @@ BALL_KINDS = ("l1", "l12", "nuclear")
 @dataclass(frozen=True)
 class ProxResult:
     minimizer: np.ndarray
-    objective: float
-    residual: float
+    objective: float | np.ndarray       # one per row for a stack
+    residual: float | np.ndarray
+
+
+def _per_row(values: np.ndarray):
+    """A per-point result: a float for one point, the array of rows for a stack."""
+    return float(values) if values.ndim == 0 else values
 
 
 def prox_step(s: SignalStructure, y, tau: float) -> ProxResult:
     """The prox of tau times the norm of structure s at y.
 
     y is a vector of the structure's ambient dimension, or for the nuclear
-    norm also a square matrix; the minimizer comes back in y's layout. Each
-    magnitude m_j of y becomes max(m_j - tau * w_j, 0), with w_j the
-    structure's ``coordinate_weights``.
+    norm also a square matrix, or a stack of either in the layout of
+    :func:`proxmse.signals.split`; the minimizer comes back in y's layout,
+    and a stack gets one objective and one residual per row. Each magnitude
+    m_j of y becomes max(m_j - tau * w_j, 0), with w_j the structure's
+    ``coordinate_weights``.
     """
     tau = require_nonneg(tau, "tau")
     y = np.asarray(y, dtype=float)
@@ -59,8 +74,10 @@ def prox_step(s: SignalStructure, y, tau: float) -> ProxResult:
     level = tau * s.coordinate_weights
     shrunk = np.maximum(mags - level, 0.0)
     x = rebuild(shrunk)
-    obj = (level * shrunk).sum() + 0.5 * ((y - x) ** 2).sum()
-    return ProxResult(x, float(obj), prox_residual(s, y, x, tau))
+    rows = mags.shape[:-1]
+    obj = ((level * shrunk).sum(axis=-1)
+           + 0.5 * ((y - x) ** 2).reshape(rows + (-1,)).sum(axis=-1))
+    return ProxResult(x, _per_row(obj), prox_residual(s, y, x, tau))
 
 
 def soft_threshold(y, tau: float) -> ProxResult:
@@ -76,15 +93,15 @@ def weighted_soft_threshold(y, tau: float, weights) -> ProxResult:
     if not (w >= 0).all():
         raise ValueError("weights must be nonnegative")
     if not w.ndim:
-        return prox_step(_zero_structure("l1", y.size, None), y, tau * float(w))
+        return prox_step(_zero_structure("l1", y.shape[-1], None), y, tau * float(w))
     # one region per coordinate
-    w = np.broadcast_to(w, y.shape).ravel()
-    return prox_step(WeightedSparseStructure(y.size, [], [], np.arange(y.size), w), y, tau)
+    w = np.broadcast_to(w, y.shape[-1:])
+    return prox_step(WeightedSparseStructure(w.size, [], [], np.arange(w.size), w), y, tau)
 
 
 def block_soft_threshold(y, tau: float, block_size: int) -> ProxResult:
     """Scale each size-b block y_b by max(||y_b|| - tau, 0) / ||y_b||."""
-    return prox_step(_zero_structure("l12", np.size(y), block_size), y, tau)
+    return prox_step(_zero_structure("l12", np.shape(y)[-1], block_size), y, tau)
 
 
 def singular_value_threshold(y, tau: float) -> ProxResult:
@@ -93,21 +110,26 @@ def singular_value_threshold(y, tau: float) -> ProxResult:
     Accepts a (d, d) matrix or its column-major flattening; the minimizer is
     returned in the same layout as the input.
     """
-    return prox_step(_zero_structure("nuclear", np.size(y), None), y, tau)
+    d = square_matrices(y)[0].shape[-1]
+    return prox_step(_zero_structure("nuclear", d * d, None), y, tau)
 
 
 # ---------------------------------------------------------------------------
 # Euclidean projections onto norm balls, and the dual norms
 # ---------------------------------------------------------------------------
 
-def _l1_ball_shrink(mags: np.ndarray, radius: float) -> float:
-    """Threshold theta such that sum max(mags - theta, 0) = radius (mags outside)."""
-    u = np.sort(mags)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    ok = u > (css - radius) / j
-    rho = int(np.max(np.flatnonzero(ok))) + 1
-    return float((css[rho - 1] - radius) / rho)
+def _l1_ball_shrink(mags: np.ndarray, radius: float) -> np.ndarray:
+    """Per row of mags, the theta with sum max(mags - theta, 0) = radius (rows outside).
+
+    Sort-then-threshold (Duchi, Shalev-Shwartz, Singer & Chandra 2008): with
+    the magnitudes in decreasing order, theta is the candidate
+    (top-j sum - radius) / j of the last j whose j-th magnitude exceeds it.
+    """
+    u = np.sort(mags, axis=-1)[..., ::-1]
+    count = u.shape[-1]
+    cand = (np.cumsum(u, axis=-1) - radius) / np.arange(1, count + 1)
+    last = count - 1 - np.argmax((u > cand)[..., ::-1], axis=-1)
+    return cand[(*np.indices(last.shape, sparse=True), last)]
 
 
 def _ball_kind(kind: str) -> str:
@@ -120,23 +142,30 @@ def project_ball(y, kind: str, radius: float, *, block_size: int | None = None) 
     """Euclidean projection onto {x : f(x) <= radius} for f in {l1, l1,2, nuclear}.
 
     The magnitudes (|entries|, block norms, singular values) are projected
-    onto the l1 ball by the sort-then-threshold rule. Points already inside
-    the ball are returned unchanged.
+    onto the l1 ball by the sort-then-threshold rule. A stack in the layout
+    of :func:`proxmse.signals.split` is projected row by row. Points already
+    inside the ball are returned unchanged.
     """
     radius = require_nonneg(radius, "radius")
     y = np.asarray(y, dtype=float)
     if radius == 0:
         return np.zeros_like(y)
     mags, rebuild = split(y, _ball_kind(kind), block_size)
-    if mags.sum() <= radius:
+    inside = mags.sum(axis=-1) <= radius
+    rows_inside = np.count_nonzero(inside)
+    if rows_inside == inside.size:
         return y.copy()
-    theta = _l1_ball_shrink(mags.ravel(), radius)
-    return rebuild(np.maximum(mags - theta, 0.0))
+    theta = _l1_ball_shrink(mags, radius)
+    x = rebuild(np.maximum(mags - theta[..., None], 0.0))
+    if rows_inside:
+        x[inside] = y[inside]
+    return x
 
 
-def dual_norm(g: np.ndarray, kind: str, block_size: int | None = None) -> float:
-    """Dual of the family's norm: the largest magnitude (entry, block norm, singular value)."""
-    return float(np.max(split(g, _ball_kind(kind), block_size)[0]))
+def dual_norm(g: np.ndarray, kind: str, block_size: int | None = None) -> float | np.ndarray:
+    """Dual of the family's norm: the largest magnitude (entry, block norm,
+    singular value), one per row for a stack."""
+    return _per_row(np.max(split(g, _ball_kind(kind), block_size)[0], axis=-1))
 
 
 @dataclass(frozen=True)
@@ -181,26 +210,58 @@ def _zero_structure(kind: str, size: int, block_size: int | None) -> SignalStruc
     raise InvalidStructureError(f"unknown norm family {kind!r}")
 
 
-def prox_residual(spec, y, x_star, tau: float, *, block_size: int | None = None) -> float:
+def prox_residual(spec, y, x_star, tau: float, *,
+                  block_size: int | None = None) -> float | np.ndarray:
     """Distance from y - x_star to the tau-scaled subdifferential at x_star.
 
     A value <= tolerance certifies that x_star solves
     argmin_x tau*f(x) + 0.5*||y - x||^2. ``spec`` is a SignalStructure (for
-    the weighted norm it supplies regions and weights) or one of the family
-    tags 'l1', 'l12', 'nuclear'. Optimality needs a subgradient at the
-    minimizer, so the structure is taken at x_star (its ``at`` method), not
-    at the signal the problem started from. The distance is measured to the
-    projection, a sum of squared differences, and not by the expanded scale
+    the weighted norm it supplies the weights) or one of the family tags
+    'l1', 'l12', 'nuclear'; y and x_star are one point or a stack in the
+    layout of :func:`proxmse.signals.split`, and a stack gets one distance
+    per row. Optimality needs a subgradient at the minimizer, so the
+    structure is read from x_star, row by row, as masks and bases (no
+    structure object is built): the support and signs, the active blocks
+    and their directions, or the singular bases and rank of x_star. The
+    distance is a sum of squared differences, not the expanded scale
     profile: near an optimum that quadratic cancels to rounding noise of
     order 1e-16 * ||y - x_star||^2, whose square root is far above 1e-8.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    x_star = np.asarray(x_star, dtype=float).ravel()
-    if x_star.shape != y.shape:
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x_star, dtype=float)
+    if x.shape != y.shape:
         raise ValueError("x_star must match the dimension of y")
     tau = require_nonneg(tau, "tau")
-    if tau == 0:
-        return float(np.linalg.norm(y - x_star))
-    s = _zero_structure(spec, y.size, block_size) if isinstance(spec, str) else spec
-    g = y - x_star
-    return float(np.linalg.norm(g - s.at(x_star).project_subdiff(g, tau)))
+    if isinstance(spec, str):
+        family, level = _ball_kind(spec), tau
+    else:
+        family, level, block_size = spec.family, tau * spec.coordinate_weights, spec.block_size
+    g = y - x
+    if family == "nuclear":
+        return _per_row(_nuclear_distance(g, x, tau))
+    # support coordinates (active blocks) pin to level times x's signs
+    # (directions); elsewhere the magnitudes of g may reach the level
+    mags_x, rebuild_x = split(x, family, block_size)
+    on = mags_x > SUPPORT_TOL
+    pinned = split(g - rebuild_x(np.where(on, level, 0.0)), family, block_size)[0]
+    free = np.maximum(split(g, family, block_size)[0] - level, 0.0)
+    return _per_row(np.linalg.norm(np.where(on, pinned, free), axis=-1))
+
+
+def _nuclear_distance(g: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
+    """Per matrix, the distance from g to tau * subdiff of the nuclear norm at x.
+
+    In the singular bases of x (its own SVD, rank from sv > RANK_TOL) the
+    subgradients are tau on the diagonal of the range, zero across range and
+    complement, and any matrix of spectral norm <= tau on the complement
+    block, so that block's singular values only count above tau.
+    """
+    gm = square_matrices(g)[0]
+    u, sv, vt = np.linalg.svd(square_matrices(x)[0])
+    on = sv > RANK_TOL
+    rotated = np.swapaxes(u, -1, -2) @ gm @ np.swapaxes(vt, -1, -2)
+    complement = ~on[..., :, None] & ~on[..., None, :]
+    pinned = rotated - tau * (np.eye(sv.shape[-1]) * on[..., None, :])
+    inner = (np.where(complement, 0.0, pinned) ** 2).sum(axis=(-2, -1))
+    block_sv = np.linalg.svd(np.where(complement, rotated, 0.0), compute_uv=False)
+    return np.sqrt(inner + (np.maximum(block_sv - tau, 0.0) ** 2).sum(axis=-1))

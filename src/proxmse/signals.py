@@ -61,8 +61,8 @@ class _Structure:
     """Defaults every structure class shares; the formulas of each kind are its methods.
 
     Every class provides ``kind``, ``family``, ``block_size``, ``ambient_dim``,
-    ``dof``, ``label``, ``norm(values)``, ``at(values)``, ``profile(G)``,
-    ``project_subdiff(g, lam)``, ``radius_and_peak()`` (the largest
+    ``dof``, ``label``, ``norm(values)``, ``at(values)``, ``layout(rows)``,
+    ``profile(G)``, ``project_subdiff(g, lam)``, ``radius_and_peak()`` (the largest
     subgradient norm and the largest norm value on the unit sphere with the
     same subdifferential), ``check_values(values)``, ``min_magnitude(values)``
     and ``equivalent(other, tol)``; those with a closed-form bound also
@@ -74,6 +74,11 @@ class _Structure:
     # the weight of each magnitude of split() in the norm; the l1 classes
     # override it with one weight per coordinate
     coordinate_weights = 1.0
+
+    def layout(self, rows: np.ndarray):
+        """Stacked points (..., ambient_dim) in the layout :func:`split` reads,
+        and the map that flattens that layout back; vectors need no change."""
+        return rows, lambda points: points
 
     @property
     def label(self) -> str:
@@ -400,6 +405,10 @@ class LowRankStructure(_Structure):
         out.__dict__["complements"] = (u[:, r:], vt[r:].T)
         return out
 
+    def layout(self, rows: np.ndarray):
+        """Column-major flattenings (..., d*d) as matrices (..., d, d), and back."""
+        return as_matrix(rows, self.d), as_vector
+
     @cached_property
     def complements(self) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal bases of the complements of range(u) and range(v)."""
@@ -408,8 +417,7 @@ class LowRankStructure(_Structure):
     def profile(self, G: np.ndarray) -> ScaleProfile:
         n_samp = G.shape[0]
         d, r = self.d, self.r
-        # rows are column-major flattenings, so the C-order reshape is the transpose
-        mats = np.transpose(G.reshape(n_samp, d, d), (0, 2, 1))
+        mats = as_matrix(G, d)
         uvt = self.u @ self.v.T
         c1 = np.einsum("nij,ij->n", mats, uvt)
         if r < d:
@@ -513,13 +521,35 @@ class SignalInstance:
 
 
 def as_matrix(values: np.ndarray, d: int) -> np.ndarray:
-    """Reshape a flattened (column-major) length-d*d vector to a d x d matrix."""
-    return np.asarray(values).reshape((d, d), order="F")
+    """Reshape column-major flattenings (..., d*d) to matrices (..., d, d)."""
+    values = np.asarray(values)
+    return np.swapaxes(values.reshape(values.shape[:-1] + (d, d)), -1, -2)
 
 
 def as_vector(matrix: np.ndarray) -> np.ndarray:
-    """Flatten a square matrix column-major."""
-    return np.asarray(matrix).flatten(order="F")
+    """Flatten square matrices (..., d, d) column-major to (..., d*d), as a new array."""
+    matrix = np.asarray(matrix)
+    columns = np.array(np.swapaxes(matrix, -1, -2), order="C")
+    return columns.reshape(matrix.shape[:-2] + (-1,))
+
+
+def square_matrices(y) -> tuple[np.ndarray, bool]:
+    """The matrices of a nuclear-norm input, and whether it came flattened.
+
+    A 1-D input of length d*d is one matrix flattened column-major, a 2-D
+    input is always one square matrix, and an input of shape (..., d, d) is
+    a stack of them. A stack of flattened matrices is therefore never taken
+    for one matrix; :func:`as_matrix` turns one into a stack.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 1:
+        d = math.isqrt(y.size)
+        if d * d != y.size:
+            raise ValueError("flattened input must have square length")
+        return as_matrix(y, d), True
+    if y.ndim < 2 or y.shape[-1] != y.shape[-2]:
+        raise ValueError("matrix input must be square")
+    return y, False
 
 
 def split(y, family: str, block_size: int | None = None):
@@ -527,9 +557,15 @@ def split(y, family: str, block_size: int | None = None):
 
     The magnitudes are |y_i| for "l1" and "wl1", the norms of the size-b
     blocks of a vector for "l12", and the singular values of a square matrix
-    (or of its column-major flattening) for "nuclear". ``rebuild(m)`` returns
-    the point in y's layout with y's signs, block directions or singular
-    vectors and the magnitudes m; a zero block stays zero.
+    for "nuclear". ``rebuild(m)`` returns the point in y's layout with y's
+    signs, block directions or singular vectors and the magnitudes m; a zero
+    block stays zero.
+
+    Leading axes are a batch: y is (..., n) for the vector families and
+    (..., d, d) for "nuclear" (see :func:`square_matrices` for its one-matrix
+    forms), the magnitudes are (..., count) with one row per point, and
+    ``rebuild`` takes rows of the same shape. Each row comes out bitwise as
+    it does for that point alone.
     """
     y = np.asarray(y, dtype=float)
     if family in ("l1", "wl1"):
@@ -537,30 +573,24 @@ def split(y, family: str, block_size: int | None = None):
     if family == "l12":
         if block_size is None or block_size < 1:
             raise ValueError(f"block size must be a positive integer, got {block_size!r}")
-        if y.ndim != 1 or y.size % block_size:
-            raise ValueError(f"length {y.size} not divisible by block size {block_size}")
-        blocks = y.reshape(-1, block_size)
-        norms = np.linalg.norm(blocks, axis=1)
+        length = y.shape[-1] if y.ndim else 1
+        if length % block_size:
+            raise ValueError(f"length {length} not divisible by block size {block_size}")
+        blocks = y.reshape(y.shape[:-1] + (-1, block_size))
+        norms = np.linalg.norm(blocks, axis=-1)
 
         def rebuild_blocks(m):
             scale = np.zeros_like(norms)
             nz = norms > 0
             scale[nz] = m[nz] / norms[nz]
-            return (blocks * scale[:, None]).reshape(-1)
+            return (blocks * scale[..., None]).reshape(y.shape)
         return norms, rebuild_blocks
     if family == "nuclear":
-        flat = y.ndim == 1
-        if flat:
-            d = math.isqrt(y.size)
-            if d * d != y.size:
-                raise ValueError("flattened input must have square length")
-            y = as_matrix(y, d)
-        elif y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise ValueError("matrix input must be square")
-        u, sv, vt = np.linalg.svd(y)
+        mats, flat = square_matrices(y)
+        u, sv, vt = np.linalg.svd(mats)
 
         def rebuild_matrix(m):
-            x = (u * m) @ vt
+            x = (u * m[..., None, :]) @ vt
             return as_vector(x) if flat else x
         return sv, rebuild_matrix
     raise ValueError(f"unknown norm family {family!r}")

@@ -7,7 +7,7 @@ of the closed-form code paths it is used to check.
 
 import numpy as np
 
-from proxmse import signals
+from proxmse import geometry, signals
 
 
 def brute_sparse(support, signs, g, lam, step=1e-4):
@@ -80,3 +80,12 @@ def grid_prox_scalar(y, tau, weight=1.0, step=1e-4):
     xs = np.arange(-span, span + step / 2, step)
     obj = 0.5 * (y - xs) ** 2 + tau * weight * np.abs(xs)
     return xs[int(np.argmin(obj))]
+
+
+def first_order_error(s, z, tau):
+    """Error vector of the linearized problem: z minus its projection on tau*subdiff.
+
+    For small noise the true prox error converges to this vector, which is
+    what makes the small-sigma NMSE equal the mean squared distance.
+    """
+    return np.asarray(z, dtype=float) - geometry.project_scaled_subdiff(s, z, tau)

@@ -236,15 +236,9 @@ def test_denoise_mixed_fills_reference(tmp_path):
     assert all(r.split(",")[-1] != "" for r in rows)
 
 
-@pytest.mark.parametrize("estimator, samples", [
-    pytest.param("regularized", "1", id="regularized"),
-    pytest.param("constrained", "1", id="constrained"),
-    # the mixed reference comes from the trials' own draws: any sample count
-    # would be written into the config without having been used
-    pytest.param("mixed", "4000", id="mixed"),
-])
-def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, monkeypatch, estimator,
-                                                            samples):
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """The arguments of every trial noise draw made while the test runs."""
     draws = []
 
     def counting_noise(*args):
@@ -253,13 +247,25 @@ def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, monkeypatc
 
     noise = denoise.trial_noise
     monkeypatch.setattr(denoise, "trial_noise", counting_noise)
+    return draws
+
+
+@pytest.mark.parametrize("estimator, samples", [
+    pytest.param("regularized", "1", id="regularized"),
+    pytest.param("constrained", "1", id="constrained"),
+    # the mixed reference comes from the trials' own draws: any sample count
+    # would be written into the config without having been used
+    pytest.param("mixed", "4000", id="mixed"),
+])
+def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, noise_draws, estimator,
+                                                            samples):
     out = tmp_path / "never.csv"
     code = run_cli(["denoise", "--structure", "sparse:200:10", "--seed", "4",
                     "--estimator", estimator, "--lambda", "2", "--trials", "400",
                     "--reference-samples", samples, "--output", str(out)])
     assert code == 2
     assert not out.exists()
-    assert draws == []
+    assert noise_draws == []
 
 
 def test_lasso_sweep_csv(tmp_path):
@@ -316,6 +322,37 @@ def test_failed_write_keeps_target_and_leaves_no_temporary(tmp_path, monkeypatch
     assert os.listdir(tmp_path) == ["result.csv"]
 
 
+def test_missing_output_directory_exits_2_before_trials(tmp_path, noise_draws, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = run_cli(["denoise", "--structure", "sparse:200:10", "--seed", "4",
+                    "--estimator", "regularized", "--lambda", "2", "--trials", "400",
+                    "--output", str(out)])
+    assert code == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert not out.parent.exists()
+    assert noise_draws == []
+
+
+@pytest.mark.parametrize("target", ["directory", "rename"])
+def test_unwritable_output_exits_2_without_traceback(tmp_path, monkeypatch, capsys, target):
+    if target == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    else:
+        out = tmp_path / "b.csv"
+
+        def refuse(*args):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", refuse)
+    code = run_cli(["bounds", "--structure", "sparse:10:2", "--seed", "1",
+                    "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write {out}")
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == (["taken"] if target == "directory" else [])
+
+
 def test_write_to_pipe_writes_through(tmp_path):
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
@@ -349,6 +386,24 @@ def test_byte_identical_reruns(tmp_path):
         assert run_cli(args + ["--output", str(a)]) == 0
         assert run_cli(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), name
+
+
+def test_reused_parser_keeps_no_options_between_calls(tmp_path):
+    # one parser serves every call of a process; an option given to one job
+    # must not reach the next, which writes what a fresh process writes
+    base = ["denoise", "--structure", "sparse:30:3", "--seed", "9",
+            "--estimator", "regularized", "--lambda", "1.0", "--trials", "4"]
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(base + ["--sigma-grid", "0.1:0.1:0.3",
+                           "--output", str(tmp_path / "grid.csv")]) == 0
+    assert run_cli(base + ["--output", str(tmp_path / "same.csv")]) == 0
+    fresh = tmp_path / "fresh.csv"
+    proc = subprocess.run([sys.executable, "-m", "proxmse.cli", *base, "--output", str(fresh)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "same.csv").read_bytes() == fresh.read_bytes()
+    config = json.loads(read_lines(fresh)[0][len("# config: "):])
+    assert len(config["sigma_grid"]) == 8
 
 
 def test_entry_point_help_runs():

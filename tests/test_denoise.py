@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import first_order_error
 
 from proxmse import denoise, geometry, prox, signals
 from proxmse.errors import InvalidStructureError, NumericalError
@@ -127,7 +130,7 @@ def test_first_order_error_matches_prox_error_at_small_sigma():
         y = inst.values + sigma * v
         x_star = prox.soft_threshold(y, sigma * lam).minimizer
         w_true = x_star - inst.values
-        w_hat = denoise.first_order_error(s, sigma * v, sigma * lam)
+        w_hat = first_order_error(s, sigma * v, sigma * lam)
         rels.append(np.linalg.norm(w_true - w_hat) / np.linalg.norm(w_hat))
     assert np.mean(rels) <= 0.01
 
@@ -155,7 +158,58 @@ def test_uncertified_trial_fails_closed():
     inst = signals.make_sparse(10, 2, seed=1)
     for residual in (float("nan"), 1e-6):
         with pytest.raises(NumericalError):
-            denoise._run(inst, "regularized", 1.0, [0.1], 2, 1, lambda y, sigma: (y, residual))
+            denoise._run(inst, "regularized", 1.0, [0.1], 2, 1,
+                         lambda Y, sigma: (Y, np.full(len(Y), residual)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: signals.make_sparse(30, 4, seed=3),
+    lambda: signals.make_weighted_sparse(12, 4, np.arange(12) % 3, [0.5, 1.0, 2.5], seed=3),
+    lambda: signals.make_block_sparse(6, 4, 3, seed=3),
+    lambda: signals.make_low_rank(5, 2, seed=3),
+], ids=["sparse", "weighted", "block", "lowrank"])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(trial=st.integers(0, denoise.BLOCK + 3))
+@example(trial=0)
+@example(trial=denoise.BLOCK + 2)
+def test_perturbed_row_fails_closed_with_its_trial_index(make, trial):
+    # trials span two blocks; one row's minimizer is scaled off the optimum
+    inst = make()
+    lam, trials = 1.0, denoise.BLOCK + 4
+    done, others = [0], []
+
+    def estimate(Y, sigma):
+        X = prox.prox_step(inst.structure, Y, sigma * lam).minimizer
+        row = trial - done[0]
+        done[0] += len(Y)
+        if 0 <= row < len(Y):
+            X[row] *= 1.001
+        residuals = prox.prox_residual(inst.structure, Y, X, sigma * lam)
+        others.extend(np.delete(residuals, row) if 0 <= row < len(Y) else residuals)
+        return X, residuals
+
+    with pytest.raises(NumericalError) as failed:
+        denoise._run(inst, "regularized", lam, [0.01], trials, 5, estimate)
+    assert failed.value.index == trial
+    # every row of the blocks that ran, but the perturbed one, certified
+    ran = min((trial // denoise.BLOCK + 1) * denoise.BLOCK, trials)
+    assert len(others) == ran - 1
+    assert max(others) <= denoise.RESIDUAL_TOL
+
+
+def test_sparse_regularized_run_builds_no_structure(monkeypatch):
+    built = []
+    post_init = signals._SignedSupport.__post_init__
+
+    def counting(self):
+        built.append(type(self).__name__)
+        post_init(self)
+
+    monkeypatch.setattr(signals._SignedSupport, "__post_init__", counting)
+    inst = signals.make_sparse(50, 5, seed=3)
+    assert built == ["SparseStructure"]
+    denoise.run_regularized(inst, 1.5, [0.01, 0.1], denoise.BLOCK + 6, seed=4)
+    assert built == ["SparseStructure"]
 
 
 def test_constrained_rejects_weighted():

@@ -381,3 +381,62 @@ def test_scalar_weight_soft_threshold_certifies_at_its_level(seed, scale, tau):
     got = prox.weighted_soft_threshold(y, tau, 2.0)
     assert np.array_equal(got.minimizer, prox.soft_threshold(y, 2.0 * tau).minimizer)
     assert got.residual <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# stacks: one row of a stacked call is the call on that row alone, bitwise
+# ---------------------------------------------------------------------------
+
+def _stack(family, seed, scale):
+    """Five points of the family's zero structure in the layout split reads:
+    random rows, one shrunk deep inside any ball, one zero row."""
+    s0 = _zero_structure(family, seed)
+    rows = scale * np.random.default_rng(seed).standard_normal((5, s0.ambient_dim))
+    rows[1] *= 1e-3
+    rows[3] = 0.0
+    return s0, s0.layout(rows)[0]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["l1", "wl1", "l12", "nuclear"]), seed=st.integers(0, 2**20),
+       scale=st.sampled_from([0.1, 1.0, 5.0]), tau=st.sampled_from([0.0, 0.3, 2.0]))
+def test_stacked_split_prox_and_residual_match_each_row(family, seed, scale, tau):
+    s0, points = _stack(family, seed, scale)
+    mags, rebuild = signals.split(points, family, s0.block_size)
+    new = np.random.default_rng(seed + 1).uniform(0.0, 2.0, mags.shape)
+    rebuilt = rebuild(new)
+    step = prox.prox_step(s0, points, tau)
+    other = np.random.default_rng(seed + 2).standard_normal(points.shape)
+    far = prox.prox_residual(s0, points, other, tau)
+    assert step.residual.shape == far.shape == step.objective.shape == (5,)
+    for i, y in enumerate(points):
+        row_mags, row_rebuild = signals.split(y, family, s0.block_size)
+        assert np.array_equal(mags[i], row_mags)
+        assert np.array_equal(rebuilt[i], row_rebuild(new[i]))
+        one = prox.prox_step(s0, y, tau)
+        assert np.array_equal(step.minimizer[i], one.minimizer)
+        assert step.objective[i] == one.objective
+        assert step.residual[i] == one.residual <= 1e-8
+        assert far[i] == prox.prox_residual(s0, y, other[i], tau)
+    assert np.array_equal(step.minimizer[3], np.zeros_like(points[3]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(prox.BALL_KINDS), seed=st.integers(0, 2**20),
+       scale=st.sampled_from([0.1, 1.0, 5.0]), fraction=st.sampled_from([0.0, 0.05, 0.5, 2.0]))
+def test_stacked_ball_projection_and_dual_norm_match_each_row(kind, seed, scale, fraction):
+    s0, points = _stack(kind, seed, scale)
+    # the norm is the sum of the magnitudes for every ball kind
+    radius = fraction * float(signals.split(points[0], kind, s0.block_size)[0].sum())
+    projected = prox.project_ball(points, kind, radius, block_size=s0.block_size)
+    duals = prox.dual_norm(points, kind, s0.block_size)
+    for i, y in enumerate(points):
+        assert np.array_equal(projected[i],
+                              prox.project_ball(y, kind, radius, block_size=s0.block_size))
+        assert duals[i] == prox.dual_norm(y, kind, s0.block_size)
+    # a row already in the ball comes back unchanged, and radius 0 gives zero
+    if radius > 0:
+        assert np.array_equal(projected[1], points[1])
+    else:
+        assert not projected.any()
+    assert not projected[3].any()

@@ -6,6 +6,8 @@ Each of the 17 jobs below is one `proxmse` command line with a fixed seed.
 It writes one result file, `OUTDIR/<name>.csv` or `.json`, and under its
 seed the file is byte-identical from run to run (acceptance criterion 11).
 The script exits 1 if any job exits nonzero, after running all of them.
+It prints each job's exit code and wall seconds on stderr, so one run also
+times the jobs end to end (the 7 denoise jobs among them).
 
 To see whether a change alters any output, run the script once per
 checkout, pointing PYTHONPATH at that checkout's `src`, and compare the two
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 from proxmse import cli
 
@@ -58,8 +61,9 @@ def main(outdir: str) -> int:
     for name, argv in JOBS.items():
         ext = "json" if "json" in argv else "csv"
         path = os.path.join(outdir, f"{name}.{ext}")
+        start = time.perf_counter()
         code = cli.main(argv + ["--output", path])
-        print(f"{name}: exit {code}", file=sys.stderr)
+        print(f"{name}: exit {code} in {time.perf_counter() - start:.3f} s", file=sys.stderr)
         if code != 0:
             failed.append(name)
     if failed:
