@@ -5,11 +5,19 @@ gradient (FISTA, Beck & Teboulle 2009) with the adaptive gradient restart of
 O'Donoghue & Candes (2015), for Haar-random partial unitary (rows
 orthonormal) or i.i.d. Gaussian A. The solver stops on the length of its
 last projected-gradient step, which bounds the first-order optimality of the
-returned point; it reports the Frank-Wolfe duality gap there as well. It
-then estimates three normalized quantities per measurement count m:
+returned point; it reports the Frank-Wolfe duality gap there as well.
 
-    eta = ||A(x* - x0)||^2 / sigma^2   (projected error)
-    F   = ||y - A x*||^2 / sigma^2     (residual cost)
+A partial-unitary problem depends on A only through the projector
+P = A^T A and w = A^T y: the gradient is A^T (y - A x) = w - P x, and
+||y - A x||^2 = ||w - P x||^2 because A^T is an isometry. When 2m > n a
+unitary trial therefore draws the smaller basis, the n - m columns C of the
+complement of range(A^T), and solves on P = I - C C^T (a
+``ComplementProjector``) and w, which skips the QR of an n x m matrix.
+
+It then estimates three normalized quantities per measurement count m:
+
+    eta = ||A(x* - x0)||^2 / sigma^2   (projected error; = ||P(x* - x0)||^2 / sigma^2)
+    F   = ||y - A x*||^2 / sigma^2     (residual cost; = ||w - P x*||^2 / sigma^2)
     E   = ||x* - x0||^2 / sigma^2      (full error)
 
 eta and F split the noise energy (eta + F = m in expectation) and switch
@@ -59,6 +67,10 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be finite and positive, got {self.step!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         require_nonneg(self.cost_floor, "cost_floor")
 
 
@@ -78,7 +90,7 @@ class TrialDiagnostics:
     f: float
     e: float
     energy: float          # (||A(x*-x0)||^2 + ||y - A x*||^2) / sigma^2
-    noise_energy: float    # ||v||^2
+    noise_energy: float    # ||v||^2, or ||P g||^2 when the trial solves on P
     cost: float
     cost_at_truth: float
     iterations: int
@@ -100,6 +112,28 @@ class LassoSweepRecord:
     excluded_trials: int
 
 
+class ComplementProjector:
+    """P = I - C C^T for an n x k matrix C with orthonormal columns.
+
+    The orthogonal projector onto the complement of range(C), applied as
+    x - C (C^T x) without forming it: 4nk flops a product against 2n^2 for
+    the explicit matrix. P is symmetric, so ``P.T`` is ``P``; with k = 0 it
+    is the identity. It has the ``shape``, ``@`` and ``.T`` that
+    ``solve_constrained_lasso`` uses of its operator.
+    """
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+        self.shape = (c.shape[0], c.shape[0])
+
+    @property
+    def T(self) -> ComplementProjector:
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return x - self.c @ (self.c.T @ x)
+
+
 def sample_partial_unitary(m: int, n: int, seed: int) -> np.ndarray:
     """Haar-random m x n matrix with orthonormal rows (A A^T = I_m)."""
     if not 1 <= m <= n:
@@ -118,6 +152,9 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
                             cfg: SolverConfig = SolverConfig(),
                             x_init: np.ndarray | None = None) -> LassoSolution:
     """FISTA with gradient restart for min_x ||y - A x||^2 over the ball.
+
+    ``a`` is a matrix or a ``ComplementProjector`` (then ``cfg.step`` must
+    be set; 1 is exact, as ||P|| = 1).
 
     From x = project(x_init) (zero by default) it iterates
 
@@ -139,7 +176,8 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     whose final cost exceeds the cost at its projected start is flagged
     non-converged.
     """
-    a = np.asarray(a, dtype=float)
+    if not isinstance(a, ComplementProjector):
+        a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     step = cfg.step
     if step is None:
@@ -197,11 +235,20 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     Each trial draws a fresh operator and noise vector from the stream keyed
     (seed, m, trial), solves from the feasible warm start x0 (so the cost can
     never exceed the cost at the truth), and accumulates the three normalized
-    statistics. Non-converged trials are excluded but counted; more than 10%
-    exclusions at any m raise RunQualityError. ``predicted_eta`` is
-    min(m, D) with D the cone MSD: ``d_reference``, or else estimated once
-    via ``mc`` (default 20,000 samples) and shared by every record; every
-    argument is checked before that. ``sigma`` defaults to ``default_sigma(inst)``.
+    statistics. A unitary trial with 2m <= n draws the m-column Haar basis
+    of range(A^T) and v ~ N(0, I_m). One with 2m > n draws the (n - m)-column
+    Haar basis C of the complement, which is itself Haar, and g ~ N(0, I_n),
+    and solves on P = I - C C^T and w = P x0 + sigma P g in place of A and y.
+    P g has the law N(0, P) of A^T v, and eta, F, E and the noise energy
+    ||P g||^2 = ||A^T v||^2 are functions of (P, A^T y), so each trial's
+    statistics have the same distribution as with the m-column draw; the
+    QR is of an n x (n - m) matrix instead. At m = n, C is empty and P = I.
+    Gaussian trials always draw A and v. Non-converged trials are excluded
+    but counted; more than 10% exclusions at any m raise RunQualityError.
+    ``predicted_eta`` is min(m, D) with D the cone MSD: ``d_reference``, or
+    else estimated once via ``mc`` (default 20,000 samples) and shared by
+    every record; every argument is checked before that. ``sigma`` defaults
+    to ``default_sigma(inst)``.
 
     E is not always a property of the problem. Where the set
     {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
@@ -235,13 +282,17 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
         diags = all_diags[m] = []
         for ti in range(trials):
             rng = stream(seed, m, ti)
-            if matrix_kind == "unitary":
-                a = haar_columns(rng, n, m).T
-                step = 1.0 if cfg.step is None else cfg.step
-            else:
+            if matrix_kind == "gaussian":
                 a = rng.standard_normal((m, n))
-                step = cfg.step
-            v = rng.standard_normal(m)
+                v = rng.standard_normal(m)
+            elif 2 * m > n:
+                # solve on (P, w): v = P g ~ N(0, P), the law of A^T v
+                a = ComplementProjector(haar_columns(rng, n, n - m))
+                v = a @ rng.standard_normal(n)
+            else:
+                a = haar_columns(rng, n, m).T
+                v = rng.standard_normal(m)
+            step = 1.0 if cfg.step is None and matrix_kind == "unitary" else cfg.step
             y = a @ x0 + sigma * v
             # floor small enough that stopping on it perturbs the per-trial
             # energy identity by at most ~2e-7 of the noise energy

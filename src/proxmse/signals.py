@@ -8,16 +8,16 @@ structure, because the subdifferential geometry depends only on signs and
 subspaces.
 
 Each structure class also owns every formula that depends on its kind: the
-norm value, the structure at a point (:meth:`at`), the coefficients of the
-scale profile (:meth:`profile`, see :mod:`proxmse.geometry`) and the
-projection onto the scaled subdifferential, the geometry constants, the
-Table-1 threshold and bound, the degrees of freedom, its label and its
-descriptor fields. ``family`` names the norm family ("l1", "wl1", "l12",
-"nuclear"). :func:`split` takes a point apart into that family's
-magnitudes (|entries|, block norms or singular values) and a map that
-rebuilds a point from new magnitudes; the prox, the ball projection and the
-dual norm in :mod:`proxmse.prox`, and each class's projection onto the
-scaled subdifferential, only move the magnitudes.
+norm value, the coefficients of the scale profile (:meth:`profile`, see
+:mod:`proxmse.geometry`) and the projection onto the scaled
+subdifferential, the geometry constants, the Table-1 threshold and bound,
+the degrees of freedom, its label and its descriptor fields. ``family``
+names the norm family ("l1", "wl1", "l12", "nuclear"). :func:`split` takes
+a point apart into that family's magnitudes (|entries|, block norms or
+singular values) and a map that rebuilds a point from new magnitudes; the
+prox, the ball projection and the dual norm in :mod:`proxmse.prox`, and
+each class's projection onto the scaled subdifferential, only move the
+magnitudes.
 
 Matrices are stored flattened column-major as vectors of length d*d.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Union
 
@@ -132,15 +132,6 @@ class _SignedSupport(_Structure):
 
     def norm(self, values) -> float:
         return float(np.sum(self.coordinate_weights * np.abs(values)))
-
-    def at(self, values: np.ndarray):
-        """The structure of the same norm at the point ``values``.
-
-        Support detection thresholds at 1e-12, so for a valid instance this
-        reproduces the stored descriptor.
-        """
-        support = np.flatnonzero(np.abs(values) > SUPPORT_TOL)
-        return replace(self, support=support, signs=np.sign(values[support]), seed=None)
 
     def profile(self, G: np.ndarray) -> ScaleProfile:
         """Support coordinates pin to lam*w*sign, the others clip at lam*w;
@@ -306,14 +297,6 @@ class BlockSparseStructure(_Structure):
         blocks = np.asarray(values, dtype=float).reshape(self.t, self.b)
         return float(np.sum(np.linalg.norm(blocks, axis=1)))
 
-    def at(self, values: np.ndarray) -> BlockSparseStructure:
-        """The structure at ``values``: blocks with norm above 1e-12 are active."""
-        blocks = values.reshape(self.t, self.b)
-        norms = np.linalg.norm(blocks, axis=1)
-        active = np.flatnonzero(norms > SUPPORT_TOL)
-        directions = blocks[active] / norms[active, None]
-        return replace(self, active=active, directions=directions, seed=None)
-
     def profile(self, G: np.ndarray) -> ScaleProfile:
         blocks = G.reshape(G.shape[0], self.t, self.b)
         ga = blocks[:, self.active, :]
@@ -391,19 +374,6 @@ class LowRankStructure(_Structure):
     def norm(self, values) -> float:
         """Nuclear norm: the sum of the singular values."""
         return float(np.sum(np.linalg.svd(as_matrix(values, self.d), compute_uv=False)))
-
-    def at(self, values: np.ndarray) -> LowRankStructure:
-        """The structure at ``values``: rank detection thresholds at 1e-10.
-
-        Singular-vector signs may differ from the stored factors; the
-        geometry never sees them. The full SVD also gives the complement
-        bases, so the derived structure never computes them again.
-        """
-        u, sv, vt = np.linalg.svd(as_matrix(values, self.d))
-        r = int(np.sum(sv > RANK_TOL))
-        out = replace(self, r=r, u=u[:, :r], v=vt[:r].T, seed=None)
-        out.__dict__["complements"] = (u[:, r:], vt[r:].T)
-        return out
 
     def layout(self, rows: np.ndarray):
         """Column-major flattenings (..., d*d) as matrices (..., d, d), and back."""

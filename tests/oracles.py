@@ -5,6 +5,8 @@ of a scalar proximal objective) and minimizes directly, staying independent
 of the closed-form code paths it is used to check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from proxmse import geometry, signals
@@ -89,3 +91,36 @@ def first_order_error(s, z, tau):
     what makes the small-sigma NMSE equal the mean squared distance.
     """
     return np.asarray(z, dtype=float) - geometry.project_scaled_subdiff(s, z, tau)
+
+
+# The structure of the same norm at a point: support, active blocks or rank
+# detected from the values, as the certificate in prox.prox_residual reads
+# them. For a valid instance each reproduces the stored descriptor.
+
+def signed_support_at(s, values):
+    """Sparse or weighted sparse: the entries above 1e-12 and their signs."""
+    support = np.flatnonzero(np.abs(values) > signals.SUPPORT_TOL)
+    return replace(s, support=support, signs=np.sign(values[support]), seed=None)
+
+
+def block_at(s, values):
+    """Block sparse: blocks with norm above 1e-12 are active."""
+    blocks = values.reshape(s.t, s.b)
+    norms = np.linalg.norm(blocks, axis=1)
+    active = np.flatnonzero(norms > signals.SUPPORT_TOL)
+    return replace(s, active=active, directions=blocks[active] / norms[active, None],
+                   seed=None)
+
+
+def lowrank_at(s, values):
+    """Low rank: rank from the singular values above 1e-10.
+
+    Singular-vector signs may differ from the stored factors; the geometry
+    never sees them. The full SVD also gives the complement bases, which
+    seed the derived structure's ``complements`` cache.
+    """
+    u, sv, vt = np.linalg.svd(signals.as_matrix(values, s.d))
+    r = int(np.sum(sv > signals.RANK_TOL))
+    out = replace(s, r=r, u=u[:, :r], v=vt[:r].T, seed=None)
+    out.__dict__["complements"] = (u[:, r:], vt[r:].T)
+    return out

@@ -240,6 +240,68 @@ def test_solver_l1_face_solution_and_kkt(n, extra, seed, frac, noise):
     assert np.all(np.delete(np.abs(g), support) <= lam * (1 + 1e-6))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"step": 0.0}, {"step": -1.0}, {"step": float("nan")}, {"step": float("inf")},
+    {"max_iters": 0}, {"max_iters": -3},
+], ids=["step-zero", "step-negative", "step-nan", "step-inf", "iters-zero", "iters-negative"])
+def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs):
+    # a zero step stopped at once at the start, marked converged; a NaN step
+    # ran to the iteration cap
+    with pytest.raises(ValueError):
+        lasso.SolverConfig(**kwargs)
+
+
+def test_complement_projector_is_the_orthogonal_projector():
+    rng = np.random.default_rng(35)
+    c = signals.haar_columns(rng, 9, 4)
+    p = lasso.ComplementProjector(c)
+    x = rng.standard_normal(9)
+    assert p.T is p and p.shape == (9, 9)
+    assert np.allclose(p @ x, (np.eye(9) - c @ c.T) @ x, atol=1e-14)
+    assert np.allclose(p @ (p @ x), p @ x, atol=1e-14)
+    assert np.abs(c.T @ (p @ x)).max() <= 1e-14
+    identity = lasso.ComplementProjector(signals.haar_columns(rng, 9, 0))
+    assert np.array_equal(identity @ x, x)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(["l1", "l12"]), size=st.integers(3, 12),
+       k=st.integers(1, 3), kc_frac=st.floats(0.0, 0.99), seed=st.integers(0, 2**20),
+       sigma=st.sampled_from([0.01, 0.3, 1.0]))
+def test_projector_form_solves_the_same_problem(family, size, k, kc_frac, seed, sigma):
+    # (P, w) with P = I - C C^T, w = P x0 + sigma P g, against the explicit A
+    # whose orthonormal rows span range(P) and y = A x0 + sigma A (P g):
+    # A^T A = P and A^T y = w, so FISTA takes the same steps on both
+    if family == "l1":
+        inst = signals.make_sparse(2 * size, min(k, size), "uniform", seed=seed)
+    else:
+        inst = signals.make_block_sparse(size, 2, min(k, size), seed=seed)
+    x0 = inst.values
+    n = x0.size
+    kc = int(kc_frac * ((n + 1) // 2))        # m = n - kc, so 2m > n
+    rng = np.random.default_rng(seed)
+    c = signals.haar_columns(rng, n, kc)
+    p = lasso.ComplementProjector(c)
+    pg = p @ rng.standard_normal(n)
+    w = p @ x0 + sigma * pg
+    q, _ = np.linalg.qr(c, mode="complete")
+    a = q[:, kc:].T
+    y = a @ x0 + sigma * (a @ pg)
+    ball = lasso.ball_for(inst)
+    cfg = lasso.SolverConfig(step=1.0)
+    on_p = lasso.solve_constrained_lasso(p, w, ball, cfg, x_init=x0)
+    on_a = lasso.solve_constrained_lasso(a, y, ball, cfg, x_init=x0)
+    assert on_p.converged and on_a.converged
+    assert np.linalg.norm(on_p.x - on_a.x) <= 1e-9
+    # below the transition the optimal cost is zero, reached only to rounding
+    # of ||y||^2, where a relative comparison says nothing
+    floor = 1e-20 * float(y @ y)
+    assert on_p.cost == pytest.approx(on_a.cost, rel=1e-9, abs=floor)
+    for x in (on_p.x, x0):
+        rp, ra = w - p @ x, y - a @ x
+        assert float(rp @ rp) == pytest.approx(float(ra @ ra), rel=1e-12, abs=floor)
+
+
 def test_solver_flags_non_convergence():
     inst = signals.make_sparse(30, 2, "unit", seed=16)
     a = lasso.sample_partial_unitary(10, 30, seed=17)
@@ -297,6 +359,27 @@ def test_full_isometry_point_e_equals_eta():
     diags = diags[50]
     for d in diags:
         assert d.e == pytest.approx(d.eta, rel=1e-6)
+
+
+def test_complement_draw_statistics():
+    # 2m > n: each trial draws the 50-column complement basis C and g in R^n
+    # and uses P g = (I - C C^T) g as its noise; ||P g||^2 is chi-square with
+    # m degrees of freedom, where ||g||^2 would have n
+    inst = signals.make_sparse(300, 10, "unit", seed=19)
+    m = 250
+    (rec,), diags = lasso.sweep_measurements(
+        inst, [m], lasso.default_sigma(inst), trials=40, matrix_kind="unitary", seed=36,
+        d_reference=45.0, collect=True,
+    )
+    diags = diags[m]
+    assert rec.excluded_trials == 0
+    noise = np.array([d.noise_energy for d in diags])
+    assert abs(noise.mean() - m) <= 4 * noise.std(ddof=1) / math.sqrt(noise.size)
+    for d in diags:
+        assert d.cost <= d.cost_at_truth
+        assert d.energy <= d.noise_energy * (1 + 1e-6)
+    sums = np.array([d.energy for d in diags])
+    assert abs(sums.mean() - m) <= 3 * sums.std(ddof=1) / math.sqrt(sums.size)
 
 
 def test_iteration_tail_near_transition():

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import block_at, lowrank_at, signed_support_at
 
 from proxmse import geometry, signals
 from proxmse.errors import InvalidStructureError
@@ -121,15 +122,16 @@ def test_constructors_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: signals.make_sparse(30, 5, "uniform", seed=8),
-    lambda: signals.make_weighted_sparse(12, 4, np.arange(12) % 3, [0.0, 1.0, 2.5], seed=8),
-    lambda: signals.make_block_sparse(6, 4, 3, seed=8),
-    lambda: signals.make_low_rank(9, 3, seed=8),
+@pytest.mark.parametrize("make, at", [
+    (lambda: signals.make_sparse(30, 5, "uniform", seed=8), signed_support_at),
+    (lambda: signals.make_weighted_sparse(12, 4, np.arange(12) % 3, [0.0, 1.0, 2.5], seed=8),
+     signed_support_at),
+    (lambda: signals.make_block_sparse(6, 4, 3, seed=8), block_at),
+    (lambda: signals.make_low_rank(9, 3, seed=8), lowrank_at),
 ], ids=["sparse", "weighted", "block", "lowrank"])
-def test_at_reproduces_structure(make):
+def test_at_reproduces_structure(make, at):
     inst = make()
-    derived = inst.structure.at(inst.values)
+    derived = at(inst.structure, inst.values)
     assert derived.seed is None
     assert signals.structures_equivalent(inst.structure, derived, tol=1e-9)
     # same subdifferential, same distances (low rank: through the SVD's complement bases)
