@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 
@@ -46,13 +47,16 @@ class ConfigError(ValueError):
 
 def parse_grid(text: str) -> list[float]:
     """Parse 'start:step:stop' (inclusive of stop when it lands on the grid)
-    or a single number."""
+    or a single number; every number must be finite."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) == 3:
-            start, step, stop = (float(p) for p in parts)
+        values = [float(p) for p in parts]
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError("numbers must be finite")
+        if len(values) == 1:
+            return values
+        if len(values) == 3:
+            start, step, stop = values
             if step <= 0:
                 raise ConfigError(f"grid step must be positive in {text!r}")
             count = int(np.floor((stop - start) / step + 1e-9)) + 1

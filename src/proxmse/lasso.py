@@ -9,10 +9,12 @@ returned point; it reports the Frank-Wolfe duality gap there as well.
 
 A partial-unitary problem depends on A only through the projector
 P = A^T A and w = A^T y: the gradient is A^T (y - A x) = w - P x, and
-||y - A x||^2 = ||w - P x||^2 because A^T is an isometry. When 2m > n a
-unitary trial therefore draws the smaller basis, the n - m columns C of the
-complement of range(A^T), and solves on P = I - C C^T (a
-``ComplementProjector``) and w, which skips the QR of an n x m matrix.
+||y - A x||^2 = ||w - P x||^2 because A^T is an isometry. Every unitary
+trial therefore solves on a ``Projector`` and w. It draws the smaller Haar
+basis Q, with k = min(m, n - m) columns, and takes P = Q Q^T when 2m <= n
+and P = I - Q Q^T otherwise, so a product with P costs 4nk flops and the QR
+is of an n x k matrix. The residual w - P x lies in range(P), where the
+adjoint of P is the identity, so an iteration costs one product with P.
 
 It then estimates three normalized quantities per measurement count m:
 
@@ -45,9 +47,9 @@ class SolverConfig:
 
     ``step=None`` selects 1/sigma_max(A)^2, with sigma_max(A) the largest
     singular value computed exactly by ``np.linalg.norm(A, 2)``, so the step
-    never exceeds the 1/L the step-length bound below assumes
-    (``sweep_measurements`` passes 1 for partial-unitary operators, whose
-    operator norm is exactly one, and takes no SVD for them).
+    never exceeds the 1/L the step-length bound below assumes. For a
+    ``Projector``, whose operator norm is exactly one, it selects 1 and
+    takes no SVD.
 
     ``tol`` is a relative step length: the solver has converged once its
     last projected-gradient step, taken from the extrapolated point z to
@@ -90,7 +92,7 @@ class TrialDiagnostics:
     f: float
     e: float
     energy: float          # (||A(x*-x0)||^2 + ||y - A x*||^2) / sigma^2
-    noise_energy: float    # ||v||^2, or ||P g||^2 when the trial solves on P
+    noise_energy: float    # ||v||^2 (Gaussian A), or ||P g||^2 = ||A^T v||^2 (unitary)
     cost: float
     cost_at_truth: float
     iterations: int
@@ -112,26 +114,37 @@ class LassoSweepRecord:
     excluded_trials: int
 
 
-class ComplementProjector:
-    """P = I - C C^T for an n x k matrix C with orthonormal columns.
+class _Inclusion:
+    """The inclusion of range(P) into R^n, the adjoint of P as a map onto range(P)."""
 
-    The orthogonal projector onto the complement of range(C), applied as
-    x - C (C^T x) without forming it: 4nk flops a product against 2n^2 for
-    the explicit matrix. P is symmetric, so ``P.T`` is ``P``; with k = 0 it
-    is the identity. It has the ``shape``, ``@`` and ``.T`` that
-    ``solve_constrained_lasso`` uses of its operator.
+    def __matmul__(self, r: np.ndarray) -> np.ndarray:
+        return r
+
+
+class Projector:
+    """The orthogonal projector onto range(Q), or onto its complement.
+
+    Q is an n x k matrix with orthonormal columns. P is Q Q^T, applied as
+    Q (Q^T x), or with ``complement`` I - Q Q^T, applied as x - Q (Q^T x):
+    4nk flops a product against 2n^2 for the explicit matrix. The complement
+    projector of an empty Q is the identity.
+
+    As a trial's operator, P maps R^n onto range(P), and its adjoint there
+    is the inclusion: ``P.T @ r`` returns r. That equals P r exactly for
+    every r in range(P), which holds the residuals w - P z that
+    ``solve_constrained_lasso`` passes to it.
     """
 
-    def __init__(self, c: np.ndarray):
-        self.c = c
-        self.shape = (c.shape[0], c.shape[0])
+    T = _Inclusion()
 
-    @property
-    def T(self) -> ComplementProjector:
-        return self
+    def __init__(self, q: np.ndarray, complement: bool):
+        self.q = q
+        self.complement = complement
+        self.shape = (q.shape[0], q.shape[0])
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return x - self.c @ (self.c.T @ x)
+        qx = self.q @ (self.q.T @ x)
+        return x - qx if self.complement else qx
 
 
 def sample_partial_unitary(m: int, n: int, seed: int) -> np.ndarray:
@@ -153,8 +166,10 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
                             x_init: np.ndarray | None = None) -> LassoSolution:
     """FISTA with gradient restart for min_x ||y - A x||^2 over the ball.
 
-    ``a`` is a matrix or a ``ComplementProjector`` (then ``cfg.step`` must
-    be set; 1 is exact, as ||P|| = 1).
+    ``a`` is a matrix or a ``Projector`` P. For P the default step is 1,
+    exact as ||P|| = 1, and y must lie in range(P): the solver applies
+    P.T, the inclusion, to residuals y - P z, so it raises ValueError when
+    y - P y exceeds 1e-12 ||y||.
 
     From x = project(x_init) (zero by default) it iterates
 
@@ -162,9 +177,10 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
         z  = x+ + beta_t (x+ - x),  beta_t = (t - 1) / t+,  t+ = (1 + sqrt(1 + 4 t^2)) / 2,
 
     carrying A x and A z along (A z is the same combination of A x+ and
-    A x), so one iteration costs one A^T and one A product. The momentum
-    restarts (t = 1, z = x+) when (x+ - z) . (x+ - x) < 0, that is when the
-    step points against the momentum (O'Donoghue & Candes 2015).
+    A x), so one iteration costs one A^T and one A product, and on a
+    ``Projector`` one product with P. The momentum restarts (t = 1, z = x+)
+    when (x+ - z) . (x+ - x) < 0, that is when the step points against the
+    momentum (O'Donoghue & Candes 2015).
 
     It stops on the relative step length (see ``SolverConfig``), on the
     cost floor, or at cfg.max_iters (flagged non-converged; the caller
@@ -176,15 +192,21 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     whose final cost exceeds the cost at its projected start is flagged
     non-converged.
     """
-    if not isinstance(a, ComplementProjector):
-        a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     step = cfg.step
-    if step is None:
-        norm_sq = float(np.linalg.norm(a, 2)) ** 2
-        if norm_sq == 0.0:
-            raise NumericalError("A is zero: no step size")
-        step = 1.0 / norm_sq
+    if isinstance(a, Projector):
+        outside = y - a @ y
+        if float(outside @ outside) > 1e-24 * float(y @ y):
+            raise ValueError(f"y has a part of norm {float(np.linalg.norm(outside)):.3g} "
+                             "outside range(P)")
+        step = 1.0 if step is None else step
+    else:
+        a = np.asarray(a, dtype=float)
+        if step is None:
+            norm_sq = float(np.linalg.norm(a, 2)) ** 2
+            if norm_sq == 0.0:
+                raise NumericalError("A is zero: no step size")
+            step = 1.0 / norm_sq
     x = np.zeros(a.shape[1]) if x_init is None else np.asarray(x_init, dtype=float)
     x = ball.project(x)
     ax = a @ x
@@ -235,20 +257,20 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     Each trial draws a fresh operator and noise vector from the stream keyed
     (seed, m, trial), solves from the feasible warm start x0 (so the cost can
     never exceed the cost at the truth), and accumulates the three normalized
-    statistics. A unitary trial with 2m <= n draws the m-column Haar basis
-    of range(A^T) and v ~ N(0, I_m). One with 2m > n draws the (n - m)-column
-    Haar basis C of the complement, which is itself Haar, and g ~ N(0, I_n),
-    and solves on P = I - C C^T and w = P x0 + sigma P g in place of A and y.
-    P g has the law N(0, P) of A^T v, and eta, F, E and the noise energy
+    statistics. A Gaussian trial draws A and v ~ N(0, I_m). A unitary trial
+    draws the smaller Haar basis Q, with k = min(m, n - m) columns: that of
+    range(A^T), P = Q Q^T, when 2m <= n, and that of its complement, itself
+    Haar, P = I - Q Q^T, otherwise. It draws g ~ N(0, I_n) and solves on the
+    ``Projector`` P and w = P x0 + sigma P g in place of A and y. P g has the
+    law N(0, P) of A^T v, and eta, F, E and the noise energy
     ||P g||^2 = ||A^T v||^2 are functions of (P, A^T y), so each trial's
-    statistics have the same distribution as with the m-column draw; the
-    QR is of an n x (n - m) matrix instead. At m = n, C is empty and P = I.
-    Gaussian trials always draw A and v. Non-converged trials are excluded
-    but counted; more than 10% exclusions at any m raise RunQualityError.
-    ``predicted_eta`` is min(m, D) with D the cone MSD: ``d_reference``, or
-    else estimated once via ``mc`` (default 20,000 samples) and shared by
-    every record; every argument is checked before that. ``sigma`` defaults
-    to ``default_sigma(inst)``.
+    statistics have the distribution of the m x n draw. At m = n, Q is empty
+    and P = I. Non-converged trials are excluded but counted; more than 10%
+    exclusions at any m raise RunQualityError. ``predicted_eta`` is
+    min(m, D) with D the cone MSD: ``d_reference`` (finite and nonnegative),
+    or else estimated once via ``mc`` (default 20,000 samples) and shared by
+    every record; every argument is checked before that and before any
+    trial. ``sigma`` defaults to ``default_sigma(inst)``.
 
     E is not always a property of the problem. Where the set
     {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
@@ -272,7 +294,9 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
     if matrix_kind not in ("unitary", "gaussian"):
         raise ValueError(f"unknown matrix kind {matrix_kind!r}")
-    if d_reference is None:
+    if d_reference is not None:
+        d_reference = require_nonneg(d_reference, "d_reference")
+    else:
         d_reference = msd_cone(inst.structure, mc or McConfig(samples=20_000, seed=seed)).mean
     ball = ball_for(inst)
     x0 = inst.values
@@ -285,19 +309,16 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
             if matrix_kind == "gaussian":
                 a = rng.standard_normal((m, n))
                 v = rng.standard_normal(m)
-            elif 2 * m > n:
-                # solve on (P, w): v = P g ~ N(0, P), the law of A^T v
-                a = ComplementProjector(haar_columns(rng, n, n - m))
-                v = a @ rng.standard_normal(n)
             else:
-                a = haar_columns(rng, n, m).T
-                v = rng.standard_normal(m)
-            step = 1.0 if cfg.step is None and matrix_kind == "unitary" else cfg.step
+                # solve on (P, w): v = P g ~ N(0, P), the law of A^T v
+                complement = 2 * m > n
+                a = Projector(haar_columns(rng, n, n - m if complement else m), complement)
+                v = a @ rng.standard_normal(n)
             y = a @ x0 + sigma * v
             # floor small enough that stopping on it perturbs the per-trial
             # energy identity by at most ~2e-7 of the noise energy
             floor = cfg.cost_floor or 1e-14 * sigma * sigma * float(v @ v)
-            cfg_t = SolverConfig(cfg.max_iters, cfg.tol, step, floor)
+            cfg_t = SolverConfig(cfg.max_iters, cfg.tol, cfg.step, floor)
             sol = solve_constrained_lasso(a, y, ball, cfg_t, x_init=x0)
             if not sol.converged:
                 continue

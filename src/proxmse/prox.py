@@ -10,10 +10,11 @@ Each operator moves only the magnitudes of :func:`proxmse.signals.split`
 them: the prox (:func:`prox_step`) shrinks them by tau times their
 weights, the ball projection (:func:`project_ball`) shrinks them by the
 threshold of the l1 ball of magnitudes, and the dual norm
-(:func:`dual_norm`) is their largest value. The thresholds
-``soft_threshold``, ``weighted_soft_threshold``, ``block_soft_threshold``
-and ``singular_value_threshold`` are :func:`prox_step` at the zero
-structure of their norm.
+(:func:`dual_norm`) is their largest value. :func:`prox_step` and the
+thresholds ``soft_threshold``, ``weighted_soft_threshold``,
+``block_soft_threshold`` and ``singular_value_threshold`` share one kernel
+on a norm family, a shrink level per magnitude and a block size, and build
+no structure object.
 
 Every operator also takes a stack of points along leading batch axes, in
 the layout of :func:`proxmse.signals.split` ((..., n) vectors, (..., d, d)
@@ -24,7 +25,6 @@ call on that row alone, so a single point is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +32,8 @@ from .errors import InvalidStructureError, require_nonneg
 from .signals import (
     RANK_TOL,
     SUPPORT_TOL,
-    BlockSparseStructure,
-    LowRankStructure,
     SignalInstance,
     SignalStructure,
-    SparseStructure,
-    WeightedSparseStructure,
     split,
     square_matrices,
 )
@@ -69,39 +65,44 @@ def prox_step(s: SignalStructure, y, tau: float) -> ProxResult:
     ``coordinate_weights``.
     """
     tau = require_nonneg(tau, "tau")
+    return _shrink(y, s.family, tau * s.coordinate_weights, s.block_size)
+
+
+def _shrink(y, family: str, level, block_size: int | None) -> ProxResult:
+    """The prox at y of the family's norm with weight ``level`` on each magnitude."""
     y = np.asarray(y, dtype=float)
-    mags, rebuild = split(y, s.family, s.block_size)
-    level = tau * s.coordinate_weights
+    mags, rebuild = split(y, family, block_size)
     shrunk = np.maximum(mags - level, 0.0)
     x = rebuild(shrunk)
     rows = mags.shape[:-1]
     obj = ((level * shrunk).sum(axis=-1)
            + 0.5 * ((y - x) ** 2).reshape(rows + (-1,)).sum(axis=-1))
-    return ProxResult(x, _per_row(obj), prox_residual(s, y, x, tau))
+    return ProxResult(x, _per_row(obj), _per_row(_distance(y, x, family, level, block_size)))
 
 
 def soft_threshold(y, tau: float) -> ProxResult:
     """Shrink each entry of the vector y toward zero by tau; kills entries with |y_i| < tau."""
-    return weighted_soft_threshold(y, tau, 1.0)
+    return _shrink(y, "l1", require_nonneg(tau, "tau"), None)
 
 
 def weighted_soft_threshold(y, tau: float, weights) -> ProxResult:
-    """Soft threshold with per-coordinate level tau * w_i (a scalar w: one level)."""
+    """Soft threshold with per-coordinate level tau * w_i (a scalar w: one level).
+
+    The weights are finite and nonnegative, and broadcast to y's last axis.
+    """
     tau = require_nonneg(tau, "tau")
     y = np.asarray(y, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if not (w >= 0).all():
-        raise ValueError("weights must be nonnegative")
-    if not w.ndim:
-        return prox_step(_zero_structure("l1", y.shape[-1], None), y, tau * float(w))
-    # one region per coordinate
-    w = np.broadcast_to(w, y.shape[-1:])
-    return prox_step(WeightedSparseStructure(w.size, [], [], np.arange(w.size), w), y, tau)
+    if not (np.isfinite(w) & (w >= 0)).all():
+        raise ValueError("weights must be finite and nonnegative")
+    if w.ndim:
+        w = np.broadcast_to(w, y.shape[-1:])
+    return _shrink(y, "l1", tau * w, None)
 
 
 def block_soft_threshold(y, tau: float, block_size: int) -> ProxResult:
     """Scale each size-b block y_b by max(||y_b|| - tau, 0) / ||y_b||."""
-    return prox_step(_zero_structure("l12", np.shape(y)[-1], block_size), y, tau)
+    return _shrink(y, "l12", require_nonneg(tau, "tau"), block_size)
 
 
 def singular_value_threshold(y, tau: float) -> ProxResult:
@@ -110,8 +111,7 @@ def singular_value_threshold(y, tau: float) -> ProxResult:
     Accepts a (d, d) matrix or its column-major flattening; the minimizer is
     returned in the same layout as the input.
     """
-    d = square_matrices(y)[0].shape[-1]
-    return prox_step(_zero_structure("nuclear", d * d, None), y, tau)
+    return _shrink(y, "nuclear", require_nonneg(tau, "tau"), None)
 
 
 # ---------------------------------------------------------------------------
@@ -193,23 +193,6 @@ def ball_for(inst: SignalInstance) -> BallSpec:
 # Optimality residuals
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _zero_structure(kind: str, size: int, block_size: int | None) -> SignalStructure:
-    """The structure of the zero vector of length ``size`` under a norm family.
-
-    Structures are immutable, so one per (family, size) serves every call.
-    """
-    # one magnitude per coordinate, block or matrix row; split checks the layout
-    count = split(np.zeros(size), kind, block_size)[0].size
-    if kind == "l1":
-        return SparseStructure(count, [], [])
-    if kind == "l12":
-        return BlockSparseStructure(count, block_size, [], np.zeros((0, block_size)))
-    if kind == "nuclear":
-        return LowRankStructure(count, 0, np.zeros((count, 0)), np.zeros((count, 0)))
-    raise InvalidStructureError(f"unknown norm family {kind!r}")
-
-
 def prox_residual(spec, y, x_star, tau: float, *,
                   block_size: int | None = None) -> float | np.ndarray:
     """Distance from y - x_star to the tau-scaled subdifferential at x_star.
@@ -236,16 +219,23 @@ def prox_residual(spec, y, x_star, tau: float, *,
         family, level = _ball_kind(spec), tau
     else:
         family, level, block_size = spec.family, tau * spec.coordinate_weights, spec.block_size
+    return _per_row(_distance(y, x, family, level, block_size))
+
+
+def _distance(y: np.ndarray, x: np.ndarray, family: str, level,
+              block_size: int | None) -> np.ndarray:
+    """Per row, the distance from y - x to the subdifferential at x of the
+    family's norm with weight ``level`` on each magnitude."""
     g = y - x
     if family == "nuclear":
-        return _per_row(_nuclear_distance(g, x, tau))
+        return _nuclear_distance(g, x, level)
     # support coordinates (active blocks) pin to level times x's signs
     # (directions); elsewhere the magnitudes of g may reach the level
     mags_x, rebuild_x = split(x, family, block_size)
     on = mags_x > SUPPORT_TOL
     pinned = split(g - rebuild_x(np.where(on, level, 0.0)), family, block_size)[0]
     free = np.maximum(split(g, family, block_size)[0] - level, 0.0)
-    return _per_row(np.linalg.norm(np.where(on, pinned, free), axis=-1))
+    return np.linalg.norm(np.where(on, pinned, free), axis=-1)
 
 
 def _nuclear_distance(g: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:

@@ -301,6 +301,22 @@ def test_non_finite_scalars_exit_2_no_file(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["msd", "--lambda-grid", "0:0.5:inf", "--samples", "2000"],
+    ["denoise", "--estimator", "regularized", "--lambda", "1.0",
+     "--sigma-grid", "0.001:0.001:inf", "--trials", "5"],
+    ["lasso", "--m-grid", "inf", "--trials", "2", "--samples", "100"],
+    ["lasso", "--m-grid", "20:20:inf", "--trials", "2", "--samples", "100"],
+    ["lasso", "--m-grid", "10:inf:20", "--trials", "2", "--samples", "100"],
+], ids=["lambda-stop", "sigma-stop", "m-single", "m-stop", "m-step"])
+def test_non_finite_grid_bounds_exit_2_no_file(tmp_path, args):
+    # an infinite bound once overflowed in the grid's length or in int(m)
+    out = tmp_path / "grid.csv"
+    code = run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # result files
 # ---------------------------------------------------------------------------

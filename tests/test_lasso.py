@@ -110,14 +110,15 @@ def test_solver_gaussian_step_from_power_iteration():
     a = lasso.sample_gaussian_matrix(40, 30, seed=15)
     y = a @ inst.values
     ball = lasso.ball_for(inst)
-    sol = lasso.solve_constrained_lasso(a, y, ball)   # step=None -> power iteration
+    sol = lasso.solve_constrained_lasso(a, y, ball)   # step=None -> 1/||A||^2, exact
     assert sol.converged
     assert np.linalg.norm(sol.x - inst.values) <= 1e-5 * np.linalg.norm(inst.values)
 
 
 def test_solver_default_step_is_exact_on_gaussian_operator():
-    # a power-iteration estimate of ||A||^2 falls short of it, and 1/estimate
-    # then exceeds the 1/L that the step-length stop assumes
+    # the default step is 1/||A||^2 from the exact operator norm; an estimate
+    # short of ||A||^2 would give a step above the 1/L that the step-length
+    # stop assumes
     inst = signals.make_sparse(100, 5, "unit", seed=16)
     a = lasso.sample_gaussian_matrix(80, 100, seed=17)
     y = a @ inst.values + 0.01 * np.random.default_rng(18).standard_normal(80)
@@ -188,7 +189,7 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
         cfg = lasso.SolverConfig(step=1.0)
     else:
         a = lasso.sample_gaussian_matrix(m, n, seed=32)
-        cfg = lasso.SolverConfig()                       # step from power iteration
+        cfg = lasso.SolverConfig()                       # step 1/||A||^2, exact
     sigma = lasso.default_sigma(inst)
     v = np.random.default_rng(33).standard_normal(m)
     y = a @ x0 + sigma * v
@@ -253,39 +254,60 @@ def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs):
 
 def test_complement_projector_is_the_orthogonal_projector():
     rng = np.random.default_rng(35)
-    c = signals.haar_columns(rng, 9, 4)
-    p = lasso.ComplementProjector(c)
+    q = signals.haar_columns(rng, 9, 4)
     x = rng.standard_normal(9)
-    assert p.T is p and p.shape == (9, 9)
-    assert np.allclose(p @ x, (np.eye(9) - c @ c.T) @ x, atol=1e-14)
-    assert np.allclose(p @ (p @ x), p @ x, atol=1e-14)
-    assert np.abs(c.T @ (p @ x)).max() <= 1e-14
-    identity = lasso.ComplementProjector(signals.haar_columns(rng, 9, 0))
+    for complement, explicit in ((False, q @ q.T), (True, np.eye(9) - q @ q.T)):
+        p = lasso.Projector(q, complement)
+        assert p.shape == (9, 9)
+        px = p @ x
+        assert np.abs(px - explicit @ x).max() <= 1e-14
+        assert np.abs(p @ px - px).max() <= 1e-14
+        # the adjoint onto range(P) is the inclusion, exact on range(P)
+        assert np.array_equal(p.T @ px, px)
+    identity = lasso.Projector(signals.haar_columns(rng, 9, 0), complement=True)
     assert np.array_equal(identity @ x, x)
+
+
+def test_projector_rejects_y_outside_its_range():
+    rng = np.random.default_rng(37)
+    inst = signals.make_sparse(12, 2, "unit", seed=37)
+    p = lasso.Projector(signals.haar_columns(rng, 12, 5), complement=False)
+    w = p @ rng.standard_normal(12)
+    ball = lasso.ball_for(inst)
+    assert lasso.solve_constrained_lasso(p, w, ball).converged
+    with pytest.raises(ValueError, match="outside range"):
+        lasso.solve_constrained_lasso(p, w + 1e-6 * rng.standard_normal(12), ball)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(family=st.sampled_from(["l1", "l12"]), size=st.integers(3, 12),
-       k=st.integers(1, 3), kc_frac=st.floats(0.0, 0.99), seed=st.integers(0, 2**20),
-       sigma=st.sampled_from([0.01, 0.3, 1.0]))
-def test_projector_form_solves_the_same_problem(family, size, k, kc_frac, seed, sigma):
-    # (P, w) with P = I - C C^T, w = P x0 + sigma P g, against the explicit A
-    # whose orthonormal rows span range(P) and y = A x0 + sigma A (P g):
-    # A^T A = P and A^T y = w, so FISTA takes the same steps on both
+       k=st.integers(1, 3), kq_frac=st.floats(0.0, 0.99), complement=st.booleans(),
+       seed=st.integers(0, 2**20), sigma=st.sampled_from([0.01, 0.3, 1.0]))
+def test_projector_form_solves_the_same_problem(family, size, k, kq_frac, complement,
+                                                seed, sigma):
+    # (P, w) with w = P x0 + sigma P g, against the explicit A whose
+    # orthonormal rows span range(P) and y = A x0 + sigma A (P g): A^T A = P
+    # and A^T y = w, so FISTA takes the same steps on both. With complement,
+    # P = I - Q Q^T and m = n - kq >= n/2; without, P = Q Q^T, A = Q^T and
+    # m = kq <= n/2
     if family == "l1":
         inst = signals.make_sparse(2 * size, min(k, size), "uniform", seed=seed)
     else:
         inst = signals.make_block_sparse(size, 2, min(k, size), seed=seed)
     x0 = inst.values
     n = x0.size
-    kc = int(kc_frac * ((n + 1) // 2))        # m = n - kc, so 2m > n
+    kq = int(kq_frac * ((n + 1) // 2))
+    if not complement:
+        kq = max(kq, 1)
     rng = np.random.default_rng(seed)
-    c = signals.haar_columns(rng, n, kc)
-    p = lasso.ComplementProjector(c)
+    q = signals.haar_columns(rng, n, kq)
+    p = lasso.Projector(q, complement)
     pg = p @ rng.standard_normal(n)
     w = p @ x0 + sigma * pg
-    q, _ = np.linalg.qr(c, mode="complete")
-    a = q[:, kc:].T
+    if complement:
+        a = np.linalg.qr(q, mode="complete")[0][:, kq:].T
+    else:
+        a = q.T
     y = a @ x0 + sigma * (a @ pg)
     ball = lasso.ball_for(inst)
     cfg = lasso.SolverConfig(step=1.0)
@@ -427,7 +449,11 @@ def test_sweep_validation_and_reproducibility():
     {"matrix_kind": "haar"},
     {"sigma": float("nan")},
     {"m_grid": [0, 10]},
-], ids=["trials", "matrix-kind", "sigma", "m-range"])
+    {"d_reference": float("nan")},
+    {"d_reference": float("inf")},
+    {"d_reference": -5.0},
+], ids=["trials", "matrix-kind", "sigma", "m-range", "d-reference-nan", "d-reference-inf",
+        "d-reference-negative"])
 def test_sweep_validates_before_cone_monte_carlo(monkeypatch, kwargs):
     calls = []
 

@@ -172,6 +172,14 @@ def test_weighted_rejects_negative_weight():
         prox.weighted_soft_threshold(np.array([1.0]), 1.0, np.array([-0.5]))
 
 
+@pytest.mark.parametrize("weights", [np.inf, [1.0, np.nan], np.ones((2, 2))],
+                         ids=["inf", "nan", "per-row"])
+def test_weighted_rejects_non_finite_or_stacked_weights(weights):
+    # the weights are finite and broadcast to the last axis only
+    with pytest.raises(ValueError):
+        prox.weighted_soft_threshold(np.ones((2, 2)), 1.0, weights)
+
+
 def test_weighted_grid_oracle():
     rng = np.random.default_rng(7)
     for _ in range(10):
