@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .errors import BoundNotValidError, InvalidStructureError, NumericalError, require_nonneg
 from .signals import ScaleProfile, SignalStructure, as_vector
@@ -282,15 +281,15 @@ def optimal_lambda(s: SignalStructure, mc: McConfig) -> tuple[float, MsdEstimate
 # ---------------------------------------------------------------------------
 
 def soft_tail_moment(lam: float) -> float:
-    """E max(|g| - lam, 0)^2 for standard normal g, in closed form."""
+    """E max(|g| - lam, 0)^2 for standard normal g, in closed form.
+
+    2*((1 + lam^2)*sf(lam) - lam*pdf(lam)), with the normal tail
+    sf(lam) = erfc(lam/sqrt(2))/2 and density pdf(lam) = exp(-lam^2/2)/sqrt(2*pi).
+    """
     lam = float(lam)
-    return float(2.0 * ((1.0 + lam * lam) * stats.norm.sf(lam) - lam * stats.norm.pdf(lam)))
-
-
-def soft_tail_moment_quadrature(lam: float) -> float:
-    """Same moment by adaptive quadrature; independent check of the closed form."""
-    val, _ = integrate.quad(lambda t: (t - lam) ** 2 * stats.norm.pdf(t), lam, np.inf)
-    return float(2.0 * val)
+    sf = 0.5 * math.erfc(lam / math.sqrt(2.0))
+    pdf = math.exp(-0.5 * lam * lam) / math.sqrt(2.0 * math.pi)
+    return 2.0 * ((1.0 + lam * lam) * sf - lam * pdf)
 
 
 def msd_lambda_exact_l1(n: int, k: int, lam: float) -> float:

@@ -392,7 +392,7 @@ class LowRankStructure(_Structure):
         c1 = np.einsum("nij,ij->n", mats, uvt)
         if r < d:
             uperp, vperp = self.complements
-            b = np.einsum("ip,nij->npj", uperp, mats) @ vperp
+            b = (uperp.T @ mats) @ vperp
             nu = np.linalg.svd(b, compute_uv=False)
             c0 = (mats ** 2).sum(axis=(1, 2)) - (b ** 2).sum(axis=(1, 2))
         else:

@@ -1,13 +1,16 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Each oracle discretizes the free parameters of a scaled subdifferential (or
-of a scalar proximal objective) and minimizes directly, staying independent
-of the closed-form code paths it is used to check.
+of a scalar proximal objective) and minimizes directly, or integrates
+numerically, staying independent of the closed-form code paths it is used to
+check. scipy, a test dependency only, supplies the quadrature.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
+from scipy import integrate
 
 from proxmse import geometry, signals
 
@@ -82,6 +85,21 @@ def grid_prox_scalar(y, tau, weight=1.0, step=1e-4):
     xs = np.arange(-span, span + step / 2, step)
     obj = 0.5 * (y - xs) ** 2 + tau * weight * np.abs(xs)
     return xs[int(np.argmin(obj))]
+
+
+def soft_tail_moment_quadrature(lam):
+    """E max(|g| - lam, 0)^2 for standard normal g, by adaptive quadrature.
+
+    Substituting t = lam + s turns 2 * int_lam^inf (t - lam)^2 pdf(t) dt into
+    2 * pdf(lam) * int_0^inf s^2 exp(-lam*s - s^2/2) ds. That integrand peaks
+    at some s <= sqrt(2) and carries no factor pdf(lam) (7.7e-23 at lam = 10),
+    so a relative tolerance of 1e-13 is met for every lam >= 0. Integrating
+    (t - lam)^2 pdf(t) from lam directly lost up to 3e-6 relative at lam = 5.
+    """
+    lam = float(lam)
+    val, _ = integrate.quad(lambda s: s * s * math.exp(-lam * s - 0.5 * s * s), 0.0, math.inf,
+                            epsabs=0.0, epsrel=1e-13)
+    return 2.0 * math.exp(-0.5 * lam * lam) / math.sqrt(2.0 * math.pi) * val
 
 
 def first_order_error(s, z, tau):

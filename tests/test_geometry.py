@@ -15,7 +15,13 @@ from proxmse.streams import stream
 # Brute-force oracles (shared with the acceptance suite): discretize the
 # subdifferential's free parameters and minimize ||g - lam*s||^2 directly,
 # independent of the closed-form distance code.
-from oracles import brute_block, brute_lowrank_codim1, brute_sparse, brute_weighted
+from oracles import (
+    brute_block,
+    brute_lowrank_codim1,
+    brute_sparse,
+    brute_weighted,
+    soft_tail_moment_quadrature,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +226,12 @@ def test_profile_matches_direct_distance():
 # ---------------------------------------------------------------------------
 
 def test_soft_tail_moment_against_quadrature():
-    for lam in [0.0, 0.1, 0.5, 1.0, 1.48, 2.0, 2.537, 3.5, 5.0]:
+    # Relative, with no absolute floor: the moment is 3.9e-8 at lam = 5 and
+    # 2.9e-25 at lam = 10, so an absolute 1e-8 would pass any value there.
+    for lam in [0.0, 0.1, 0.5, 1.0, 1.48, 2.0, 2.537, 3.5, 5.0, 6.0, 8.0, 10.0]:
         closed = geometry.soft_tail_moment(lam)
-        quad = geometry.soft_tail_moment_quadrature(lam)
-        assert closed == pytest.approx(quad, abs=1e-8)
+        quad = soft_tail_moment_quadrature(lam)
+        assert closed == pytest.approx(quad, rel=1e-10, abs=0.0)
 
 
 def test_exact_l1_at_zero_is_ambient_dim():
@@ -240,8 +248,8 @@ def test_exact_l1_reference_window():
 
 def test_exact_l1_small_case_by_quadrature():
     got = geometry.msd_lambda_exact_l1(2, 1, 1.0)
-    ref = 1 * (1 + 1.0) + 1 * geometry.soft_tail_moment_quadrature(1.0)
-    assert got == pytest.approx(ref, abs=1e-8)
+    ref = 1 * (1 + 1.0) + 1 * soft_tail_moment_quadrature(1.0)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_msd_lambda_zero_scale_near_ambient_dim():
