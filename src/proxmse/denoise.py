@@ -25,7 +25,7 @@ from . import prox
 from .errors import InvalidStructureError, NumericalError, require_nonneg
 from .geometry import mean_stderr
 from .signals import SignalInstance, SignalStructure, SparseStructure
-from .streams import stream
+from .streams import NormalRows, keys, stream
 
 RESIDUAL_TOL = 1e-8
 # trials stacked into one estimator call: the per-call cost of numpy is paid
@@ -79,8 +79,10 @@ def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, tr
     """The trial loop of every estimator, BLOCK trials per call.
 
     A block stacks the draws v = ``trial_noise(seed, si, ti, n)`` of its
-    trials as rows, so memory is O(BLOCK * n) and every trial sees the draw
-    it would see alone. ``estimate(Y, sigma)`` gets the rows
+    trials as rows, so every trial sees the draw it would see alone. They
+    are drawn from the trials' stream keys, computed once per sigma, into
+    one (BLOCK, n) buffer, and y into another, so memory is
+    O(BLOCK * n + trials). ``estimate(Y, sigma)`` gets the rows
     y = x0 + sigma*v in the layout of :func:`proxmse.signals.split` (the
     structure's ``layout``: (B, n) vectors, or (B, d, d) matrices for low
     rank) and returns the estimates of x0 in that layout and each row's
@@ -93,13 +95,22 @@ def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, tr
         raise ValueError("need at least 2 trials")
     grid = _check_grid(sigma_grid)
     x0 = inst.values
+    draws = NormalRows(min(trials, BLOCK), inst.ambient_dim)
+    Y = np.empty((min(trials, BLOCK), inst.ambient_dim))
     records = []
     for si, sigma in enumerate(grid):
         nmse, dvals = [], []
+        # path (si, ti): the stream trial_noise draws from
+        trial_keys = keys(seed, np.column_stack((np.full(trials, si), np.arange(trials))))
         for start in range(0, trials, BLOCK):
             block = range(start, min(start + BLOCK, trials))
-            V = np.stack([trial_noise(seed, si, ti, inst.ambient_dim) for ti in block])
-            points, flatten = inst.structure.layout(x0 + sigma * V)
+            V = draws.draw(trial_keys[start:start + BLOCK])
+            # the buffers are overwritten by the next block, which starts only
+            # after this one's NMSE and distances have been taken
+            y = Y[:len(block)]
+            np.multiply(V, sigma, out=y)
+            y += x0
+            points, flatten = inst.structure.layout(y)
             X, residuals = estimate(points, sigma)
             failed = np.flatnonzero(~(residuals <= RESIDUAL_TOL))
             if failed.size:

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from proxmse import cli, denoise
+from proxmse import cli, denoise, streams
 
 
 def run_cli(args):
@@ -238,16 +238,27 @@ def test_denoise_mixed_fills_reference(tmp_path):
 
 @pytest.fixture
 def noise_draws(monkeypatch):
-    """The arguments of every trial noise draw made while the test runs."""
+    """The stream key of every trial noise row the denoise trial loop draws while
+    the test runs."""
     draws = []
 
-    def counting_noise(*args):
-        draws.append(args)
-        return noise(*args)
+    class CountingRows(streams.NormalRows):
+        def draw(self, row_keys):
+            draws.extend(map(tuple, row_keys.tolist()))
+            return super().draw(row_keys)
 
-    noise = denoise.trial_noise
-    monkeypatch.setattr(denoise, "trial_noise", counting_noise)
+    monkeypatch.setattr(denoise, "NormalRows", CountingRows)
     return draws
+
+
+def test_noise_draws_sees_every_trial_of_a_denoise_job(tmp_path, noise_draws):
+    # the control for the tests below that expect no draws
+    code = run_cli(["denoise", "--structure", "sparse:30:3", "--seed", "4",
+                    "--estimator", "constrained", "--sigma-grid", "0.01:0.01:0.03",
+                    "--trials", "70", "--output", str(tmp_path / "d.csv")])
+    assert code == 0
+    paths = [(si, ti) for si in range(3) for ti in range(70)]
+    assert noise_draws == [tuple(k) for k in streams.keys(4, paths).tolist()]
 
 
 @pytest.mark.parametrize("estimator, samples", [
