@@ -230,15 +230,14 @@ def run_denoise(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
 
 
 def run_lasso(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
-    m_grid = [int(m) for m in parse_grid(args.m_grid)]
     sigma = lasso.default_sigma(inst, args.sigma_scale)
     records = lasso.sweep_measurements(
-        inst, m_grid, sigma=sigma, trials=args.trials, matrix_kind=args.matrix,
+        inst, parse_grid(args.m_grid), sigma=sigma, trials=args.trials, matrix_kind=args.matrix,
         cfg=lasso.SolverConfig(max_iters=args.max_iters, tol=args.tol), seed=args.seed,
         mc=geometry.McConfig(samples=args.samples, seed=args.seed),
     )
     rows = [{"matrix_kind": args.matrix, **dataclasses.asdict(rec)} for rec in records]
-    return rows, {"m_grid": m_grid, "trials": args.trials, "sigma": sigma,
+    return rows, {"m_grid": [rec.m for rec in records], "trials": args.trials, "sigma": sigma,
                   "matrix_kind": args.matrix, "samples": args.samples,
                   "max_iters": args.max_iters, "tol": args.tol}
 

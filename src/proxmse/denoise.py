@@ -24,7 +24,7 @@ import numpy as np
 from . import prox
 from .errors import InvalidStructureError, NumericalError, require_nonneg
 from .geometry import mean_stderr
-from .signals import SignalInstance, SignalStructure, SparseStructure
+from .signals import SignalInstance, SparseStructure
 from .streams import NormalRows, keys, stream
 
 RESIDUAL_TOL = 1e-8
@@ -47,10 +47,7 @@ class SigmaRecord:
 
 @dataclass(frozen=True)
 class DenoiseRun:
-    structure: SignalStructure
-    estimator: str
     lam: float | None
-    sigma_grid: tuple[float, ...]
     records: tuple[SigmaRecord, ...]
 
 
@@ -74,8 +71,8 @@ def _check_grid(sigma_grid) -> np.ndarray:
     return grid
 
 
-def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, trials: int,
-         seed: int, estimate, distance=None) -> DenoiseRun:
+def _run(inst: SignalInstance, lam: float | None, sigma_grid, trials: int, seed: int,
+         estimate, distance=None) -> DenoiseRun:
     """The trial loop of every estimator, BLOCK trials per call.
 
     A block stacks the draws v = ``trial_noise(seed, si, ti, n)`` of its
@@ -125,7 +122,7 @@ def _run(inst: SignalInstance, estimator: str, lam: float | None, sigma_grid, tr
                 dvals.extend(distance(V))
         d_stats = mean_stderr(dvals) if dvals else (None, None)
         records.append(SigmaRecord(float(sigma), *mean_stderr(nmse), trials, *d_stats))
-    return DenoiseRun(inst.structure, estimator, lam, tuple(grid.tolist()), tuple(records))
+    return DenoiseRun(lam, tuple(records))
 
 
 def run_regularized(inst: SignalInstance, lam: float, sigma_grid, trials: int,
@@ -140,13 +137,13 @@ def run_regularized(inst: SignalInstance, lam: float, sigma_grid, trials: int,
         step = prox.prox_step(inst.structure, Y, sigma * lam)
         return step.minimizer, step.residual
 
-    return _run(inst, "regularized", lam, sigma_grid, trials, seed, estimate)
+    return _run(inst, lam, sigma_grid, trials, seed, estimate)
 
 
 def run_constrained(inst: SignalInstance, sigma_grid, trials: int, seed: int) -> DenoiseRun:
     """NMSE of the projection onto the norm ball of radius f(x0)."""
     ball = prox.ball_for(inst)
-    return _run(inst, "constrained", None, sigma_grid, trials, seed,
+    return _run(inst, None, sigma_grid, trials, seed,
                 lambda Y, sigma: (ball.project(Y), np.zeros(len(Y))))
 
 
@@ -183,7 +180,7 @@ def run_mixed_nonneg_sparse(inst: SignalInstance, lam: float, sigma_grid,
     x0 = inst.values
     if np.any(x0 < 0) or np.any(x0[s.support] <= 0):
         raise ValueError("mixed estimator requires x0 >= 0 with positive support")
-    return _run(inst, "mixed", lam, sigma_grid, trials, seed,
+    return _run(inst, lam, sigma_grid, trials, seed,
                 lambda Y, sigma: (np.maximum(Y - sigma * lam, 0.0), np.zeros(len(Y))),
                 lambda V: mixed_distance_sq(s, V, lam))
 

@@ -28,7 +28,6 @@ passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -67,12 +66,6 @@ class MsdEstimate:
     stderr: float
     samples: int
     lam: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"mean": self.mean, "stderr": self.stderr, "samples": self.samples,
-             "lambda": self.lam}
-        )
 
 
 @dataclass(frozen=True)

@@ -154,13 +154,6 @@ def sample_partial_unitary(m: int, n: int, seed: int) -> np.ndarray:
     return haar_columns(stream(seed), n, m).T
 
 
-def sample_gaussian_matrix(m: int, n: int, seed: int) -> np.ndarray:
-    """m x n matrix of i.i.d. standard normal entries."""
-    if m < 1 or n < 1:
-        raise ValueError("dimensions must be positive")
-    return stream(seed).standard_normal((m, n))
-
-
 def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
                             cfg: SolverConfig = SolverConfig(),
                             x_init: np.ndarray | None = None) -> LassoSolution:
@@ -270,7 +263,8 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     min(m, D) with D the cone MSD: ``d_reference`` (finite and nonnegative),
     or else estimated once via ``mc`` (default 20,000 samples) and shared by
     every record; every argument is checked before that and before any
-    trial. ``sigma`` defaults to ``default_sigma(inst)``.
+    trial, and each m must be a whole number. ``sigma`` defaults to
+    ``default_sigma(inst)``.
 
     E is not always a property of the problem. Where the set
     {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
@@ -282,6 +276,8 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     converged trials}) if ``collect``.
     """
     n = inst.ambient_dim
+    if not all(float(m).is_integer() for m in m_grid):
+        raise ValueError(f"measurement counts must be integers, got m grid {list(m_grid)}")
     m_grid = [int(m) for m in m_grid]
     if any(m2 <= m1 for m1, m2 in zip(m_grid, m_grid[1:])):
         raise ValueError("m grid must be sorted strictly ascending")

@@ -24,9 +24,8 @@ Matrices are stored flattened column-major as vectors of length d*d.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -61,11 +60,11 @@ class _Structure:
     """Defaults every structure class shares; the formulas of each kind are its methods.
 
     Every class provides ``kind``, ``family``, ``block_size``, ``ambient_dim``,
-    ``dof``, ``label``, ``norm(values)``, ``at(values)``, ``layout(rows)``,
-    ``profile(G)``, ``project_subdiff(g, lam)``, ``radius_and_peak()`` (the largest
+    ``dof``, ``label``, ``norm(values)``, ``layout(rows)``, ``profile(G)``,
+    ``project_subdiff(g, lam)``, ``radius_and_peak()`` (the largest
     subgradient norm and the largest norm value on the unit sphere with the
-    same subdifferential), ``check_values(values)``, ``min_magnitude(values)``
-    and ``equivalent(other, tol)``; those with a closed-form bound also
+    same subdifferential), ``check_values(values)`` and
+    ``min_magnitude(values)``; those with a closed-form bound also
     ``table1_threshold()`` and ``table1_bound(lam)``.
     """
 
@@ -88,13 +87,6 @@ class _Structure:
     def table1_threshold(self) -> float:
         """Smallest lam at which the closed-form (Table 1) MSD bound holds."""
         raise InvalidStructureError(f"no closed-form bound for {type(self).__name__}")
-
-    def equivalent(self, other, tol: float) -> bool:
-        """Same subdifferential: every field but the seed equal to within ``tol``."""
-        pairs = [(getattr(self, f.name), getattr(other, f.name))
-                 for f in fields(self) if f.name != "seed"]
-        return all(np.shape(a) == np.shape(b) and np.allclose(a, b, rtol=0.0, atol=tol)
-                   for a, b in pairs)
 
 
 class _SignedSupport(_Structure):
@@ -188,7 +180,6 @@ class SparseStructure(_SignedSupport):
     n: int
     support: np.ndarray
     signs: np.ndarray
-    seed: int | None = None
 
     kind = "sparse"
     family = "l1"
@@ -218,7 +209,6 @@ class WeightedSparseStructure(_SignedSupport):
     signs: np.ndarray
     region_of: np.ndarray
     weights: np.ndarray
-    seed: int | None = None
 
     kind = "weighted"
     family = "wl1"
@@ -253,7 +243,6 @@ class BlockSparseStructure(_Structure):
     b: int
     active: np.ndarray
     directions: np.ndarray
-    seed: int | None = None
 
     kind = "block"
     family = "l12"
@@ -343,7 +332,6 @@ class LowRankStructure(_Structure):
     r: int
     u: np.ndarray
     v: np.ndarray
-    seed: int | None = None
 
     kind = "lowrank"
     family = "nuclear"
@@ -432,15 +420,6 @@ class LowRankStructure(_Structure):
     def min_magnitude(self, values: np.ndarray) -> float:
         sv = np.linalg.svd(as_matrix(values, self.d), compute_uv=False)
         return float(sv[self.r - 1])
-
-    def equivalent(self, other, tol: float) -> bool:
-        """Compares u v^T and the two subspace projectors, exactly the data
-        the subdifferential depends on."""
-        if self.d != other.d or self.r != other.r:
-            return False
-        return (np.allclose(self.u @ self.v.T, other.u @ other.v.T, atol=tol)
-                and np.allclose(self.u @ self.u.T, other.u @ other.u.T, atol=tol)
-                and np.allclose(self.v @ self.v.T, other.v @ other.v.T, atol=tol))
 
 
 def _complement_basis(u: np.ndarray) -> np.ndarray:
@@ -590,7 +569,7 @@ def make_sparse(n: int, k: int, magnitude_law: str = "uniform", seed: int = 0) -
     mags = _magnitudes(rng, k, magnitude_law)
     values = np.zeros(n)
     values[support] = signs * mags
-    return SignalInstance(SparseStructure(n, support, signs, seed=seed), values)
+    return SignalInstance(SparseStructure(n, support, signs), values)
 
 
 def make_block_sparse(t: int, b: int, k: int, seed: int = 0,
@@ -612,7 +591,7 @@ def make_block_sparse(t: int, b: int, k: int, seed: int = 0,
     values = np.zeros(t * b)
     blocks = values.reshape(t, b)
     blocks[active] = mags[:, None] * directions
-    return SignalInstance(BlockSparseStructure(t, b, active, directions, seed=seed), values)
+    return SignalInstance(BlockSparseStructure(t, b, active, directions), values)
 
 
 def make_low_rank(d: int, r: int, seed: int = 0,
@@ -630,7 +609,7 @@ def make_low_rank(d: int, r: int, seed: int = 0,
     v = haar_columns(rng, d, r)
     sv = np.sort(_magnitudes(rng, r, magnitude_law))[::-1]
     x = u @ np.diag(sv) @ v.T
-    return SignalInstance(LowRankStructure(d, r, u, v, seed=seed), as_vector(x))
+    return SignalInstance(LowRankStructure(d, r, u, v), as_vector(x))
 
 
 def haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
@@ -648,7 +627,7 @@ def make_weighted_sparse(n: int, k: int, region_of, weights,
     base = make_sparse(n, k, magnitude_law, seed)
     s = base.structure
     ws = WeightedSparseStructure(n, s.support, s.signs, np.asarray(region_of),
-                                 np.asarray(weights, dtype=float), seed=seed)
+                                 np.asarray(weights, dtype=float))
     return SignalInstance(ws, base.values)
 
 
@@ -657,13 +636,8 @@ def nonnegative(inst: SignalInstance) -> SignalInstance:
     s = inst.structure
     if not isinstance(s, SparseStructure):
         raise InvalidStructureError("nonnegative() applies to sparse instances only")
-    flipped = SparseStructure(s.n, s.support, np.ones(s.k), seed=s.seed)
+    flipped = SparseStructure(s.n, s.support, np.ones(s.k))
     return SignalInstance(flipped, np.abs(inst.values))
-
-
-def structures_equivalent(a: SignalStructure, b: SignalStructure, tol: float = 1e-10) -> bool:
-    """Geometric equality: same subdifferential, ignoring seed provenance."""
-    return type(a) is type(b) and a.equivalent(b, tol)
 
 
 # the structures built by a seeded constructor, hence with a JSON descriptor
@@ -673,34 +647,17 @@ DESCRIPTOR_FIELDS = {cls.kind: cls.descriptor_fields
                      for cls in (SparseStructure, BlockSparseStructure, LowRankStructure)}
 
 
-def structure_to_json(s: SignalStructure) -> str:
-    """Serialize the constructor descriptor, e.g. {"kind":"sparse","n":500,"k":20,"seed":1}."""
-    if s.seed is None:
-        raise InvalidStructureError("structure was not built by a seeded constructor")
-    if s.kind not in DESCRIPTOR_FIELDS:
-        raise InvalidStructureError(f"no JSON descriptor for {type(s).__name__}")
-    args = {f: getattr(s, f) for f in DESCRIPTOR_FIELDS[s.kind]}
-    return json.dumps({"kind": s.kind, **args, "seed": s.seed})
-
-
 def instance_from_descriptor(desc: dict, magnitude_law: str = "uniform") -> SignalInstance:
-    """Build a SignalInstance from a JSON-style descriptor dict."""
-    try:
-        kind = str(desc["kind"])
-        seed = int(desc["seed"])
-        law = desc.get("magnitude_law", magnitude_law)
-        if kind in _MAKERS:
-            args = {f: int(desc[f]) for f in DESCRIPTOR_FIELDS[kind]}
-            return _MAKERS[kind](**args, seed=seed, magnitude_law=law)
-    except KeyError as exc:
-        raise InvalidStructureError(f"descriptor missing field {exc}") from exc
-    raise InvalidStructureError(f"unknown structure kind {kind!r}")
-
-
-def structure_from_json(text: str) -> SignalStructure:
-    """Inverse of :func:`structure_to_json` (rebuilds via the seeded constructor)."""
-    try:
-        desc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidStructureError(f"bad structure JSON: {exc}") from exc
-    return instance_from_descriptor(desc).structure
+    """Build a SignalInstance from a JSON-style descriptor dict such as
+    {"kind": "sparse", "n": 500, "k": 20, "seed": 1}. Each count and the seed
+    must be a JSON integer: a float, a string or a boolean is rejected, not
+    truncated."""
+    kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _MAKERS:
+        raise InvalidStructureError(f"unknown structure kind {kind!r}")
+    args = {name: desc.get(name) for name in (*DESCRIPTOR_FIELDS[kind], "seed")}
+    for name, value in args.items():
+        if type(value) is not int:   # None when the field is missing
+            raise InvalidStructureError(f"descriptor field {name!r} must be an integer, "
+                                        f"got {value!r}")
+    return _MAKERS[kind](**args, magnitude_law=desc.get("magnitude_law", magnitude_law))

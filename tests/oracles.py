@@ -7,7 +7,7 @@ check. scipy, a test dependency only, supplies the quadrature.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 from scipy import integrate
@@ -118,7 +118,7 @@ def first_order_error(s, z, tau):
 def signed_support_at(s, values):
     """Sparse or weighted sparse: the entries above 1e-12 and their signs."""
     support = np.flatnonzero(np.abs(values) > signals.SUPPORT_TOL)
-    return replace(s, support=support, signs=np.sign(values[support]), seed=None)
+    return replace(s, support=support, signs=np.sign(values[support]))
 
 
 def block_at(s, values):
@@ -126,8 +126,7 @@ def block_at(s, values):
     blocks = values.reshape(s.t, s.b)
     norms = np.linalg.norm(blocks, axis=1)
     active = np.flatnonzero(norms > signals.SUPPORT_TOL)
-    return replace(s, active=active, directions=blocks[active] / norms[active, None],
-                   seed=None)
+    return replace(s, active=active, directions=blocks[active] / norms[active, None])
 
 
 def lowrank_at(s, values):
@@ -139,6 +138,22 @@ def lowrank_at(s, values):
     """
     u, sv, vt = np.linalg.svd(signals.as_matrix(values, s.d))
     r = int(np.sum(sv > signals.RANK_TOL))
-    out = replace(s, r=r, u=u[:, :r], v=vt[:r].T, seed=None)
+    out = replace(s, r=r, u=u[:, :r], v=vt[:r].T)
     out.__dict__["complements"] = (u[:, r:], vt[r:].T)
     return out
+
+
+def same_subdifferential(a, b, tol):
+    """Whether two structures of one class agree to within ``tol`` in every
+    field. Low rank compares d, r, u v^T and the two subspace projectors,
+    the data its subdifferential depends on, since the factors' signs may
+    differ."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, signals.LowRankStructure):
+        pairs = [(a.d, b.d), (a.r, b.r), (a.u @ a.v.T, b.u @ b.v.T),
+                 (a.u @ a.u.T, b.u @ b.u.T), (a.v @ a.v.T, b.v @ b.v.T)]
+    else:
+        pairs = [(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)]
+    return all(np.shape(x) == np.shape(y) and np.allclose(x, y, rtol=0.0, atol=tol)
+               for x, y in pairs)

@@ -49,21 +49,32 @@ def test_parse_structure_shorthand_and_json():
     inst2, desc2 = cli.parse_structure(json.dumps(desc), seed=99, magnitude_law="uniform")
     assert desc2["seed"] == 3           # JSON descriptor seed wins
     assert (inst2.values == inst.values).all()
-    inst, desc = cli.parse_structure("block:6:4:2", seed=1, magnitude_law="uniform")
-    assert inst.ambient_dim == 24
-    inst, desc = cli.parse_structure("lowrank:5:2", seed=1, magnitude_law="uniform")
-    assert inst.ambient_dim == 25
+    for text, dim in (("block:6:4:2", 24), ("lowrank:5:2", 25)):
+        inst, desc = cli.parse_structure(text, seed=1, magnitude_law="uniform")
+        assert inst.ambient_dim == dim
+        inst2, _ = cli.parse_structure(json.dumps(desc), seed=99, magnitude_law="uniform")
+        assert (inst2.values == inst.values).all()
+
+
+# descriptors whose counts or seed are not JSON integers: each is rejected,
+# never truncated or read as a number
+NON_INTEGRAL_DESCRIPTORS = [
+    '{"kind":"sparse","n":50.7,"k":5,"seed":1}',
+    '{"kind":"sparse","n":50,"k":5,"seed":1.9}',
+    '{"kind":"sparse","n":50.0,"k":5,"seed":1}',
+    '{"kind":"sparse","n":"50","k":5,"seed":1}',
+    '{"kind":"sparse","n":50,"k":true,"seed":1}',
+    '{"kind":"sparse","n":null,"k":5,"seed":1}',
+    '{"kind":"sparse","n":[3],"k":5,"seed":1}',
+]
 
 
 def test_parse_structure_errors():
-    with pytest.raises(cli.ConfigError):
-        cli.parse_structure("sparse:50", seed=1, magnitude_law="uniform")
-    with pytest.raises(cli.ConfigError):
-        cli.parse_structure('{"kind":"sparse","n":50,"k":5}', seed=1, magnitude_law="uniform")
-    with pytest.raises(cli.ConfigError):
-        cli.parse_structure("{bad json", seed=1, magnitude_law="uniform")
-    with pytest.raises(cli.ConfigError):
-        cli.parse_structure("sparse:50:500", seed=1, magnitude_law="uniform")
+    for text in ["sparse:50", '{"kind":"sparse","n":50,"k":5}', "{bad json", "sparse:50:500",
+                 '{"kind":"mystery","seed":1}', '{"kind":["sparse"],"seed":1}',
+                 '{"kind":"block","t":6,"b":4,"seed":1}', *NON_INTEGRAL_DESCRIPTORS]:
+        with pytest.raises(cli.ConfigError):
+            cli.parse_structure(text, seed=1, magnitude_law="uniform")
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +119,11 @@ def test_msd_requires_work(tmp_path):
 
 def test_invalid_structure_json_exits_2_no_file(tmp_path):
     out = tmp_path / "never.csv"
-    code = run_cli(["msd", "--structure", '{"kind":"sparse","n":', "--seed", "1",
-                    "--cone", "--samples", "2000", "--output", str(out)])
-    assert code == 2
-    assert not out.exists()
+    for text in ['{"kind":"sparse","n":', *NON_INTEGRAL_DESCRIPTORS]:
+        code = run_cli(["msd", "--structure", text, "--seed", "1",
+                        "--cone", "--samples", "2000", "--output", str(out)])
+        assert code == 2, text
+        assert not out.exists()
 
 
 def test_config_structure_reproduces_magnitude_law(tmp_path):
@@ -319,9 +331,13 @@ def test_non_finite_scalars_exit_2_no_file(tmp_path, args):
     ["lasso", "--m-grid", "inf", "--trials", "2", "--samples", "100"],
     ["lasso", "--m-grid", "20:20:inf", "--trials", "2", "--samples", "100"],
     ["lasso", "--m-grid", "10:inf:20", "--trials", "2", "--samples", "100"],
-], ids=["lambda-stop", "sigma-stop", "m-single", "m-stop", "m-step"])
+    ["lasso", "--m-grid", "20.7", "--trials", "2", "--samples", "100"],
+    ["lasso", "--m-grid", "10:2.5:20", "--trials", "2", "--samples", "100"],
+], ids=["lambda-stop", "sigma-stop", "m-single", "m-stop", "m-step", "m-fraction",
+        "m-fraction-step"])
 def test_non_finite_grid_bounds_exit_2_no_file(tmp_path, args):
-    # an infinite bound once overflowed in the grid's length or in int(m)
+    # an infinite bound once overflowed in the grid's length or in int(m); a
+    # fractional m is rejected, not truncated
     out = tmp_path / "grid.csv"
     code = run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])
     assert code == 2

@@ -158,7 +158,7 @@ def test_uncertified_trial_fails_closed():
     inst = signals.make_sparse(10, 2, seed=1)
     for residual in (float("nan"), 1e-6):
         with pytest.raises(NumericalError):
-            denoise._run(inst, "regularized", 1.0, [0.1], 2, 1,
+            denoise._run(inst, 1.0, [0.1], 2, 1,
                          lambda Y, sigma: (Y, np.full(len(Y), residual)))
 
 
@@ -189,7 +189,7 @@ def test_perturbed_row_fails_closed_with_its_trial_index(make, trial):
         return X, residuals
 
     with pytest.raises(NumericalError) as failed:
-        denoise._run(inst, "regularized", lam, [0.01], trials, 5, estimate)
+        denoise._run(inst, lam, [0.01], trials, 5, estimate)
     assert failed.value.index == trial
     # every row of the blocks that ran, but the perturbed one, certified
     ran = min((trial // denoise.BLOCK + 1) * denoise.BLOCK, trials)

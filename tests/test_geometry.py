@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -266,14 +265,6 @@ def test_msd_lambda_matches_exact_l1():
     lam = math.sqrt(2 * math.log(25.0))
     est = geometry.msd_lambda(inst.structure, lam, McConfig(samples=40_000, seed=5))
     assert est.mean <= (lam * lam + 3) * 20
-
-
-def test_msd_estimate_json():
-    est = geometry.MsdEstimate(mean=1.5, stderr=0.1, samples=100, lam=2.0)
-    data = json.loads(est.to_json())
-    assert data == {"mean": 1.5, "stderr": 0.1, "samples": 100, "lambda": 2.0}
-    est = geometry.MsdEstimate(mean=1.5, stderr=0.1, samples=100)
-    assert json.loads(est.to_json())["lambda"] is None
 
 
 # ---------------------------------------------------------------------------

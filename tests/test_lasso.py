@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from proxmse import lasso, prox, signals
 from proxmse.errors import NumericalError, RunQualityError
+from proxmse.streams import stream
 
 
 # ---------------------------------------------------------------------------
@@ -50,23 +51,6 @@ def test_partial_unitary_rejects_m_above_n():
         lasso.sample_partial_unitary(10, 4, seed=0)
 
 
-def test_gaussian_matrix_statistics():
-    a = lasso.sample_gaussian_matrix(60, 80, seed=6)
-    mn = a.size
-    assert abs(a.mean()) <= 3 / math.sqrt(mn)
-    assert abs(a.var(ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / (mn - 1))
-    # row norms concentrate near sqrt(n)
-    row_sq = (a ** 2).sum(axis=1)
-    se = row_sq.std(ddof=1) / math.sqrt(a.shape[0])
-    assert abs(row_sq.mean() - 80.0) <= 3 * se
-
-
-def test_gaussian_matrix_deterministic():
-    a = lasso.sample_gaussian_matrix(5, 7, seed=8)
-    b = lasso.sample_gaussian_matrix(5, 7, seed=8)
-    assert np.array_equal(a, b)
-
-
 # ---------------------------------------------------------------------------
 # solver
 # ---------------------------------------------------------------------------
@@ -105,9 +89,9 @@ def test_noiseless_exact_recovery_above_transition():
     assert np.linalg.norm(sol.x - x0) <= 1e-6 * np.linalg.norm(x0)
 
 
-def test_solver_gaussian_step_from_power_iteration():
+def test_solver_gaussian_default_step_recovers_signal():
     inst = signals.make_sparse(30, 2, "unit", seed=14)
-    a = lasso.sample_gaussian_matrix(40, 30, seed=15)
+    a = stream(15).standard_normal((40, 30))
     y = a @ inst.values
     ball = lasso.ball_for(inst)
     sol = lasso.solve_constrained_lasso(a, y, ball)   # step=None -> 1/||A||^2, exact
@@ -120,7 +104,7 @@ def test_solver_default_step_is_exact_on_gaussian_operator():
     # short of ||A||^2 would give a step above the 1/L that the step-length
     # stop assumes
     inst = signals.make_sparse(100, 5, "unit", seed=16)
-    a = lasso.sample_gaussian_matrix(80, 100, seed=17)
+    a = stream(17).standard_normal((80, 100))
     y = a @ inst.values + 0.01 * np.random.default_rng(18).standard_normal(80)
     ball = lasso.ball_for(inst)
     sol = lasso.solve_constrained_lasso(a, y, ball)
@@ -138,7 +122,7 @@ def _exact_step_solution(a, y, ball):
     return lasso.solve_constrained_lasso(a, y, ball, lasso.SolverConfig(step=step))
 
 
-def test_solver_power_iteration_off_the_ones_null_space():
+def test_solver_default_step_off_the_ones_null_space():
     # the all-ones vector lies in the null space of A = [1, -1]; ||A||^2 = 2,
     # so the default step is 1/2
     a = np.array([[1.0, -1.0]])
@@ -188,7 +172,7 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
         a = lasso.sample_partial_unitary(m, n, seed=32)
         cfg = lasso.SolverConfig(step=1.0)
     else:
-        a = lasso.sample_gaussian_matrix(m, n, seed=32)
+        a = stream(32).standard_normal((m, n))
         cfg = lasso.SolverConfig()                       # step 1/||A||^2, exact
     sigma = lasso.default_sigma(inst)
     v = np.random.default_rng(33).standard_normal(m)
@@ -338,7 +322,7 @@ def test_solver_flags_non_convergence():
 # point estimates and sweeps
 # ---------------------------------------------------------------------------
 
-def test_estimate_point_energy_split():
+def test_sweep_energy_split_below_transition():
     # cone MSD for sparse n=300, k=10 is ~45, so m=20 sits well below the
     # transition: eta tracks m and the cost vanishes
     inst = signals.make_sparse(300, 10, "unit", seed=19)
@@ -355,7 +339,7 @@ def test_estimate_point_energy_split():
     assert rec.f_mean <= 1e-6 * 20
 
 
-def test_estimate_point_above_transition_sum_rule():
+def test_sweep_sum_rule_above_transition():
     inst = signals.make_sparse(300, 10, "unit", seed=19)
     sigma = lasso.default_sigma(inst)
     (rec,), diags = lasso.sweep_measurements(
@@ -449,11 +433,13 @@ def test_sweep_validation_and_reproducibility():
     {"matrix_kind": "haar"},
     {"sigma": float("nan")},
     {"m_grid": [0, 10]},
+    {"m_grid": [40.5, 80]},
+    {"m_grid": [40, float("inf")]},
     {"d_reference": float("nan")},
     {"d_reference": float("inf")},
     {"d_reference": -5.0},
-], ids=["trials", "matrix-kind", "sigma", "m-range", "d-reference-nan", "d-reference-inf",
-        "d-reference-negative"])
+], ids=["trials", "matrix-kind", "sigma", "m-range", "m-fraction", "m-inf", "d-reference-nan",
+        "d-reference-inf", "d-reference-negative"])
 def test_sweep_validates_before_cone_monte_carlo(monkeypatch, kwargs):
     calls = []
 

@@ -83,7 +83,7 @@ def test_run_draws_equal_stacked_trial_noise(inst):
         drawn.append(V.copy())
         return np.zeros(len(V))
 
-    denoise._run(inst, "probe", None, grid, trials, seed, estimate, distance)
+    denoise._run(inst, None, grid, trials, seed, estimate, distance)
     n = inst.ambient_dim
     expected_v = [np.stack([denoise.trial_noise(seed, si, ti, n) for ti in range(trials)])
                   for si in range(len(grid))]

@@ -11,7 +11,7 @@ times the jobs end to end (the 7 denoise jobs among them).
 
 To see whether a change alters any output, run the script once per
 checkout, pointing PYTHONPATH at that checkout's `src`, and compare the two
-directories file by file with `cmp`; see README.md.
+directories with `diff -r`; see README.md.
 """
 
 from __future__ import annotations
