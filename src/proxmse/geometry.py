@@ -24,11 +24,20 @@ and linear on each active set A = {j : nu_j > lam}. Newton steps from lam = 0,
 lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
 sort-and-threshold l1-ball projection), rise to the smallest minimizer without
 passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
+
+The Monte Carlo estimators sweep each chunk's thresholds many times: once per
+Newton pass, or once per lam of a curve. A 4096-sample chunk of sparse:500:20
+holds 15.7 MB of them, more than a core's L2 cache, so ``_chunks`` hands a
+chunk's profile out in row tiles of about ``TILE`` thresholds (1 MB), and each
+tile takes all its passes while it is cached. A sample's arithmetic in a tile
+is the one it gets in its whole chunk, given the two rules on a tile's row
+count that ``_chunks`` keeps (see its docstring), so no result bit moves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +45,10 @@ import numpy as np
 from .errors import BoundNotValidError, InvalidStructureError, NumericalError, require_nonneg
 from .signals import ScaleProfile, SignalStructure, as_vector
 from .streams import stream
+
+# clip thresholds per row tile of a chunk's profile: 1 MB of float64, which
+# stays in a 2 MB L2 cache while an estimator sweeps the tile many times
+TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -52,6 +65,16 @@ class McConfig:
     chunk: int = 4096
 
     def __post_init__(self):
+        # each count must be an integer (numpy integers included): a float
+        # or a bool is rejected here, not truncated or failed on later
+        for name in ("samples", "seed", "chunk"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.samples < 2:
             raise ValueError("need at least 2 Monte Carlo samples")
         if self.chunk < 1:
@@ -185,30 +208,58 @@ def _cone_argmin(p: ScaleProfile, start: int = 0) -> tuple[np.ndarray, np.ndarra
     raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
 
 
-def _pooled_argmin(chunks: list[tuple[int, ScaleProfile]]) -> float:
-    """Exact minimiser over lam >= 0 of the profiles summed over all samples."""
-    buf = np.empty_like(chunks[0][1].nu)   # the first chunk is the largest
+def _pooled_argmin(tiles: list[tuple[int, ScaleProfile]], chunk: int) -> float:
+    """Exact minimiser over lam >= 0 of the profiles summed over all samples.
+
+    ``tiles`` cover the samples in order. The per-sample terms are summed in
+    runs of ``chunk`` samples and the run sums added in order, so the tiling
+    does not move the rounding.
+    """
+    total = tiles[-1][0] + tiles[-1][1].c0.size
+    buf = np.empty_like(max((p.nu for _, p in tiles), key=len))
+    excess, slope = np.empty(total), np.empty(total)
+    runs = range(0, total, chunk)
     lam, count = 0.0, -1
-    for passes in range(sum(p.nu.size for _, p in chunks) + 2):
-        active, excess, slope = 0, 0.0, 0.0
-        for start, p in chunks:
-            a, e, s = _clip(p, lam, buf[: p.c0.size])
+    for passes in range(sum(p.nu.size for _, p in tiles) + 2):
+        active = 0
+        for start, p in tiles:
+            rows = slice(start, start + p.c0.size)
+            a, excess[rows], slope[rows] = _clip(p, lam, buf[: p.c0.size])
             if passes == 0:
-                _require_finite(start, p.c0, e)
-            active, excess, slope = active + int(a.sum()), excess + e.sum(), slope + s.sum()
+                _require_finite(start, p.c0, excess[rows])
+            active += int(a.sum())
         if active == count:
             return lam
-        lam += float(_newton_step(excess, slope))
+        lam += float(_newton_step(sum(excess[i:i + chunk].sum() for i in runs),
+                                  sum(slope[i:i + chunk].sum() for i in runs)))
         count = active
     raise NumericalError("pooled active set still moving after its pass limit")
 
 
 def _chunks(s: SignalStructure, mc: McConfig):
-    """Yield (start, profile) over the configured sample streams; chunk i draws
-    from stream (seed, i)."""
+    """Yield (start, profile) over row tiles of the configured sample streams.
+
+    Chunk i draws from stream (seed, i) and is profiled whole. Its profile is
+    then yielded as views of about ``TILE`` thresholds each, so that no
+    result bit moves:
+    - a tile never has one row unless the chunk has one row, as a one-row
+      remainder joins the tile before it: the l1 classes' nu is column-major
+      (it comes from G[:, pos]), and numpy sums a row of a column-major block
+      column by column but a lone row pairwise;
+    - every tile but a chunk's last has a multiple of 4 rows: OpenBLAS's
+      gemv, which gives the weighted class's t @ w, rounds the last
+      (rows mod 4) rows of a column-major block in another order.
+    """
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
         G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
-        yield start, s.profile(G)
+        p = s.profile(G)
+        n, j = p.nu.shape
+        rows = max(4, TILE // max(j, 1) // 4 * 4)
+        lo = 0
+        while lo < n:
+            hi = n if n - lo <= rows + 1 else lo + rows
+            yield start + lo, ScaleProfile(p.c0[lo:hi], p.c1[lo:hi], p.c2, p.nu[lo:hi], p.w)
+            lo = hi
 
 
 def mean_stderr(values) -> tuple[float, float]:
@@ -233,11 +284,20 @@ def msd_lambda_curve(s: SignalStructure, lams, mc: McConfig) -> list[MsdEstimate
     comparisons between scales free of independent sampling noise.
     """
     lams = [require_nonneg(l, "lam") for l in lams]
-    vals = [[] for _ in lams]
-    for _, prof in _chunks(s, mc):
-        for j, lam in enumerate(lams):
-            vals[j].append(_profile_eval(prof, lam))
-    vals = [np.concatenate(v) for v in vals]
+    # one (lams, chunk) block per chunk: one (lams, samples) array per call
+    # raised the low-rank benchmark's peak RSS from 148.0 to 152.7 MB
+    parts = []
+    for start, prof in _chunks(s, mc):
+        if start % mc.chunk == 0:
+            first, part = start, np.empty((len(lams), min(mc.chunk, mc.samples - start)))
+            parts.append(part)
+        # one clip buffer per tile: two fresh tile-sized temporaries per lam
+        # made glibc trim and regrow the heap at every lam
+        t = np.empty_like(prof.nu)
+        for row, lam in zip(part, lams):
+            np.maximum(np.subtract(prof.nu, lam, out=t), 0.0, out=t)
+            row[start - first:start - first + prof.c0.size] = _profile_eval(prof, lam, t)
+    vals = np.concatenate(parts, axis=1)
     return [MsdEstimate(*mean_stderr(v), v.size, lam) for v, lam in zip(vals, lams)]
 
 
@@ -249,7 +309,9 @@ def msd_cone(s: SignalStructure, mc: McConfig) -> MsdEstimate:
     on the derivative of its scale profile (see the module doc), so the
     estimate carries no search tolerance.
     """
-    vals = np.concatenate([_cone_argmin(prof, start)[1] for start, prof in _chunks(s, mc)])
+    vals = np.empty(mc.samples)
+    for start, prof in _chunks(s, mc):
+        vals[start:start + prof.c0.size] = _cone_argmin(prof, start)[1]
     return MsdEstimate(*mean_stderr(vals), vals.size)
 
 
@@ -263,9 +325,11 @@ def optimal_lambda(s: SignalStructure, mc: McConfig) -> tuple[float, MsdEstimate
     and unique whenever the support part contributes a strictly convex
     c2*lam^2; with c2 = 0 it is the smallest minimizer.
     """
-    chunks = list(_chunks(s, mc))
-    lam = _pooled_argmin(chunks)
-    vals = np.concatenate([_profile_eval(p, lam) for _, p in chunks])
+    tiles = list(_chunks(s, mc))
+    lam = _pooled_argmin(tiles, mc.chunk)
+    vals = np.empty(mc.samples)
+    for start, p in tiles:
+        vals[start:start + p.c0.size] = _profile_eval(p, lam)
     return lam, MsdEstimate(*mean_stderr(vals), vals.size, lam)
 
 

@@ -137,7 +137,8 @@ class _SignedSupport(_Structure):
         pos = off_idx[w[off_idx] > 0]
         zero = off_idx[w[off_idx] == 0]
         unit = np.all(w[pos] == 1.0)
-        nu = np.abs(G[:, pos])
+        nu = G[:, pos]    # the fancy index copies, so take |.| in place
+        np.abs(nu, out=nu)
         if not unit:
             nu /= w[pos]
         return ScaleProfile(

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import integrate
 
 from proxmse import geometry, signals
+from proxmse.streams import stream
 
 
 def brute_sparse(support, signs, g, lam, step=1e-4):
@@ -100,6 +101,39 @@ def soft_tail_moment_quadrature(lam):
     val, _ = integrate.quad(lambda s: s * s * math.exp(-lam * s - 0.5 * s * s), 0.0, math.inf,
                             epsabs=0.0, epsrel=1e-13)
     return 2.0 * math.exp(-0.5 * lam * lam) / math.sqrt(2.0 * math.pi) * val
+
+
+def whole_chunk_estimates(s, lams, mc):
+    """``msd_lambda_curve``, ``msd_cone`` and ``optimal_lambda`` over undivided
+    chunk profiles, as they ran before the profiles were cut into row tiles:
+    per-sample values concatenated per estimator, pooled sums added per chunk."""
+    chunks = []
+    for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
+        G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
+        chunks.append((start, s.profile(G)))
+
+    def estimate(values, lam=None):
+        values = np.concatenate(values)
+        return geometry.MsdEstimate(*geometry.mean_stderr(values), values.size, lam)
+
+    curve = [estimate([geometry._profile_eval(p, lam) for _, p in chunks], lam) for lam in lams]
+    cone = estimate([geometry._cone_argmin(p, start)[1] for start, p in chunks])
+    buf = np.empty_like(chunks[0][1].nu)
+    lam, count = 0.0, -1
+    for passes in range(sum(p.nu.size for _, p in chunks) + 2):
+        active, excess, slope = 0, 0.0, 0.0
+        for start, p in chunks:
+            a, e, sl = geometry._clip(p, lam, buf[: p.c0.size])
+            if passes == 0:
+                geometry._require_finite(start, p.c0, e)
+            active, excess, slope = active + int(a.sum()), excess + e.sum(), slope + sl.sum()
+        if active == count:
+            break
+        lam += float(geometry._newton_step(excess, slope))
+        count = active
+    else:
+        raise AssertionError("pooled active set still moving")
+    return curve, cone, (lam, estimate([geometry._profile_eval(p, lam) for _, p in chunks], lam))
 
 
 def first_order_error(s, z, tau):

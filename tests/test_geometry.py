@@ -20,6 +20,7 @@ from oracles import (
     brute_sparse,
     brute_weighted,
     soft_tail_moment_quadrature,
+    whole_chunk_estimates,
 )
 
 
@@ -340,19 +341,62 @@ class _PoisonedStream:
 
 def test_non_finite_profile_surfaces_with_index(monkeypatch):
     # sample 5 of the second 32-sample chunk is sample 37 overall; the bad
-    # draw sits on the support (c0, c1) or off it (a clip threshold nu)
+    # draw sits on the support (c0, c1) or off it (a clip threshold nu).
+    # With TILE = 1 the chunks split into 4-row tiles, and 37 lies in the
+    # second tile of its chunk.
     s = signals.make_sparse(10, 2, seed=1).structure
     off = np.setdiff1d(np.arange(10), s.support)
-    for value in (np.nan, np.inf):
-        for col in (int(s.support[0]), int(off[0])):
-            monkeypatch.setattr(
-                geometry, "stream",
-                lambda seed, ci, col=col, value=value: _PoisonedStream(
-                    stream(seed, ci), 5 if ci == 1 else 99, col, value))
-            for estimator in (geometry.msd_cone, geometry.optimal_lambda):
-                with pytest.raises(NumericalError) as exc_info:
-                    estimator(s, McConfig(samples=64, seed=1, chunk=32))
-                assert exc_info.value.index == 37
+    for tile in (geometry.TILE, 1):
+        monkeypatch.setattr(geometry, "TILE", tile)
+        for value in (np.nan, np.inf):
+            for col in (int(s.support[0]), int(off[0])):
+                monkeypatch.setattr(
+                    geometry, "stream",
+                    lambda seed, ci, col=col, value=value: _PoisonedStream(
+                        stream(seed, ci), 5 if ci == 1 else 99, col, value))
+                for estimator in (geometry.msd_cone, geometry.optimal_lambda):
+                    with pytest.raises(NumericalError) as exc_info:
+                        estimator(s, McConfig(samples=64, seed=1, chunk=32))
+                    assert exc_info.value.index == 37
+
+
+def _tiled_structure(kind: str, seed: int):
+    """Structures with at least 8 clip thresholds, where numpy sums a row pairwise."""
+    if kind == "sparse":
+        return signals.make_sparse(40, 4, seed=seed).structure
+    if kind == "weighted":
+        rng = np.random.default_rng(seed)
+        return signals.make_weighted_sparse(
+            40, 4, rng.integers(0, 3, size=40), rng.uniform(0.5, 2.0, size=3), seed=seed).structure
+    if kind == "block":
+        return signals.make_block_sparse(14, 2, 3, seed=seed).structure
+    return signals.make_low_rank(12, 2, seed=seed).structure
+
+
+# (samples, chunk): one tile, chunks of several tiles, a one-row remainder
+# folded into the tile before it, a one-row final chunk, one-row chunks, and
+# chunks long enough that adding the pooled sums per tile would round them
+# differently from per chunk
+TILE_LAYOUTS = [(5, 4096), (2, 4096), (37, 16), (27, 13), (33, 16), (6, 1), (300, 64)]
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["sparse", "weighted", "block", "lowrank"]),
+       seed=st.integers(0, 2**20))
+def test_row_tiles_match_whole_chunks(kind, seed):
+    s = _tiled_structure(kind, seed)
+    j = s.profile(np.zeros((1, s.ambient_dim))).nu.shape[1]
+    lams = [0.0, 0.7, 1.5, 3.0]
+    for samples, chunk in TILE_LAYOUTS:
+        mc = McConfig(samples=samples, seed=seed, chunk=chunk)
+        want = whole_chunk_estimates(s, lams, mc)
+        # rows = 0 leaves TILE = 1, which the 4-row minimum takes over; 5 rounds down to 4
+        for rows in (0, 4, 5, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(geometry, "TILE", max(1, rows * j))
+                got = (geometry.msd_lambda_curve(s, lams, mc), geometry.msd_cone(s, mc),
+                       geometry.optimal_lambda(s, mc))
+            assert got == want, (samples, chunk, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +474,7 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
     chunks = [(0, s.profile(rng.standard_normal((5, s.ambient_dim)))),
               (5, s.profile(rng.standard_normal((3, s.ambient_dim))))]
     with np.errstate(all="raise"):
-        lam = geometry._pooled_argmin(chunks)
+        lam = geometry._pooled_argmin(chunks, 5)
     h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
     tol = 1e-12 * sum(float(_kkt_scale(p).sum()) for _, p in chunks)
     assert lam >= 0.0
@@ -552,3 +596,21 @@ def test_reproducibility_same_config():
     a = geometry.msd_cone(inst.structure, mc)
     b = geometry.msd_cone(inst.structure, mc)
     assert a == b
+
+
+@pytest.mark.parametrize("field", ["samples", "seed", "chunk"])
+@pytest.mark.parametrize("value", [1000.0, 1.5, True, np.bool_(True), "100"])
+def test_mc_config_rejects_non_integral_counts(field, value):
+    args = {"samples": 1000, "seed": 1, "chunk": 100, field: value}
+    with pytest.raises(TypeError, match=field):
+        McConfig(**args)
+
+
+def test_mc_config_counts():
+    mc = McConfig(samples=np.int64(1000), seed=np.uint32(1), chunk=np.int16(100))
+    assert (mc.samples, mc.seed, mc.chunk) == (1000, 1, 100)
+    assert all(type(v) is int for v in (mc.samples, mc.seed, mc.chunk))
+    with pytest.raises(ValueError, match="at least 2"):
+        McConfig(samples=1, seed=1)
+    with pytest.raises(ValueError, match="positive"):
+        McConfig(samples=10, seed=1, chunk=0)

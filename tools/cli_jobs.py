@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/cli_jobs.py OUTDIR
 
-Each of the 17 jobs below is one `proxmse` command line with a fixed seed.
+Each of the 18 jobs below is one `proxmse` command line with a fixed seed.
 It writes one result file, `OUTDIR/<name>.csv` or `.json`, and under its
 seed the file is byte-identical from run to run (acceptance criterion 11).
 The script exits 1 if any job exits nonzero, after running all of them.
@@ -30,6 +30,12 @@ JOBS = {
     **{f"msd_{s.split(':')[0]}": ["msd", "--structure", s, "--lambda-grid", "0:0.5:3",
                                   "--cone", "--samples", "20000", "--format", "json",
                                   "--seed", "1"] for s in STRUCTURES},
+    # geometry cuts a chunk of sparse:500:20 (480 clip thresholds a sample)
+    # into 272-row tiles: 4353 = 16 * 272 + 1 ends each chunk in a folded
+    # one-row remainder, and 8707 = 2 * 4353 + 1 leaves a one-sample last chunk
+    "msd_sparse_tiles": ["msd", "--structure", "sparse:500:20", "--lambda-grid", "0:0.5:3",
+                         "--cone", "--samples", "8707", "--chunk", "4353", "--format", "json",
+                         "--seed", "1"],
     **{f"bounds_{s.split(':')[0]}": ["bounds", "--structure", s, "--lambda", "11",
                                      "--cone-msd", "389", "--seed", "1"] for s in STRUCTURES},
     "denoise_sparse_regularized": DENOISE + ["--structure", "sparse:200:10", "--estimator",
