@@ -25,20 +25,20 @@ for k in (20, 40, 60):
     inst = signals.make_sparse(N, k, "unit", seed=SEED)
     mc = geometry.McConfig(samples=SAMPLES, seed=SEED)
 
-    cone = geometry.msd_cone(inst.structure, mc)
-    lam_star, opt = geometry.optimal_lambda(inst.structure, mc)
+    # one pass over the samples gives the curve, the cone MSD and lam*
+    lams = np.arange(0.0, 3.01, 0.5)
+    est = geometry.estimate(inst.structure, mc, lams, cone=True, optimal=True)
+    cone, opt = est.cone, est.optimal
     gc = geometry.geometry_constants(inst.structure)
     gap = 2 * gc.subgradient_radius / gc.sphere_max_value
 
     print(f"k={k}: cone MSD = {cone.mean:.2f} (+-{cone.stderr:.2f})")
-    print(f"      best single scale lam*={lam_star:.3f} gives {opt.mean:.2f}; "
+    print(f"      best single scale lam*={opt.lam:.3f} gives {opt.mean:.2f}; "
           f"sandwich gap bound 2R/f_max = {gap:.2f}")
 
     # the curve itself, Monte Carlo vs the exact Gaussian integral
-    lams = np.arange(0.0, 3.01, 0.5)
-    ests = geometry.msd_lambda_curve(inst.structure, lams, mc)
     print("      lam:   " + "  ".join(f"{l:7.2f}" for l in lams))
-    print("      MC:    " + "  ".join(f"{e.mean:7.1f}" for e in ests))
+    print("      MC:    " + "  ".join(f"{e.mean:7.1f}" for e in est.curve))
     exact = [geometry.msd_lambda_exact_l1(N, k, l) for l in lams]
     print("      exact: " + "  ".join(f"{v:7.1f}" for v in exact))
     print()

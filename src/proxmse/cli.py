@@ -153,16 +153,10 @@ def run_msd(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     if args.lambda_grid is None and not args.cone:
         raise ConfigError("msd needs --lambda-grid and/or --cone")
     mc = geometry.McConfig(samples=args.samples, seed=args.seed, chunk=args.chunk)
-    rows = []
-    if args.lambda_grid is not None:
-        lams = parse_grid(args.lambda_grid)
-        for est in geometry.msd_lambda_curve(inst.structure, lams, mc):
-            rows.append({"lambda": est.lam, "mean": est.mean, "stderr": est.stderr,
-                         "samples": est.samples})
-    if args.cone:
-        est = geometry.msd_cone(inst.structure, mc)
-        rows.append({"lambda": None, "mean": est.mean, "stderr": est.stderr,
-                     "samples": est.samples})
+    lams = parse_grid(args.lambda_grid) if args.lambda_grid is not None else []
+    ests = geometry.estimate(inst.structure, mc, lams, cone=args.cone)
+    rows = [{"lambda": est.lam, "mean": est.mean, "stderr": est.stderr, "samples": est.samples}
+            for est in ests.curve + ([ests.cone] if args.cone else [])]
     return rows, {"lambda_grid": args.lambda_grid, "cone": args.cone,
                   "samples": args.samples, "chunk": args.chunk}
 

@@ -25,13 +25,13 @@ lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
 sort-and-threshold l1-ball projection), rise to the smallest minimizer without
 passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
 
-The Monte Carlo estimators sweep each chunk's thresholds many times: once per
-Newton pass, or once per lam of a curve. A 4096-sample chunk of sparse:500:20
-holds 15.7 MB of them, more than a core's L2 cache, so ``_chunks`` hands a
-chunk's profile out in row tiles of about ``TILE`` thresholds (1 MB), and each
-tile takes all its passes while it is cached. A sample's arithmetic in a tile
-is the one it gets in its whole chunk, given the two rules on a tile's row
-count that ``_chunks`` keeps (see its docstring), so no result bit moves.
+``estimate`` computes every Monte Carlo estimate in one loop, sweeping each
+chunk's thresholds once per lam and once per Newton pass. A 4096-sample chunk
+of sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
+``_chunks`` hands a chunk's profile out in row tiles of about ``TILE``
+thresholds (1 MB), and each tile takes all its passes while it is cached. A
+sample's arithmetic in a tile is the one it gets in its whole chunk, given the
+rule on a tile's row count that ``_chunks`` keeps, so no result bit moves.
 """
 
 from __future__ import annotations
@@ -152,13 +152,14 @@ def project_scaled_subdiff(s: SignalStructure, g: np.ndarray, lam: float) -> np.
 # ---------------------------------------------------------------------------
 
 def _profile_eval(p: ScaleProfile, lam, t: np.ndarray | None = None) -> np.ndarray:
-    """The profile at lam; a given ``t`` holds max(nu - lam, 0) and is squared in place."""
+    """The profile at lam, clipping into ``t`` if one is given."""
     lam = np.asarray(lam, dtype=float)
-    if t is None:
-        t = np.maximum(p.nu - lam[..., None], 0.0)
+    t = np.subtract(p.nu, lam[..., None], out=t)
+    np.maximum(t, 0.0, out=t)
     t *= t
-    off = t @ p.w if p.w is not None else t.sum(axis=1)
-    return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + off
+    if p.w is not None:
+        t *= p.w
+    return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + t.sum(axis=1)
 
 
 def _clip(p: ScaleProfile, lam, t: np.ndarray):
@@ -171,7 +172,7 @@ def _clip(p: ScaleProfile, lam, t: np.ndarray):
     if p.w is None:
         weight, clipped = count, t.sum(axis=1)
     else:
-        weight, clipped = (t > 0.0) @ p.w, t @ p.w
+        weight, clipped = ((t > 0.0) * p.w).sum(axis=1), (t * p.w).sum(axis=1)
     return count, p.c1 + clipped - p.c2 * lam, p.c2 + weight
 
 
@@ -189,12 +190,11 @@ def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
                              index=int(start + bad[0]))
 
 
-def _cone_argmin(p: ScaleProfile, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample minimiser over lam >= 0 and minimum; a sample stops when its count repeats."""
+def _cone_argmin(p: ScaleProfile, t: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample minimiser over lam >= 0 and minimum (see the module doc), clipping into t."""
     n, j = p.nu.shape
     lam = np.zeros(n)
     count = np.full(n, -1)
-    t = np.empty_like(p.nu)
     for passes in range(j + 2):
         active, excess, slope = _clip(p, lam, t)
         done = active == count
@@ -208,28 +208,29 @@ def _cone_argmin(p: ScaleProfile, start: int = 0) -> tuple[np.ndarray, np.ndarra
     raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
 
 
-def _pooled_argmin(tiles: list[tuple[int, ScaleProfile]], chunk: int) -> float:
-    """Exact minimiser over lam >= 0 of the profiles summed over all samples.
+def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]], chunk: int) -> MsdEstimate:
+    """The estimate at the exact minimiser lam >= 0 of the profiles summed over all samples.
 
-    ``tiles`` cover the samples in order. The per-sample terms are summed in
-    runs of ``chunk`` samples and the run sums added in order, so the tiling
-    does not move the rounding.
+    ``tiles`` hold (start, profile, clip buffer) and cover the samples in
+    order. The per-sample terms are summed in runs of ``chunk`` samples and
+    the run sums added in order, so the tiling does not move the rounding.
     """
     total = tiles[-1][0] + tiles[-1][1].c0.size
-    buf = np.empty_like(max((p.nu for _, p in tiles), key=len))
     excess, slope = np.empty(total), np.empty(total)
     runs = range(0, total, chunk)
     lam, count = 0.0, -1
-    for passes in range(sum(p.nu.size for _, p in tiles) + 2):
+    for passes in range(sum(p.nu.size for _, p, _ in tiles) + 2):
         active = 0
-        for start, p in tiles:
+        for start, p, t in tiles:
             rows = slice(start, start + p.c0.size)
-            a, excess[rows], slope[rows] = _clip(p, lam, buf[: p.c0.size])
+            a, excess[rows], slope[rows] = _clip(p, lam, t)
             if passes == 0:
                 _require_finite(start, p.c0, excess[rows])
             active += int(a.sum())
-        if active == count:
-            return lam
+        if active == count:  # excess is free now: it takes the values at lam
+            for start, p, t in tiles:
+                excess[start:start + p.c0.size] = _profile_eval(p, lam, t)
+            return MsdEstimate(*mean_stderr(excess), total, lam)
         lam += float(_newton_step(sum(excess[i:i + chunk].sum() for i in runs),
                                   sum(slope[i:i + chunk].sum() for i in runs)))
         count = active
@@ -237,29 +238,27 @@ def _pooled_argmin(tiles: list[tuple[int, ScaleProfile]], chunk: int) -> float:
 
 
 def _chunks(s: SignalStructure, mc: McConfig):
-    """Yield (start, profile) over row tiles of the configured sample streams.
+    """Yield (start, profile, clip buffer) over row tiles of the sample streams.
 
-    Chunk i draws from stream (seed, i) and is profiled whole. Its profile is
-    then yielded as views of about ``TILE`` thresholds each, so that no
-    result bit moves:
-    - a tile never has one row unless the chunk has one row, as a one-row
-      remainder joins the tile before it: the l1 classes' nu is column-major
-      (it comes from G[:, pos]), and numpy sums a row of a column-major block
-      column by column but a lone row pairwise;
-    - every tile but a chunk's last has a multiple of 4 rows: OpenBLAS's
-      gemv, which gives the weighted class's t @ w, rounds the last
-      (rows mod 4) rows of a column-major block in another order.
+    Chunk i draws from stream (seed, i) and is profiled whole, then yielded
+    in views of about ``TILE`` thresholds, each with a contiguous view of one
+    buffer laid out like nu (strided views made a 31-lam curve 1.7x slower).
+    A one-row remainder joins the tile before it, so that no result bit
+    moves: the l1 classes' nu is column-major (it comes from G[:, pos]), and
+    numpy sums a row of a column-major block column by column, a lone row pairwise.
     """
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
         G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
         p = s.profile(G)
         n, j = p.nu.shape
-        rows = max(4, TILE // max(j, 1) // 4 * 4)
-        lo = 0
-        while lo < n:
+        rows = max(2, TILE // max(j, 1))
+        if ci == 0:  # the first chunk is the longest, so it holds the largest tile
+            buf = np.empty(p.nu[:rows + 1].size)
+        order = "F" if p.nu.flags.f_contiguous else "C"
+        for lo in range(0, max(n - 1, 1), rows):  # no tile but the first starts on the last row
             hi = n if n - lo <= rows + 1 else lo + rows
-            yield start + lo, ScaleProfile(p.c0[lo:hi], p.c1[lo:hi], p.c2, p.nu[lo:hi], p.w)
-            lo = hi
+            yield (start + lo, ScaleProfile(p.c0[lo:hi], p.c1[lo:hi], p.c2, p.nu[lo:hi], p.w),
+                   buf[:(hi - lo) * j].reshape((hi - lo, j), order=order))
 
 
 def mean_stderr(values) -> tuple[float, float]:
@@ -272,65 +271,71 @@ def mean_stderr(values) -> tuple[float, float]:
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Estimates:
+    """Estimates from one set of samples (see ``estimate``); a field not asked for is empty.
+
+    curve:   E dist(g, lam*subdiff)^2 at each lam asked for, in order.
+    cone:    E min_{lam>=0} dist(g, lam*subdiff)^2, the squared distance to the
+             cone generated by the subdifferential, exact per sample.
+    optimal: the estimate at lam* (its ``lam``), the exact minimiser of the
+             sample mean (the smallest one when c2 = 0).
+    """
+
+    curve: list[MsdEstimate]
+    cone: MsdEstimate | None
+    optimal: MsdEstimate | None
+
+
+def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
+             optimal: bool = False) -> Estimates:
+    """Monte Carlo estimates of the mean squared distance from one pass over the samples.
+
+    Each row tile gets all its work while it is cached: the profile at every
+    lam, then the Newton passes of the cone minimum. The estimates share
+    common random numbers, so comparing them carries no sampling noise.
+    """
+    lams = [require_nonneg(l, "lam") for l in lams]
+    if not (lams or cone or optimal):
+        raise ValueError("estimate needs lams, cone or optimal")
+    # one (lams, tile) block per tile, concatenated once: one (lams, samples)
+    # array per call raised the low-rank benchmark's peak RSS from 148.0 to 152.7 MB
+    blocks, minima, tiles = [], np.empty(mc.samples) if cone else None, []
+    for start, p, t in _chunks(s, mc):
+        block = np.empty((len(lams), p.c0.size))
+        for row, lam in zip(block, lams):
+            row[:] = _profile_eval(p, lam, t)
+        blocks.append(block)
+        if cone:
+            minima[start:start + p.c0.size] = _cone_argmin(p, t, start)[1]
+        if optimal:  # the pooled minimum needs every tile
+            tiles.append((start, p, t))
+    return Estimates(
+        [MsdEstimate(*mean_stderr(v), v.size, lam)
+         for v, lam in zip(np.concatenate(blocks, axis=1), lams)],
+        MsdEstimate(*mean_stderr(minima), minima.size) if cone else None,
+        _pooled_argmin(tiles, mc.chunk) if optimal else None)
+
+
 def msd_lambda(s: SignalStructure, lam: float, mc: McConfig) -> MsdEstimate:
     """Monte Carlo estimate of E dist(g, lam*subdiff)^2 over standard normal g."""
-    return msd_lambda_curve(s, [lam], mc)[0]
+    return estimate(s, mc, [lam]).curve[0]
 
 
 def msd_lambda_curve(s: SignalStructure, lams, mc: McConfig) -> list[MsdEstimate]:
-    """Estimates for several lam values sharing one set of Gaussian samples.
-
-    Common random numbers across lam make the curve smooth in lam and keep
-    comparisons between scales free of independent sampling noise.
-    """
-    lams = [require_nonneg(l, "lam") for l in lams]
-    # one (lams, chunk) block per chunk: one (lams, samples) array per call
-    # raised the low-rank benchmark's peak RSS from 148.0 to 152.7 MB
-    parts = []
-    for start, prof in _chunks(s, mc):
-        if start % mc.chunk == 0:
-            first, part = start, np.empty((len(lams), min(mc.chunk, mc.samples - start)))
-            parts.append(part)
-        # one clip buffer per tile: two fresh tile-sized temporaries per lam
-        # made glibc trim and regrow the heap at every lam
-        t = np.empty_like(prof.nu)
-        for row, lam in zip(part, lams):
-            np.maximum(np.subtract(prof.nu, lam, out=t), 0.0, out=t)
-            row[start - first:start - first + prof.c0.size] = _profile_eval(prof, lam, t)
-    vals = np.concatenate(parts, axis=1)
-    return [MsdEstimate(*mean_stderr(v), v.size, lam) for v, lam in zip(vals, lams)]
+    """Estimates for several lam values sharing one set of Gaussian samples."""
+    return estimate(s, mc, lams).curve
 
 
 def msd_cone(s: SignalStructure, mc: McConfig) -> MsdEstimate:
-    """Monte Carlo estimate of E min_{lam>=0} dist(g, lam*subdiff)^2.
-
-    The inner minimum is the squared distance to the cone generated by the
-    subdifferential. It is found exactly for every sample by Newton steps
-    on the derivative of its scale profile (see the module doc), so the
-    estimate carries no search tolerance.
-    """
-    vals = np.empty(mc.samples)
-    for start, prof in _chunks(s, mc):
-        vals[start:start + prof.c0.size] = _cone_argmin(prof, start)[1]
-    return MsdEstimate(*mean_stderr(vals), vals.size)
+    """Monte Carlo estimate of E min_{lam>=0} dist(g, lam*subdiff)^2."""
+    return estimate(s, mc, cone=True).cone
 
 
 def optimal_lambda(s: SignalStructure, mc: McConfig) -> tuple[float, MsdEstimate]:
-    """Scale minimizing the Monte Carlo estimate of the mean squared distance.
-
-    Uses common random numbers: the sample set is drawn once and the sample
-    average of the profiles, itself a convex piecewise quadratic in lam, is
-    minimized exactly by the same Newton steps as ``msd_cone``, run on the
-    sums over all samples. The returned lam is deterministic given the seed
-    and unique whenever the support part contributes a strictly convex
-    c2*lam^2; with c2 = 0 it is the smallest minimizer.
-    """
-    tiles = list(_chunks(s, mc))
-    lam = _pooled_argmin(tiles, mc.chunk)
-    vals = np.empty(mc.samples)
-    for start, p in tiles:
-        vals[start:start + p.c0.size] = _profile_eval(p, lam)
-    return lam, MsdEstimate(*mean_stderr(vals), vals.size, lam)
+    """Scale minimizing the Monte Carlo mean squared distance, and the estimate there."""
+    tuned = estimate(s, mc, optimal=True).optimal
+    return tuned.lam, tuned
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,8 @@ def whole_chunk_estimates(s, lams, mc):
         return geometry.MsdEstimate(*geometry.mean_stderr(values), values.size, lam)
 
     curve = [estimate([geometry._profile_eval(p, lam) for _, p in chunks], lam) for lam in lams]
-    cone = estimate([geometry._cone_argmin(p, start)[1] for start, p in chunks])
     buf = np.empty_like(chunks[0][1].nu)
+    cone = estimate([geometry._cone_argmin(p, buf[: p.c0.size], start)[1] for start, p in chunks])
     lam, count = 0.0, -1
     for passes in range(sum(p.nu.size for _, p in chunks) + 2):
         active, excess, slope = 0, 0.0, 0.0

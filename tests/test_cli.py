@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from proxmse import cli, denoise, streams
+from proxmse import cli, denoise, geometry, streams
 
 
 def run_cli(args):
@@ -115,6 +115,22 @@ def test_msd_requires_work(tmp_path):
                     "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_msd_job_draws_each_chunk_once(tmp_path, monkeypatch):
+    # the curve and the cone come from one pass: one stream per chunk
+    made = []
+
+    def counted(seed, *path):
+        made.append(path)
+        return streams.stream(seed, *path)
+
+    monkeypatch.setattr(geometry, "stream", counted)
+    code = run_cli(["msd", "--structure", "sparse:40:4", "--seed", "1",
+                    "--lambda-grid", "0:1:2", "--cone", "--samples", "8192", "--chunk", "4096",
+                    "--output", str(tmp_path / "msd.csv")])
+    assert code == 0
+    assert made == [(0,), (1,)]
 
 
 def test_invalid_structure_json_exits_2_no_file(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -342,8 +343,8 @@ class _PoisonedStream:
 def test_non_finite_profile_surfaces_with_index(monkeypatch):
     # sample 5 of the second 32-sample chunk is sample 37 overall; the bad
     # draw sits on the support (c0, c1) or off it (a clip threshold nu).
-    # With TILE = 1 the chunks split into 4-row tiles, and 37 lies in the
-    # second tile of its chunk.
+    # With TILE = 1 the chunks split into 2-row tiles, and 37 lies in the
+    # third tile of its chunk.
     s = signals.make_sparse(10, 2, seed=1).structure
     off = np.setdiff1d(np.arange(10), s.support)
     for tile in (geometry.TILE, 1):
@@ -390,13 +391,51 @@ def test_row_tiles_match_whole_chunks(kind, seed):
     for samples, chunk in TILE_LAYOUTS:
         mc = McConfig(samples=samples, seed=seed, chunk=chunk)
         want = whole_chunk_estimates(s, lams, mc)
-        # rows = 0 leaves TILE = 1, which the 4-row minimum takes over; 5 rounds down to 4
-        for rows in (0, 4, 5, 8):
+        # rows = 0 leaves TILE = 1, which the 2-row minimum takes over
+        for rows in (0, 4, 5, 7, 8):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(geometry, "TILE", max(1, rows * j))
                 got = (geometry.msd_lambda_curve(s, lams, mc), geometry.msd_cone(s, mc),
                        geometry.optimal_lambda(s, mc))
+                one_pass = geometry.estimate(s, mc, lams, cone=True, optimal=True)
             assert got == want, (samples, chunk, rows)
+            assert (one_pass.curve, one_pass.cone, (one_pass.optimal.lam, one_pass.optimal)) \
+                == want, (samples, chunk, rows)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "weighted", "block", "lowrank"])
+def test_estimate_subsets_match_the_estimators(kind):
+    # each field is what its own estimator gives, whatever else the pass computes
+    s = _tiled_structure(kind, 3)
+    lams = [0.0, 1.5]
+    mc = McConfig(samples=300, seed=3, chunk=64)
+    curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
+    assert geometry.msd_lambda(s, lams[1], mc) == curve[1]
+    for use_lams, use_cone, use_optimal in itertools.product((False, True), repeat=3):
+        if not (use_lams or use_cone or use_optimal):
+            with pytest.raises(ValueError):
+                geometry.estimate(s, mc)
+            continue
+        got = geometry.estimate(s, mc, lams if use_lams else (), cone=use_cone,
+                                optimal=use_optimal)
+        assert got.curve == (curve if use_lams else [])
+        assert got.cone == (cone if use_cone else None)
+        assert got.optimal == (tuned if use_optimal else None)
+
+
+@pytest.mark.parametrize("lams", [[1.0, -0.5], [float("nan")], [0.0, float("inf")]])
+def test_invalid_lams_raise_before_any_stream(monkeypatch, lams):
+    def refuse(*args):
+        raise AssertionError("a stream was drawn")
+
+    monkeypatch.setattr(geometry, "stream", refuse)
+    s = signals.make_sparse(10, 2, seed=1).structure
+    mc = McConfig(samples=64, seed=1)
+    for call in (lambda: geometry.estimate(s, mc, lams, cone=True, optimal=True),
+                 lambda: geometry.msd_lambda_curve(s, lams, mc),
+                 lambda: geometry.msd_lambda(s, lams[-1], mc)):
+        with pytest.raises(ValueError, match="lam"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +489,7 @@ def test_cone_argmin_kkt_and_grid(kind, seed, scale):
     G = scale * np.random.default_rng(seed).standard_normal((4, s.ambient_dim))
     p = s.profile(G)
     with np.errstate(all="raise"):
-        lam, val = geometry._cone_argmin(p)
+        lam, val = geometry._cone_argmin(p, np.empty_like(p.nu))
     h = _derivative(p, lam)
     tol = 1e-12 * _kkt_scale(p) * (1.0 + scale)
     assert np.all(lam >= 0.0)
@@ -474,7 +513,7 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
     chunks = [(0, s.profile(rng.standard_normal((5, s.ambient_dim)))),
               (5, s.profile(rng.standard_normal((3, s.ambient_dim))))]
     with np.errstate(all="raise"):
-        lam = geometry._pooled_argmin(chunks, 5)
+        lam = geometry._pooled_argmin([(i, p, np.empty_like(p.nu)) for i, p in chunks], 5).lam
     h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
     tol = 1e-12 * sum(float(_kkt_scale(p).sum()) for _, p in chunks)
     assert lam >= 0.0
