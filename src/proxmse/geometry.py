@@ -32,6 +32,13 @@ of sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
 thresholds (1 MB), and each tile takes all its passes while it is cached. A
 sample's arithmetic in a tile is the one it gets in its whole chunk, given the
 rule on a tile's row count that ``_chunks`` keeps, so no result bit moves.
+
+Memory follows the chunk, not the sample count. ``_chunks`` draws every
+chunk into one reused buffer and releases a chunk's profile before it draws
+the next. The pooled minimiser lam* of the sample mean keeps chunk 0's
+profile only until that chunk's own minimiser lam0 is known; from then on it
+keeps a bracket around lam0 (``_PooledMinimum``): a few sums per sample and
+the clip thresholds inside the bracket.
 """
 
 from __future__ import annotations
@@ -49,6 +56,9 @@ from .streams import stream
 # clip thresholds per row tile of a chunk's profile: 1 MB of float64, which
 # stays in a 2 MB L2 cache while an estimator sweeps the tile many times
 TILE = 1 << 17
+# half-width of the pooled minimiser's bracket around chunk 0's own minimiser,
+# relative to it; a bracket that misses lam* costs one more pass over the samples
+BRACKET = 0.05
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,8 @@ class McConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.samples < 2:
             raise ValueError("need at least 2 Monte Carlo samples")
+        if self.seed < 0:  # streams take no negative seed, so fail here, not at the first draw
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
 
@@ -121,6 +133,8 @@ def _check_vector(s: SignalStructure, g: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"vector has shape {g.shape}, structure ambient dimension is {s.ambient_dim}"
         )
+    if not np.isfinite(g).all():
+        raise ValueError("vector must be finite")
     return g
 
 
@@ -163,17 +177,15 @@ def _profile_eval(p: ScaleProfile, lam, t: np.ndarray | None = None) -> np.ndarr
 
 
 def _clip(p: ScaleProfile, lam, t: np.ndarray):
-    """Fill t with max(nu - lam, 0); per sample, return the active count,
-    -h(lam) and the right derivative h'(lam) (see the module doc)."""
+    """Fill t with max(nu - lam, 0); per sample, return the active count, the
+    active weight sum_A w_j and the clipped sum sum_j w_j t_j."""
     lam = np.asarray(lam, dtype=float)
     np.subtract(p.nu, lam[..., None], out=t)
     np.maximum(t, 0.0, out=t)
     count = np.count_nonzero(t, axis=1)
     if p.w is None:
-        weight, clipped = count, t.sum(axis=1)
-    else:
-        weight, clipped = ((t > 0.0) * p.w).sum(axis=1), (t * p.w).sum(axis=1)
-    return count, p.c1 + clipped - p.c2 * lam, p.c2 + weight
+        return count, count, t.sum(axis=1)
+    return count, ((t > 0.0) * p.w).sum(axis=1), (t * p.w).sum(axis=1)
 
 
 def _newton_step(excess, slope):
@@ -196,60 +208,202 @@ def _cone_argmin(p: ScaleProfile, t: np.ndarray, start: int = 0) -> tuple[np.nda
     lam = np.zeros(n)
     count = np.full(n, -1)
     for passes in range(j + 2):
-        active, excess, slope = _clip(p, lam, t)
+        active, weight, clipped = _clip(p, lam, t)
+        excess = p.c1 + clipped - p.c2 * lam
         done = active == count
         if done.all():
             return lam, _profile_eval(p, lam, t)
         if passes == 0:
             _require_finite(start, p.c0, excess)
-        lam = np.where(done, lam, lam + _newton_step(excess, slope))
+        lam = np.where(done, lam, lam + _newton_step(excess, p.c2 + weight))
         count = active
     idx = start + int(np.argmin(done))
     raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
 
 
-def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]], chunk: int) -> MsdEstimate:
-    """The estimate at the exact minimiser lam >= 0 of the profiles summed over all samples.
+def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]) -> float:
+    """The exact minimiser lam >= 0 of the profiles summed over all samples.
 
-    ``tiles`` hold (start, profile, clip buffer) and cover the samples in
-    order. The per-sample terms are summed in runs of ``chunk`` samples and
-    the run sums added in order, so the tiling does not move the rounding.
+    ``tiles`` hold (start, profile, clip buffer) and cover the samples from 0
+    in order. The per-sample terms are summed over one array, so the tiling
+    does not move the rounding.
     """
     total = tiles[-1][0] + tiles[-1][1].c0.size
     excess, slope = np.empty(total), np.empty(total)
-    runs = range(0, total, chunk)
     lam, count = 0.0, -1
     for passes in range(sum(p.nu.size for _, p, _ in tiles) + 2):
         active = 0
         for start, p, t in tiles:
             rows = slice(start, start + p.c0.size)
-            a, excess[rows], slope[rows] = _clip(p, lam, t)
+            a, weight, clipped = _clip(p, lam, t)
+            excess[rows], slope[rows] = p.c1 + clipped - p.c2 * lam, p.c2 + weight
             if passes == 0:
                 _require_finite(start, p.c0, excess[rows])
             active += int(a.sum())
-        if active == count:  # excess is free now: it takes the values at lam
-            for start, p, t in tiles:
-                excess[start:start + p.c0.size] = _profile_eval(p, lam, t)
-            return MsdEstimate(*mean_stderr(excess), total, lam)
-        lam += float(_newton_step(sum(excess[i:i + chunk].sum() for i in runs),
-                                  sum(slope[i:i + chunk].sum() for i in runs)))
+        if active == count:
+            return lam
+        lam += float(_newton_step(excess.sum(), slope.sum()))
         count = active
     raise NumericalError("pooled active set still moving after its pass limit")
+
+
+class _PooledMinimum:
+    """The estimate at the pooled minimiser lam*, from the tiles of ``_chunks`` in order.
+
+    It holds memory set by the chunk and a few numbers per sample, not every
+    profile. Chunk 0's tiles are held until that chunk is complete; their own
+    pooled minimiser lam0 (``_pooled_argmin``) is the result when the call
+    has one chunk. Otherwise lam0 centres the bracket [a, b] = lam0 * (1 -+
+    BRACKET), and each tile leaves, per sample, c0, c1 and, over its clip
+    thresholds above b, S0 = sum w, S1 = sum w (nu - b) and S2 = sum w (nu - b)^2
+    (centred at b, so that nothing cancels). Its thresholds in (a, b] are
+    kept one by one as (value, sample, weight); those at or below a are
+    dropped, as they clip to 0 at every lam >= a. If h(a) <= 0 <= h(b), Newton
+    steps from a on what was kept rise to lam* as they do on the whole
+    profiles. If not, the bracket widens to an end that must hold lam* and the
+    samples are drawn again: their streams are keyed, so the same ones come back.
+    """
+
+    def __init__(self, s: SignalStructure, mc: McConfig):
+        self.s, self.mc = s, mc
+        self.first: list[tuple[int, ScaleProfile, np.ndarray]] = []
+        self.tuned: MsdEstimate | None = None
+        self.kept = None
+
+    def add(self, start: int, p: ScaleProfile, t: np.ndarray) -> None:
+        if self.kept is not None:
+            self._keep(start, p, t)
+            return
+        self.first.append((start, p, t))
+        if start + p.c0.size < min(self.mc.chunk, self.mc.samples):
+            return
+        lam0 = _pooled_argmin(self.first)
+        if self.mc.samples <= self.mc.chunk:
+            values = np.concatenate([_profile_eval(q, lam0, u) for _, q, u in self.first])
+            self.tuned = MsdEstimate(*mean_stderr(values), values.size, lam0)
+        else:
+            self._open(lam0 * (1.0 - BRACKET), lam0 * (1.0 + BRACKET), p.c2)
+            for tile in self.first:
+                self._keep(*tile)
+        self.first = []
+
+    def _open(self, a: float, b: float, c2: float) -> None:
+        n = self.mc.samples
+        self.a, self.b, self.c2 = a, b, c2
+        self.c0, self.c1, self.s0, self.s1, self.s2 = (np.empty(n) for _ in range(5))
+        self.above, self.top, self.kept = 0, 0.0, []
+
+    def _keep(self, start: int, p: ScaleProfile, t: np.ndarray) -> None:
+        rows = slice(start, start + p.c0.size)
+        count, self.s0[rows], self.s1[rows] = _clip(p, self.b, t)
+        # a NaN threshold fails every comparison, so no mask may see it first
+        _require_finite(start, p.c0, p.c1 + self.s1[rows])
+        self.above += int(count.sum())
+        self.top = max(self.top, float(t.max(initial=0.0)))
+        self.c0[rows], self.c1[rows] = p.c0, p.c1
+        t *= t
+        if p.w is not None:
+            t *= p.w
+        self.s2[rows] = t.sum(axis=1)
+        i, j = np.nonzero((p.nu > self.a) & (p.nu <= self.b))
+        self.kept.append((p.nu[i, j], start + i, None if p.w is None else p.w[j]))
+
+    def _close(self) -> None:
+        """Join the kept thresholds and total the per-sample sums."""
+        self.values, self.samples, self.weights = (
+            None if parts[0] is None else np.concatenate(parts) for parts in zip(*self.kept))
+        self.kept = None
+        self.sums = (float(self.c1.sum()), self.c0.size * self.c2,
+                     float(self.s0.sum()), float(self.s1.sum()), float(np.abs(self.c1).sum()))
+
+    def _pooled(self, lam: float) -> tuple[int, float, float, float]:
+        """Active count, -h(lam), h'(lam) and the total size of the terms of -h(lam),
+        of the summed profile at a <= lam <= b."""
+        c1, c2, s0, s1, c1_size = self.sums
+        t = np.maximum(self.values - lam, 0.0)
+        count = np.count_nonzero(t)
+        if self.weights is None:
+            weight, clipped = count, t.sum()
+        else:
+            weight, clipped = ((t > 0.0) * self.weights).sum(), (t * self.weights).sum()
+        clipped = s1 + (self.b - lam) * s0 + float(clipped)  # every w_j (nu_j - lam)_+
+        return (self.above + count, c1 + clipped - c2 * lam, c2 + s0 + float(weight),
+                c1_size + clipped + c2 * lam)
+
+    def _widened(self) -> tuple[float, float]:
+        """[a, b] if it holds lam*, else a bracket that must hold it."""
+        a, b = self.a, self.b
+        _, low, slope, size_a = self._pooled(a)
+        _, high, _, size_b = self._pooled(b)
+        # -h adds terms of either sign, and rounds them far below 1e-13 of their
+        # total size; a miss smaller than that moves lam* by as little
+        tol = 1e-13 * max(size_a, size_b)
+        if low < -tol and a > 0.0:
+            # h(a) > 0, so lam* < a; concave h lies below its tangent at a,
+            # which crosses 0 at or below lam*
+            a = max(0.0, a + low / slope) if slope > 0.0 else 0.0
+        if high > tol:
+            # h(b) < 0, so lam* > b; past b, h rises at least at the rate c2 * N,
+            # and with c2 = 0 it is flat beyond the largest threshold
+            c2 = self.sums[1]
+            b = b + high / c2 if c2 > 0.0 else b + 2.0 * self.top
+        return a, b
+
+    def result(self) -> MsdEstimate:
+        """The estimate at lam*, drawing the samples again while the bracket misses it."""
+        if self.tuned is not None:
+            return self.tuned
+        for redraws in range(3):  # one redraw brackets lam*; a second guards the rounding
+            self._close()
+            a, b = self._widened()
+            if (a, b) == (self.a, self.b):
+                return self._minimum()
+            if redraws < 2:
+                self._open(a, b, self.c2)
+                for start, p, t in _chunks(self.s, self.mc):
+                    self._keep(start, p, t)
+                    del p, t
+        raise NumericalError("pooled minimiser still outside its bracket after 2 redraws")
+
+    def _minimum(self) -> MsdEstimate:
+        """Newton steps from a (see the module doc), and each sample's value at lam*."""
+        lam, count = self.a, -1
+        for _ in range(self.values.size + 2):
+            active, excess, slope, _ = self._pooled(lam)
+            if active == count:
+                break
+            lam += float(_newton_step(excess, slope))
+            count = active
+        else:
+            raise NumericalError("pooled active set still moving after its pass limit")
+        d = self.b - lam
+        v = self.c0 - 2.0 * self.c1 * lam + self.c2 * lam * lam
+        v += self.s2 + d * (2.0 * self.s1 + d * self.s0)
+        t = np.maximum(self.values - lam, 0.0)
+        t *= t
+        if self.weights is not None:
+            t *= self.weights
+        v += np.bincount(self.samples, weights=t, minlength=v.size)
+        return MsdEstimate(*mean_stderr(v), v.size, lam)
 
 
 def _chunks(s: SignalStructure, mc: McConfig):
     """Yield (start, profile, clip buffer) over row tiles of the sample streams.
 
-    Chunk i draws from stream (seed, i) and is profiled whole, then yielded
-    in views of about ``TILE`` thresholds, each with a contiguous view of one
-    buffer laid out like nu (strided views made a 31-lam curve 1.7x slower).
-    A one-row remainder joins the tile before it, so that no result bit
-    moves: the l1 classes' nu is column-major (it comes from G[:, pos]), and
-    numpy sums a row of a column-major block column by column, a lone row pairwise.
+    Chunk i draws from stream (seed, i) into one buffer that every chunk of
+    the call reuses (no profile shares memory with its draw), is profiled
+    whole, and is yielded in views of about ``TILE`` thresholds, each with a
+    contiguous view of one buffer laid out like nu (strided views made a
+    31-lam curve 1.7x slower). A one-row remainder joins the tile before it,
+    so that no result bit moves: the l1 classes' nu is column-major (it comes
+    from G[:, pos]), and numpy sums a row of a column-major block column by
+    column, a lone row pairwise. A chunk's profile is released before the
+    next chunk is drawn, as long as the caller keeps no tile either.
     """
+    draws = np.empty((min(mc.chunk, mc.samples), s.ambient_dim))
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
-        G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
-        p = s.profile(G)
+        G = draws[:min(mc.chunk, mc.samples - start)]
+        p = s.profile(stream(mc.seed, ci).standard_normal(out=G))
         n, j = p.nu.shape
         rows = max(2, TILE // max(j, 1))
         if ci == 0:  # the first chunk is the longest, so it holds the largest tile
@@ -259,6 +413,7 @@ def _chunks(s: SignalStructure, mc: McConfig):
             hi = n if n - lo <= rows + 1 else lo + rows
             yield (start + lo, ScaleProfile(p.c0[lo:hi], p.c1[lo:hi], p.c2, p.nu[lo:hi], p.w),
                    buf[:(hi - lo) * j].reshape((hi - lo, j), order=order))
+        del p
 
 
 def mean_stderr(values) -> tuple[float, float]:
@@ -292,15 +447,17 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
     """Monte Carlo estimates of the mean squared distance from one pass over the samples.
 
     Each row tile gets all its work while it is cached: the profile at every
-    lam, then the Newton passes of the cone minimum. The estimates share
-    common random numbers, so comparing them carries no sampling noise.
+    lam, then the Newton passes of the cone minimum, then the pooled
+    minimiser's bracket. The estimates share common random numbers, so
+    comparing them carries no sampling noise.
     """
     lams = [require_nonneg(l, "lam") for l in lams]
     if not (lams or cone or optimal):
         raise ValueError("estimate needs lams, cone or optimal")
     # one (lams, tile) block per tile, concatenated once: one (lams, samples)
     # array per call raised the low-rank benchmark's peak RSS from 148.0 to 152.7 MB
-    blocks, minima, tiles = [], np.empty(mc.samples) if cone else None, []
+    blocks, minima = [], np.empty(mc.samples) if cone else None
+    tuned = _PooledMinimum(s, mc) if optimal else None
     for start, p, t in _chunks(s, mc):
         block = np.empty((len(lams), p.c0.size))
         for row, lam in zip(block, lams):
@@ -308,13 +465,14 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
         blocks.append(block)
         if cone:
             minima[start:start + p.c0.size] = _cone_argmin(p, t, start)[1]
-        if optimal:  # the pooled minimum needs every tile
-            tiles.append((start, p, t))
+        if optimal:
+            tuned.add(start, p, t)
+        del p, t  # so that a chunk's profile is freed before the next draw
     return Estimates(
         [MsdEstimate(*mean_stderr(v), v.size, lam)
          for v, lam in zip(np.concatenate(blocks, axis=1), lams)],
         MsdEstimate(*mean_stderr(minima), minima.size) if cone else None,
-        _pooled_argmin(tiles, mc.chunk) if optimal else None)
+        tuned.result() if optimal else None)
 
 
 def msd_lambda(s: SignalStructure, lam: float, mc: McConfig) -> MsdEstimate:

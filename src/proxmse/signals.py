@@ -37,6 +37,9 @@ from .streams import stream
 SUPPORT_TOL = 1e-12
 RANK_TOL = 1e-10
 ORTHO_TOL = 1e-10
+# matrix entries per row block of the low-rank profile: each of its (rows, d, d)
+# temporaries holds about 1 MB of float64, not a whole chunk's worth
+PROFILE_BLOCK = 1 << 17
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -374,19 +377,32 @@ class LowRankStructure(_Structure):
         return _complement_basis(self.u), _complement_basis(self.v)
 
     def profile(self, G: np.ndarray) -> ScaleProfile:
+        """The matrices in row blocks of about ``PROFILE_BLOCK`` entries, so each
+        (rows, d, d) temporary stays near 1 MB; a sample's arithmetic is the
+        same in any block, so c0, c1 and nu equal the whole-stack formula's."""
         n_samp = G.shape[0]
         d, r = self.d, self.r
         mats = as_matrix(G, d)
         uvt = self.u @ self.v.T
-        c1 = np.einsum("nij,ij->n", mats, uvt)
-        if r < d:
-            uperp, vperp = self.complements
-            b = (uperp.T @ mats) @ vperp
-            nu = np.linalg.svd(b, compute_uv=False)
-            c0 = (mats ** 2).sum(axis=(1, 2)) - (b ** 2).sum(axis=(1, 2))
-        else:
-            nu = np.zeros((n_samp, 0))
-            c0 = (mats ** 2).sum(axis=(1, 2))
+        c0, c1, nu = np.empty(n_samp), np.empty(n_samp), np.empty((n_samp, d - r))
+        rows = max(1, PROFILE_BLOCK // (d * d))
+        for lo in range(0, n_samp, rows):
+            block = slice(lo, lo + rows)
+            m = mats[block]
+            c1[block] = np.einsum("nij,ij->n", m, uvt)
+            c0[block] = (m ** 2).sum(axis=(1, 2))
+            if r < d:
+                uperp, vperp = self.complements
+                b = (uperp.T @ m) @ vperp
+                try:
+                    nu[block] = np.linalg.svd(b, compute_uv=False)
+                except np.linalg.LinAlgError:
+                    # LAPACK takes no NaN or inf: such a sample keeps NaN thresholds
+                    # (its c0 is not finite either), and geometry reports its index
+                    finite = np.isfinite(b).all(axis=(1, 2))
+                    nu[block] = np.nan
+                    nu[block][finite] = np.linalg.svd(b[finite], compute_uv=False)
+                c0[block] -= (b ** 2).sum(axis=(1, 2))
         return ScaleProfile(c0=c0, c1=c1, c2=float(r), nu=nu, w=None)
 
     def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -60,6 +61,16 @@ def test_distance_shape_mismatch():
     s = signals.SparseStructure(3, [0], [1.0])
     with pytest.raises(ValueError):
         geometry.dist_sq_scaled_subdiff(s, [1.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pointwise_distance_rejects_non_finite_vector(value):
+    for inst in (signals.make_sparse(10, 2, seed=1), signals.make_low_rank(4, 1, seed=1)):
+        g = np.ones(inst.ambient_dim)
+        g[3] = value
+        for call in (geometry.dist_sq_scaled_subdiff, geometry.project_scaled_subdiff):
+            with pytest.raises(ValueError, match="finite"):
+                call(inst.structure, g, 1.0)
 
 
 def test_projection_example():
@@ -333,24 +344,28 @@ class _PoisonedStream:
     def __init__(self, rng, row, col, value):
         self._rng, self._row, self._col, self._value = rng, row, col, value
 
-    def standard_normal(self, shape):
-        out = self._rng.standard_normal(shape)
-        if self._row < shape[0]:
+    def standard_normal(self, *, out):
+        self._rng.standard_normal(out=out)
+        if self._row < out.shape[0]:
             out[self._row, self._col] = self._value
         return out
 
 
 def test_non_finite_profile_surfaces_with_index(monkeypatch):
     # sample 5 of the second 32-sample chunk is sample 37 overall; the bad
-    # draw sits on the support (c0, c1) or off it (a clip threshold nu).
+    # draw sits on the support (c0, c1) or off it (a clip threshold nu), or
+    # in a matrix whose complement part LAPACK would refuse.
     # With TILE = 1 the chunks split into 2-row tiles, and 37 lies in the
     # third tile of its chunk.
-    s = signals.make_sparse(10, 2, seed=1).structure
-    off = np.setdiff1d(np.arange(10), s.support)
+    sparse = signals.make_sparse(10, 2, seed=1).structure
+    lowrank = signals.make_low_rank(4, 1, seed=1).structure
+    cases = [(sparse, int(sparse.support[0])),
+             (sparse, int(np.setdiff1d(np.arange(10), sparse.support)[0])),
+             (lowrank, 0), (lowrank, 11)]
     for tile in (geometry.TILE, 1):
         monkeypatch.setattr(geometry, "TILE", tile)
         for value in (np.nan, np.inf):
-            for col in (int(s.support[0]), int(off[0])):
+            for s, col in cases:
                 monkeypatch.setattr(
                     geometry, "stream",
                     lambda seed, ci, col=col, value=value: _PoisonedStream(
@@ -385,12 +400,17 @@ TILE_LAYOUTS = [(5, 4096), (2, 4096), (37, 16), (27, 13), (33, 16), (6, 1), (300
 @given(kind=st.sampled_from(["sparse", "weighted", "block", "lowrank"]),
        seed=st.integers(0, 2**20))
 def test_row_tiles_match_whole_chunks(kind, seed):
+    # The curve, the cone and a one-chunk optimum keep every bit of the
+    # whole-chunk oracle. A multi-chunk optimum comes from the bracket, whose
+    # sums round differently from the oracle's pooled Newton: it matches the
+    # oracle to a relative 1e-12, and itself bit for bit across tilings.
     s = _tiled_structure(kind, seed)
     j = s.profile(np.zeros((1, s.ambient_dim))).nu.shape[1]
     lams = [0.0, 0.7, 1.5, 3.0]
     for samples, chunk in TILE_LAYOUTS:
         mc = McConfig(samples=samples, seed=seed, chunk=chunk)
-        want = whole_chunk_estimates(s, lams, mc)
+        curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
+        optima = []
         # rows = 0 leaves TILE = 1, which the 2-row minimum takes over
         for rows in (0, 4, 5, 7, 8):
             with pytest.MonkeyPatch.context() as mp:
@@ -398,9 +418,22 @@ def test_row_tiles_match_whole_chunks(kind, seed):
                 got = (geometry.msd_lambda_curve(s, lams, mc), geometry.msd_cone(s, mc),
                        geometry.optimal_lambda(s, mc))
                 one_pass = geometry.estimate(s, mc, lams, cone=True, optimal=True)
-            assert got == want, (samples, chunk, rows)
-            assert (one_pass.curve, one_pass.cone, (one_pass.optimal.lam, one_pass.optimal)) \
-                == want, (samples, chunk, rows)
+            assert got[:2] == (curve, cone), (samples, chunk, rows)
+            assert (one_pass.curve, one_pass.cone) == (curve, cone), (samples, chunk, rows)
+            assert got[2] == (one_pass.optimal.lam, one_pass.optimal), (samples, chunk, rows)
+            optima.append(one_pass.optimal)
+        assert optima == [optima[0]] * len(optima), (samples, chunk)
+        if samples <= chunk:
+            assert optima[0] == tuned, (samples, chunk)
+        else:
+            _assert_close_estimate(optima[0], tuned)
+
+
+def _assert_close_estimate(got, want, rel=1e-12):
+    assert got.samples == want.samples
+    for field in ("lam", "mean", "stderr"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=rel, abs=1e-300), \
+            field
 
 
 @pytest.mark.parametrize("kind", ["sparse", "weighted", "block", "lowrank"])
@@ -411,6 +444,8 @@ def test_estimate_subsets_match_the_estimators(kind):
     mc = McConfig(samples=300, seed=3, chunk=64)
     curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
     assert geometry.msd_lambda(s, lams[1], mc) == curve[1]
+    _, optimal = geometry.optimal_lambda(s, mc)
+    _assert_close_estimate(optimal, tuned)
     for use_lams, use_cone, use_optimal in itertools.product((False, True), repeat=3):
         if not (use_lams or use_cone or use_optimal):
             with pytest.raises(ValueError):
@@ -420,7 +455,7 @@ def test_estimate_subsets_match_the_estimators(kind):
                                 optimal=use_optimal)
         assert got.curve == (curve if use_lams else [])
         assert got.cone == (cone if use_cone else None)
-        assert got.optimal == (tuned if use_optimal else None)
+        assert got.optimal == (optimal if use_optimal else None)
 
 
 @pytest.mark.parametrize("lams", [[1.0, -0.5], [float("nan")], [0.0, float("inf")]])
@@ -513,7 +548,7 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
     chunks = [(0, s.profile(rng.standard_normal((5, s.ambient_dim)))),
               (5, s.profile(rng.standard_normal((3, s.ambient_dim))))]
     with np.errstate(all="raise"):
-        lam = geometry._pooled_argmin([(i, p, np.empty_like(p.nu)) for i, p in chunks], 5).lam
+        lam = geometry._pooled_argmin([(i, p, np.empty_like(p.nu)) for i, p in chunks])
     h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
     tol = 1e-12 * sum(float(_kkt_scale(p).sum()) for _, p in chunks)
     assert lam >= 0.0
@@ -525,6 +560,39 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
     best = mean_at(lam)
     for x in np.linspace(0.0, 1.5 * lam + 2.0, 301):
         assert best <= mean_at(x) + 1e-9 * (1.0 + abs(best))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20),
+       layout=st.sampled_from([(300, 64), (37, 16), (200, 7), (1000, 999)]))
+def test_bracketed_optimum_matches_pooled_newton(kind, seed, layout):
+    # the bracket around chunk 0's minimiser against Newton from 0 on every
+    # whole profile; a bracket of width 0 or 1e-9 misses lam* and forces a redraw
+    s = _structure(kind, seed)
+    samples, chunk = layout
+    mc = McConfig(samples=samples, seed=seed, chunk=chunk)
+    _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
+    paths = [(ci,) for ci in range(-(-samples // chunk))]
+    sloped = s.profile(np.zeros((1, s.ambient_dim))).c2 > 0.0
+    for bracket in (geometry.BRACKET, 1e-9, 0.0):
+        made = []
+
+        def counted(seed, *path):
+            made.append(path)
+            return stream(seed, *path)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "BRACKET", bracket)
+            mp.setattr(geometry, "stream", counted)
+            with np.errstate(all="raise"):
+                lam, got = geometry.optimal_lambda(s, mc)
+        assert lam == got.lam
+        _assert_close_estimate(got, tuned)
+        # the first pass, then at most one redraw of the same streams; with
+        # c2 > 0, chunk 0's own lam0 > 0 is not lam*, so width 0 must redraw
+        assert made in (paths, paths * 2), bracket
+        if bracket == 0.0 and sloped and lam > 0.0:
+            assert made == paths * 2
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -643,6 +711,62 @@ def test_mc_config_rejects_non_integral_counts(field, value):
     args = {"samples": 1000, "seed": 1, "chunk": 100, field: value}
     with pytest.raises(TypeError, match=field):
         McConfig(**args)
+
+
+def test_mc_config_rejects_negative_seed(monkeypatch):
+    monkeypatch.setattr(geometry, "stream", None)  # the check comes before any draw
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(samples=100, seed=-1)
+    assert McConfig(samples=100, seed=0).seed == 0
+
+
+def test_profile_shares_no_memory_with_its_draw():
+    # the Monte Carlo chunks reuse one draw buffer, so a profile must own its arrays
+    for kind in [*KINDS, "full_rank"]:
+        s = (signals.make_low_rank(3, 3, seed=2).structure if kind == "full_rank"
+             else _structure(kind, 2))
+        G = np.random.default_rng(2).standard_normal((7, s.ambient_dim))
+        p = s.profile(G)
+        for name in ("c0", "c1", "nu"):
+            assert not np.shares_memory(getattr(p, name), G), (kind, name)
+
+
+class _RecordingStream:
+    """A chunk stream that records the buffer each draw fills."""
+
+    def __init__(self, rng, outs):
+        self._rng, self._outs = rng, outs
+
+    def standard_normal(self, *, out):
+        self._outs.append(out)
+        return self._rng.standard_normal(out=out)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "lowrank"])
+def test_one_chunk_alive_at_each_draw(monkeypatch, kind):
+    # the chunks of a pass are drawn into one buffer, and no chunk's profile
+    # outlives the draw of the next one, through a pass and a forced redraw
+    s = _tiled_structure(kind, 1)
+    live, outs = [], []
+    profile = type(s).profile
+
+    def tracked(self, G):
+        p = profile(self, G)
+        live.append(weakref.ref(p.nu))
+        return p
+
+    def checked(seed, *path):
+        assert all(ref() is None for ref in live), path
+        return _RecordingStream(stream(seed, *path), outs)
+
+    monkeypatch.setattr(type(s), "profile", tracked)
+    monkeypatch.setattr(geometry, "stream", checked)
+    monkeypatch.setattr(geometry, "BRACKET", 0.0)
+    mc = McConfig(samples=300, seed=1, chunk=64)
+    geometry.estimate(s, mc, [0.5, 1.0], cone=True, optimal=True)
+    assert len(outs) == 10  # five chunks, drawn twice
+    for drawn in (outs[:5], outs[5:]):  # one buffer a pass
+        assert all(np.shares_memory(out, drawn[0]) for out in drawn)
 
 
 def test_mc_config_counts():

@@ -1,6 +1,14 @@
 import numpy as np
 import pytest
-from oracles import block_at, lowrank_at, same_subdifferential, signed_support_at
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    block_at,
+    lowrank_at,
+    lowrank_profile_whole,
+    same_subdifferential,
+    signed_support_at,
+)
 
 from proxmse import geometry, signals
 from proxmse.errors import InvalidStructureError
@@ -218,3 +226,22 @@ def test_min_magnitude():
     inst = signals.make_low_rank(6, 2, seed=5)
     sv = np.linalg.svd(signals.as_matrix(inst.values, 6), compute_uv=False)
     assert inst.min_magnitude() == pytest.approx(sv[1])
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**20), shape=st.sampled_from([(12, 4), (16, 16), (20, 1), (30, 4)]))
+def test_lowrank_profile_blocks_match_whole_stack(seed, shape):
+    # the row-blocked profile against one pass over the whole stack, at
+    # sample counts around the block size and at blocks of one and three matrices
+    d, r = shape
+    s = signals.make_low_rank(d, r, seed=seed).structure
+    rng = np.random.default_rng(seed)
+    block = signals.PROFILE_BLOCK // (d * d)
+    for entries in (signals.PROFILE_BLOCK, d * d, 3 * d * d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(signals, "PROFILE_BLOCK", entries)
+            for n in (1, block - 1, block, block + 1, 2 * block + 3):
+                G = rng.standard_normal((n, d * d))
+                p = s.profile(G)
+                for got, want in zip((p.c0, p.c1, p.nu), lowrank_profile_whole(s, G)):
+                    assert got.shape == want.shape and np.array_equal(got, want), (entries, n)
