@@ -25,20 +25,20 @@ lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
 sort-and-threshold l1-ball projection), rise to the smallest minimizer without
 passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
 
-``estimate`` computes every Monte Carlo estimate in one loop, sweeping each
-chunk's thresholds once per lam and once per Newton pass. A 4096-sample chunk
-of sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
-``_chunks`` hands a chunk's profile out in row tiles of about ``TILE``
-thresholds (1 MB), and each tile takes all its passes while it is cached. A
-sample's arithmetic in a tile is the one it gets in its whole chunk, given the
-rule on a tile's row count that ``_chunks`` keeps, so no result bit moves.
+``estimate`` computes every Monte Carlo estimate in one loop, sweeping the
+thresholds once per lam and once per Newton pass. A 4096-sample chunk of
+sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
+``_chunks`` draws and profiles each chunk in row tiles of about ``TILE``
+drawn entries (1 MB), and each tile takes all its passes while it is cached.
+Every profile computes a sample's row from that sample alone, so no result
+bit depends on the tile a sample lands in.
 
-Memory follows the chunk, not the sample count. ``_chunks`` draws every
-chunk into one reused buffer and releases a chunk's profile before it draws
-the next. The pooled minimiser lam* of the sample mean keeps chunk 0's
-profile only until that chunk's own minimiser lam0 is known; from then on it
-keeps a bracket around lam0 (``_PooledMinimum``): a few sums per sample and
-the clip thresholds inside the bracket.
+Memory follows the chunk, plus a few numbers per sample. ``_chunks`` reuses
+one draw buffer and one clip buffer for the whole call. The pooled minimiser
+lam* of the sample mean keeps chunk 0's profile only until that chunk's own
+minimiser lam0 is known; from then on it keeps a bracket around lam0
+(``_PooledMinimum``): a few sums per sample and the clip thresholds inside
+the bracket.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .errors import BoundNotValidError, InvalidStructureError, NumericalError, r
 from .signals import ScaleProfile, SignalStructure, as_vector
 from .streams import stream
 
-# clip thresholds per row tile of a chunk's profile: 1 MB of float64, which
-# stays in a 2 MB L2 cache while an estimator sweeps the tile many times
+# drawn entries per row tile: 1 MB of float64, whose profile stays in a 2 MB
+# L2 cache while an estimator sweeps the tile many times
 TILE = 1 << 17
 # half-width of the pooled minimiser's bracket around chunk 0's own minimiser,
 # relative to it; a bracket that misses lam* costs one more pass over the samples
@@ -87,6 +87,8 @@ class McConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.samples < 2:
             raise ValueError("need at least 2 Monte Carlo samples")
+        if self.samples > 2**31 - 1:  # the pooled minimiser keeps sample indices as int32
+            raise ValueError(f"at most 2**31 - 1 Monte Carlo samples, got {self.samples}")
         if self.seed < 0:  # streams take no negative seed, so fail here, not at the first draw
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.chunk < 1:
@@ -306,7 +308,8 @@ class _PooledMinimum:
             t *= p.w
         self.s2[rows] = t.sum(axis=1)
         i, j = np.nonzero((p.nu > self.a) & (p.nu <= self.b))
-        self.kept.append((p.nu[i, j], start + i, None if p.w is None else p.w[j]))
+        self.kept.append((p.nu[i, j], (start + i).astype(np.int32),
+                          None if p.w is None else p.w[j]))
 
     def _close(self) -> None:
         """Join the kept thresholds and total the per-sample sums."""
@@ -390,30 +393,24 @@ class _PooledMinimum:
 def _chunks(s: SignalStructure, mc: McConfig):
     """Yield (start, profile, clip buffer) over row tiles of the sample streams.
 
-    Chunk i draws from stream (seed, i) into one buffer that every chunk of
-    the call reuses (no profile shares memory with its draw), is profiled
-    whole, and is yielded in views of about ``TILE`` thresholds, each with a
-    contiguous view of one buffer laid out like nu (strided views made a
-    31-lam curve 1.7x slower). A one-row remainder joins the tile before it,
-    so that no result bit moves: the l1 classes' nu is column-major (it comes
-    from G[:, pos]), and numpy sums a row of a column-major block column by
-    column, a lone row pairwise. A chunk's profile is released before the
-    next chunk is drawn, as long as the caller keeps no tile either.
+    Chunk i draws from stream (seed, i) a tile of rows at a time, about
+    ``TILE`` entries, into one buffer that the whole call reuses (no profile
+    shares memory with its draw); rows drawn in consecutive blocks are bitwise
+    those of one whole-chunk draw. Each tile is profiled on its own (every
+    profile is row-independent) and yielded with a view of one clip buffer
+    laid out like nu. Memory is set by the tile, as long as the caller keeps
+    no tile.
     """
-    draws = np.empty((min(mc.chunk, mc.samples), s.ambient_dim))
+    rows = min(max(1, TILE // s.ambient_dim), mc.chunk, mc.samples)
+    draws, clips = np.empty((rows, s.ambient_dim)), None
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
-        G = draws[:min(mc.chunk, mc.samples - start)]
-        p = s.profile(stream(mc.seed, ci).standard_normal(out=G))
-        n, j = p.nu.shape
-        rows = max(2, TILE // max(j, 1))
-        if ci == 0:  # the first chunk is the longest, so it holds the largest tile
-            buf = np.empty(p.nu[:rows + 1].size)
-        order = "F" if p.nu.flags.f_contiguous else "C"
-        for lo in range(0, max(n - 1, 1), rows):  # no tile but the first starts on the last row
-            hi = n if n - lo <= rows + 1 else lo + rows
-            yield (start + lo, ScaleProfile(p.c0[lo:hi], p.c1[lo:hi], p.c2, p.nu[lo:hi], p.w),
-                   buf[:(hi - lo) * j].reshape((hi - lo, j), order=order))
-        del p
+        rng, end = stream(mc.seed, ci), min(start + mc.chunk, mc.samples)
+        for lo in range(start, end, rows):
+            p = s.profile(rng.standard_normal(out=draws[:min(rows, end - lo)]))
+            if clips is None:
+                clips = np.empty((rows, p.nu.shape[1]))
+            yield lo, p, clips[:p.c0.size]
+            del p  # freed before the next draw, once the caller drops it too
 
 
 def mean_stderr(values) -> tuple[float, float]:
@@ -467,12 +464,12 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
             minima[start:start + p.c0.size] = _cone_argmin(p, t, start)[1]
         if optimal:
             tuned.add(start, p, t)
-        del p, t  # so that a chunk's profile is freed before the next draw
-    return Estimates(
-        [MsdEstimate(*mean_stderr(v), v.size, lam)
-         for v, lam in zip(np.concatenate(blocks, axis=1), lams)],
-        MsdEstimate(*mean_stderr(minima), minima.size) if cone else None,
-        tuned.result() if optimal else None)
+        del p, t  # so that a tile's profile is freed before the next one is drawn
+    curve = [MsdEstimate(*mean_stderr(v), v.size, lam)
+             for v, lam in zip(np.concatenate(blocks, axis=1), lams)]
+    del blocks  # before the pooled minimiser's bracket closes, which may draw again
+    return Estimates(curve, MsdEstimate(*mean_stderr(minima), minima.size) if cone else None,
+                     tuned.result() if optimal else None)
 
 
 def msd_lambda(s: SignalStructure, lam: float, mc: McConfig) -> MsdEstimate:

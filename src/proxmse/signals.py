@@ -37,9 +37,6 @@ from .streams import stream
 SUPPORT_TOL = 1e-12
 RANK_TOL = 1e-10
 ORTHO_TOL = 1e-10
-# matrix entries per row block of the low-rank profile: each of its (rows, d, d)
-# temporaries holds about 1 MB of float64, not a whole chunk's worth
-PROFILE_BLOCK = 1 << 17
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -50,7 +47,11 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
 
 @dataclass
 class ScaleProfile:
-    """Per-sample coefficients of dist^2 as a function of lam (see geometry's module doc)."""
+    """Per-sample coefficients of dist^2 as a function of lam (see geometry's module doc).
+
+    Every ``profile`` computes a row from its own sample alone, in C order, so
+    a sample's coefficients carry the same bits whatever rows it comes with.
+    """
 
     c0: np.ndarray          # (N,)
     c1: np.ndarray          # (N,)
@@ -132,7 +133,7 @@ class _SignedSupport(_Structure):
         """Support coordinates pin to lam*w*sign, the others clip at lam*w;
         zero-weight coordinates off the support count in full."""
         w = self.coordinate_weights
-        gs = G[:, self.support]
+        gs = np.take(G, self.support, axis=1)
         ws = w[self.support]
         mask = np.ones(self.n, dtype=bool)
         mask[self.support] = False
@@ -140,13 +141,13 @@ class _SignedSupport(_Structure):
         pos = off_idx[w[off_idx] > 0]
         zero = off_idx[w[off_idx] == 0]
         unit = np.all(w[pos] == 1.0)
-        nu = G[:, pos]    # the fancy index copies, so take |.| in place
+        nu = np.take(G, pos, axis=1)    # a row-major copy, so take |.| in place
         np.abs(nu, out=nu)
         if not unit:
             nu /= w[pos]
         return ScaleProfile(
-            c0=(gs ** 2).sum(axis=1) + (G[:, zero] ** 2).sum(axis=1),
-            c1=gs @ (ws * self.signs),
+            c0=(gs ** 2).sum(axis=1) + (np.take(G, zero, axis=1) ** 2).sum(axis=1),
+            c1=(gs * (ws * self.signs)).sum(axis=1),
             c2=float((ws ** 2).sum()),
             nu=nu,
             w=None if unit else w[pos] ** 2,
@@ -292,13 +293,13 @@ class BlockSparseStructure(_Structure):
 
     def profile(self, G: np.ndarray) -> ScaleProfile:
         blocks = G.reshape(G.shape[0], self.t, self.b)
-        ga = blocks[:, self.active, :]
+        ga = np.take(blocks, self.active, axis=1)
         inactive = np.setdiff1d(np.arange(self.t), self.active)
         return ScaleProfile(
             c0=(ga ** 2).sum(axis=(1, 2)),
-            c1=np.einsum("nkb,kb->n", ga, self.directions),
+            c1=(ga * self.directions).sum(axis=(1, 2)),
             c2=float(self.k),
-            nu=np.linalg.norm(blocks[:, inactive, :], axis=2),
+            nu=np.linalg.norm(np.take(blocks, inactive, axis=1), axis=2),
             w=None,
         )
 
@@ -377,32 +378,23 @@ class LowRankStructure(_Structure):
         return _complement_basis(self.u), _complement_basis(self.v)
 
     def profile(self, G: np.ndarray) -> ScaleProfile:
-        """The matrices in row blocks of about ``PROFILE_BLOCK`` entries, so each
-        (rows, d, d) temporary stays near 1 MB; a sample's arithmetic is the
-        same in any block, so c0, c1 and nu equal the whole-stack formula's."""
-        n_samp = G.shape[0]
-        d, r = self.d, self.r
+        n_samp, d, r = G.shape[0], self.d, self.r
         mats = as_matrix(G, d)
-        uvt = self.u @ self.v.T
-        c0, c1, nu = np.empty(n_samp), np.empty(n_samp), np.empty((n_samp, d - r))
-        rows = max(1, PROFILE_BLOCK // (d * d))
-        for lo in range(0, n_samp, rows):
-            block = slice(lo, lo + rows)
-            m = mats[block]
-            c1[block] = np.einsum("nij,ij->n", m, uvt)
-            c0[block] = (m ** 2).sum(axis=(1, 2))
-            if r < d:
-                uperp, vperp = self.complements
-                b = (uperp.T @ m) @ vperp
-                try:
-                    nu[block] = np.linalg.svd(b, compute_uv=False)
-                except np.linalg.LinAlgError:
-                    # LAPACK takes no NaN or inf: such a sample keeps NaN thresholds
-                    # (its c0 is not finite either), and geometry reports its index
-                    finite = np.isfinite(b).all(axis=(1, 2))
-                    nu[block] = np.nan
-                    nu[block][finite] = np.linalg.svd(b[finite], compute_uv=False)
-                c0[block] -= (b ** 2).sum(axis=(1, 2))
+        c0 = (mats ** 2).sum(axis=(1, 2))
+        c1 = np.einsum("nij,ij->n", mats, self.u @ self.v.T)
+        nu = np.zeros((n_samp, 0))
+        if r < d:
+            uperp, vperp = self.complements
+            b = (uperp.T @ mats) @ vperp
+            try:
+                nu = np.linalg.svd(b, compute_uv=False)
+            except np.linalg.LinAlgError:
+                # LAPACK takes no NaN or inf: such a sample keeps NaN thresholds
+                # (its c0 is not finite either), and geometry reports its index
+                finite = np.isfinite(b).all(axis=(1, 2))
+                nu = np.full((n_samp, d - r), np.nan)
+                nu[finite] = np.linalg.svd(b[finite], compute_uv=False)
+            c0 -= (b ** 2).sum(axis=(1, 2))
         return ScaleProfile(c0=c0, c1=c1, c2=float(r), nu=nu, w=None)
 
     def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:

@@ -103,19 +103,6 @@ def soft_tail_moment_quadrature(lam):
     return 2.0 * math.exp(-0.5 * lam * lam) / math.sqrt(2.0 * math.pi) * val
 
 
-def lowrank_profile_whole(s, G):
-    """(c0, c1, nu) of ``LowRankStructure.profile`` computed on the whole stack
-    at once, as it was before the profile went through row blocks."""
-    mats = signals.as_matrix(G, s.d)
-    c1 = np.einsum("nij,ij->n", mats, s.u @ s.v.T)
-    if s.r == s.d:
-        return (mats ** 2).sum(axis=(1, 2)), c1, np.zeros((G.shape[0], 0))
-    uperp, vperp = s.complements
-    b = (uperp.T @ mats) @ vperp
-    nu = np.linalg.svd(b, compute_uv=False)
-    return (mats ** 2).sum(axis=(1, 2)) - (b ** 2).sum(axis=(1, 2)), c1, nu
-
-
 def whole_chunk_estimates(s, lams, mc):
     """``msd_lambda_curve``, ``msd_cone`` and ``optimal_lambda`` over undivided
     chunk profiles, as they ran before the profiles were cut into row tiles:

@@ -339,15 +339,17 @@ def test_optimal_lambda_dense_case_closed_form():
 
 
 class _PoisonedStream:
-    """A chunk stream whose draw holds ``value`` at one (row, column)."""
+    """A chunk stream whose draw holds ``value`` at one (row, column) of the
+    chunk, in whatever row blocks the chunk is drawn."""
 
     def __init__(self, rng, row, col, value):
         self._rng, self._row, self._col, self._value = rng, row, col, value
 
     def standard_normal(self, *, out):
         self._rng.standard_normal(out=out)
-        if self._row < out.shape[0]:
+        if 0 <= self._row < out.shape[0]:
             out[self._row, self._col] = self._value
+        self._row -= out.shape[0]  # the row's offset from the next block
         return out
 
 
@@ -355,8 +357,7 @@ def test_non_finite_profile_surfaces_with_index(monkeypatch):
     # sample 5 of the second 32-sample chunk is sample 37 overall; the bad
     # draw sits on the support (c0, c1) or off it (a clip threshold nu), or
     # in a matrix whose complement part LAPACK would refuse.
-    # With TILE = 1 the chunks split into 2-row tiles, and 37 lies in the
-    # third tile of its chunk.
+    # With TILE = 1 every row is drawn and profiled on its own.
     sparse = signals.make_sparse(10, 2, seed=1).structure
     lowrank = signals.make_low_rank(4, 1, seed=1).structure
     cases = [(sparse, int(sparse.support[0])),
@@ -389,10 +390,10 @@ def _tiled_structure(kind: str, seed: int):
     return signals.make_low_rank(12, 2, seed=seed).structure
 
 
-# (samples, chunk): one tile, chunks of several tiles, a one-row remainder
-# folded into the tile before it, a one-row final chunk, one-row chunks, and
-# chunks long enough that adding the pooled sums per tile would round them
-# differently from per chunk
+# (samples, chunk): one tile, chunks of several tiles, chunks that end in a
+# one-row tile, a one-row final chunk, one-row chunks, and chunks long enough
+# that adding the pooled sums per tile would round them differently from per
+# chunk
 TILE_LAYOUTS = [(5, 4096), (2, 4096), (37, 16), (27, 13), (33, 16), (6, 1), (300, 64)]
 
 
@@ -405,16 +406,14 @@ def test_row_tiles_match_whole_chunks(kind, seed):
     # sums round differently from the oracle's pooled Newton: it matches the
     # oracle to a relative 1e-12, and itself bit for bit across tilings.
     s = _tiled_structure(kind, seed)
-    j = s.profile(np.zeros((1, s.ambient_dim))).nu.shape[1]
     lams = [0.0, 0.7, 1.5, 3.0]
     for samples, chunk in TILE_LAYOUTS:
         mc = McConfig(samples=samples, seed=seed, chunk=chunk)
         curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
         optima = []
-        # rows = 0 leaves TILE = 1, which the 2-row minimum takes over
-        for rows in (0, 4, 5, 7, 8):
+        for rows in (1, 4, 5, 7, 8):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(geometry, "TILE", max(1, rows * j))
+                mp.setattr(geometry, "TILE", rows * s.ambient_dim)
                 got = (geometry.msd_lambda_curve(s, lams, mc), geometry.msd_cone(s, mc),
                        geometry.optimal_lambda(s, mc))
                 one_pass = geometry.estimate(s, mc, lams, cone=True, optimal=True)
@@ -769,6 +768,30 @@ def test_one_chunk_alive_at_each_draw(monkeypatch, kind):
         assert all(np.shares_memory(out, drawn[0]) for out in drawn)
 
 
+def test_draws_are_tile_sized(monkeypatch):
+    # each chunk is drawn a tile at a time: no draw holds more than TILE
+    # entries (one row, if a row is longer), and a stream's rows add up to its chunk
+    cases = [(signals.make_sparse(500, 20, seed=1).structure, None, 9000, 4096),
+             (_tiled_structure("sparse", 1), 7 * 40 + 3, 300, 64),
+             (_tiled_structure("lowrank", 1), 100, 50, 16)]
+    for s, tile, samples, chunk in cases:
+        if tile is not None:
+            monkeypatch.setattr(geometry, "TILE", tile)
+        drawn = []
+
+        def recorded(seed, ci):
+            drawn.append((ci, []))
+            return _RecordingStream(stream(seed, ci), drawn[-1][1])
+
+        monkeypatch.setattr(geometry, "stream", recorded)
+        geometry.estimate(s, McConfig(samples=samples, seed=1, chunk=chunk), [1.0], cone=True,
+                          optimal=True)
+        assert drawn
+        for ci, outs in drawn:
+            assert all(out.size <= max(geometry.TILE, s.ambient_dim) for out in outs), ci
+            assert sum(out.shape[0] for out in outs) == min(chunk, samples - ci * chunk), ci
+
+
 def test_mc_config_counts():
     mc = McConfig(samples=np.int64(1000), seed=np.uint32(1), chunk=np.int16(100))
     assert (mc.samples, mc.seed, mc.chunk) == (1000, 1, 100)
@@ -777,3 +800,5 @@ def test_mc_config_counts():
         McConfig(samples=1, seed=1)
     with pytest.raises(ValueError, match="positive"):
         McConfig(samples=10, seed=1, chunk=0)
+    with pytest.raises(ValueError, match="at most"):  # the largest int32 sample index
+        McConfig(samples=2**31, seed=1)

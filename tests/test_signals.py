@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from oracles import (
     block_at,
     lowrank_at,
-    lowrank_profile_whole,
     same_subdifferential,
     signed_support_at,
 )
@@ -228,20 +227,40 @@ def test_min_magnitude():
     assert inst.min_magnitude() == pytest.approx(sv[1])
 
 
-@settings(max_examples=8, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**20), shape=st.sampled_from([(12, 4), (16, 16), (20, 1), (30, 4)]))
-def test_lowrank_profile_blocks_match_whole_stack(seed, shape):
-    # the row-blocked profile against one pass over the whole stack, at
-    # sample counts around the block size and at blocks of one and three matrices
-    d, r = shape
-    s = signals.make_low_rank(d, r, seed=seed).structure
+@st.composite
+def _any_structure(draw):
+    """A structure of any class, from one-entry rows to rows long enough that numpy
+    sums them pairwise."""
+    seed = draw(st.integers(0, 2**20))
+    kind = draw(st.sampled_from(["sparse", "weighted", "block", "lowrank"]))
+    if kind == "lowrank":
+        d = draw(st.integers(1, 24))
+        return signals.make_low_rank(d, draw(st.integers(1, d)), seed=seed).structure
+    if kind == "block":
+        t = draw(st.integers(1, 40))
+        return signals.make_block_sparse(t, draw(st.integers(1, 12)), draw(st.integers(1, t)),
+                                         seed=seed).structure
+    n = draw(st.integers(1, 400))
+    k = draw(st.integers(1, n))
+    if kind == "sparse":
+        return signals.make_sparse(n, k, seed=seed).structure
+    regions = draw(st.integers(1, 4))
     rng = np.random.default_rng(seed)
-    block = signals.PROFILE_BLOCK // (d * d)
-    for entries in (signals.PROFILE_BLOCK, d * d, 3 * d * d):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(signals, "PROFILE_BLOCK", entries)
-            for n in (1, block - 1, block, block + 1, 2 * block + 3):
-                G = rng.standard_normal((n, d * d))
-                p = s.profile(G)
-                for got, want in zip((p.c0, p.c1, p.nu), lowrank_profile_whole(s, G)):
-                    assert got.shape == want.shape and np.array_equal(got, want), (entries, n)
+    # a zero weight puts its off-support coordinates into c0, not into nu
+    weights = rng.choice([0.0, 0.5, 1.0, 2.0], size=regions)
+    return signals.make_weighted_sparse(n, k, rng.integers(0, regions, size=n), weights,
+                                        seed=seed).structure
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(s=_any_structure(), n=st.integers(1, 300), seed=st.integers(0, 2**20))
+def test_profiles_are_row_independent(s, n, seed):
+    # a sample's c0, c1 and nu carry the same bits in any stack of rows, down
+    # to the one-row stack, so geometry may profile its draws a tile at a time
+    G = np.random.default_rng(seed).standard_normal((n, s.ambient_dim))
+    p = s.profile(G)
+    rows = [s.profile(G[i:i + 1]) for i in range(n)]
+    assert p.nu.flags.c_contiguous
+    for name in ("c0", "c1", "nu"):
+        assert np.array_equal(getattr(p, name), np.concatenate([getattr(q, name) for q in rows])), \
+            name

@@ -30,10 +30,9 @@ JOBS = {
     **{f"msd_{s.split(':')[0]}": ["msd", "--structure", s, "--lambda-grid", "0:0.5:3",
                                   "--cone", "--samples", "20000", "--format", "json",
                                   "--seed", "1"] for s in STRUCTURES},
-    # geometry cuts a chunk of sparse:500:20 (480 clip thresholds a sample)
-    # into 273-row tiles: 4353 = 15 * 273 + 258 ends each chunk in a short
-    # tile, and 8707 = 2 * 4353 + 1 leaves a one-sample last chunk (the tests
-    # fold one-row remainders by shrinking the tiles)
+    # geometry draws a chunk of sparse:500:20 (500 entries a sample) in
+    # 262-row tiles: 4353 = 16 * 262 + 161 ends each chunk in a short tile,
+    # and 8707 = 2 * 4353 + 1 leaves a one-sample last chunk
     "msd_sparse_tiles": ["msd", "--structure", "sparse:500:20", "--lambda-grid", "0:0.5:3",
                          "--cone", "--samples", "8707", "--chunk", "4353", "--format", "json",
                          "--seed", "1"],
