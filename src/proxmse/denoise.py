@@ -13,6 +13,10 @@ Three estimators of a structured signal x0 from y = x0 + sigma*v:
 Small sigma exposes the worst case: the default grid spans 1e-3 to 1 times
 the smallest structural feature of x0 so the first grid point sits deep in
 the regime where the first-order approximation is exact.
+
+Each noise level draws its trials' noise vectors v as consecutive rows of
+one stream keyed (seed, sigma index), the layout the Monte Carlo chunks of
+:mod:`proxmse.geometry` use, so a run makes one stream per noise level.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prox
-from .errors import InvalidStructureError, NumericalError, require_nonneg
+from .errors import InvalidStructureError, NumericalError, require_int, require_nonneg
 from .geometry import mean_stderr
 from .signals import SignalInstance, SparseStructure
-from .streams import NormalRows, keys, stream
+from .streams import stream
 
 RESIDUAL_TOL = 1e-8
 # trials stacked into one estimator call: the per-call cost of numpy is paid
@@ -58,8 +62,12 @@ def default_sigma_grid(inst: SignalInstance, points: int = 8) -> np.ndarray:
 
 
 def trial_noise(seed: int, sigma_index: int, trial_index: int, dim: int) -> np.ndarray:
-    """The standard normal draw used by trial (sigma_index, trial_index)."""
-    return stream(seed, sigma_index, trial_index).standard_normal(dim)
+    """The standard normal draw used by trial (sigma_index, trial_index).
+
+    It is row ``trial_index`` of the noise level's stream ``(seed,
+    sigma_index)``, whose rows the trials draw in order.
+    """
+    return stream(seed, sigma_index).standard_normal((trial_index + 1, dim))[trial_index]
 
 
 def _check_grid(sigma_grid) -> np.ndarray:
@@ -75,11 +83,11 @@ def _run(inst: SignalInstance, lam: float | None, sigma_grid, trials: int, seed:
          estimate, distance=None) -> DenoiseRun:
     """The trial loop of every estimator, BLOCK trials per call.
 
-    A block stacks the draws v = ``trial_noise(seed, si, ti, n)`` of its
-    trials as rows, so every trial sees the draw it would see alone. They
-    are drawn from the trials' stream keys, computed once per sigma, into
-    one (BLOCK, n) buffer, and y into another, so memory is
-    O(BLOCK * n + trials). ``estimate(Y, sigma)`` gets the rows
+    Noise level si draws its trials' v as consecutive rows of the one
+    stream ``(seed, si)``, so trial ti sees ``trial_noise(seed, si, ti, n)``
+    whatever the block size. A block's rows are drawn into one (BLOCK, n)
+    buffer, and y into another, so memory is O(BLOCK * n + trials).
+    ``estimate(Y, sigma)`` gets the rows
     y = x0 + sigma*v in the layout of :func:`proxmse.signals.split` (the
     structure's ``layout``: (B, n) vectors, or (B, d, d) matrices for low
     rank) and returns the estimates of x0 in that layout and each row's
@@ -88,20 +96,19 @@ def _run(inst: SignalInstance, lam: float | None, sigma_grid, trials: int, seed:
     ``distance(V)``, when given, returns one value per row of the (B, n)
     draws, recorded beside the NMSE.
     """
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
+    trials = require_int(trials, "trials", 2)
     grid = _check_grid(sigma_grid)
     x0 = inst.values
-    draws = NormalRows(min(trials, BLOCK), inst.ambient_dim)
-    Y = np.empty((min(trials, BLOCK), inst.ambient_dim))
+    draws = np.empty((min(trials, BLOCK), inst.ambient_dim))
+    Y = np.empty_like(draws)
     records = []
     for si, sigma in enumerate(grid):
         nmse, dvals = [], []
-        # path (si, ti): the stream trial_noise draws from
-        trial_keys = keys(seed, np.column_stack((np.full(trials, si), np.arange(trials))))
+        rng = stream(seed, si)
         for start in range(0, trials, BLOCK):
             block = range(start, min(start + BLOCK, trials))
-            V = draws.draw(trial_keys[start:start + BLOCK])
+            V = draws[:len(block)]
+            rng.standard_normal(out=V)
             # the buffers are overwritten by the next block, which starts only
             # after this one's NMSE and distances have been taken
             y = Y[:len(block)]

@@ -1,6 +1,7 @@
-"""Exception types and the scalar check shared across the package."""
+"""Exception types and the scalar checks shared across the package."""
 
 import math
+import operator
 
 
 class InvalidStructureError(ValueError):
@@ -32,4 +33,21 @@ def require_nonneg(value, name: str) -> float:
     value = float(value)
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int (numpy integers included) of at least ``minimum``.
+
+    A bool, a float or any other non-integer raises TypeError instead of
+    being truncated; a value below ``minimum`` raises ValueError.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value

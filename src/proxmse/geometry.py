@@ -44,12 +44,12 @@ the bracket.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundNotValidError, InvalidStructureError, NumericalError, require_nonneg
+from .errors import (BoundNotValidError, InvalidStructureError, NumericalError, require_int,
+                     require_nonneg)
 from .signals import ScaleProfile, SignalStructure, as_vector
 from .streams import stream
 
@@ -76,23 +76,12 @@ class McConfig:
 
     def __post_init__(self):
         # each count must be an integer (numpy integers included): a float
-        # or a bool is rejected here, not truncated or failed on later
-        for name in ("samples", "seed", "chunk"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        if self.samples < 2:
-            raise ValueError("need at least 2 Monte Carlo samples")
+        # or a bool is rejected here, not truncated or failed on later; the
+        # seed is checked here, not at the first draw
+        for name, minimum in (("samples", 2), ("seed", 0), ("chunk", 1)):
+            object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
         if self.samples > 2**31 - 1:  # the pooled minimiser keeps sample indices as int32
             raise ValueError(f"at most 2**31 - 1 Monte Carlo samples, got {self.samples}")
-        if self.seed < 0:  # streams take no negative seed, so fail here, not at the first draw
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.chunk < 1:
-            raise ValueError("chunk must be positive")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RunQualityError, require_nonneg
+from .errors import NumericalError, RunQualityError, require_int, require_nonneg
 from .geometry import McConfig, mean_stderr, msd_cone
 from .prox import BallSpec, ball_for
 from .signals import SignalInstance, haar_columns
@@ -71,8 +71,7 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
+        object.__setattr__(self, "max_iters", require_int(self.max_iters, "max_iters", 1))
         require_nonneg(self.cost_floor, "cost_floor")
 
 
@@ -283,8 +282,7 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
         raise ValueError("m grid must be sorted strictly ascending")
     if m_grid and not (1 <= m_grid[0] and m_grid[-1] <= n):
         raise ValueError(f"need 1 <= m <= n = {n}, got m grid {m_grid}")
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
+    trials = require_int(trials, "trials", 2)
     sigma = default_sigma(inst) if sigma is None else sigma
     if not (sigma > 0 and math.isfinite(sigma)):
         raise ValueError(f"sigma must be finite and positive, got {sigma!r}")

@@ -266,27 +266,34 @@ def test_denoise_mixed_fills_reference(tmp_path):
 
 @pytest.fixture
 def noise_draws(monkeypatch):
-    """The stream key of every trial noise row the denoise trial loop draws while
-    the test runs."""
+    """The path of every stream the denoise trial loop makes while the test
+    runs, each with the number of noise rows drawn from it."""
     draws = []
 
-    class CountingRows(streams.NormalRows):
-        def draw(self, row_keys):
-            draws.extend(map(tuple, row_keys.tolist()))
-            return super().draw(row_keys)
+    class CountingStream:
+        def __init__(self, rng, rows):
+            self._rng, self._rows = rng, rows
 
-    monkeypatch.setattr(denoise, "NormalRows", CountingRows)
+        def standard_normal(self, *, out):
+            self._rows[1] += len(out)
+            return self._rng.standard_normal(out=out)
+
+    def counted(seed, *path):
+        draws.append([path, 0])
+        return CountingStream(streams.stream(seed, *path), draws[-1])
+
+    monkeypatch.setattr(denoise, "stream", counted)
     return draws
 
 
 def test_noise_draws_sees_every_trial_of_a_denoise_job(tmp_path, noise_draws):
-    # the control for the tests below that expect no draws
+    # the control for the tests below that expect no draws: 70 trials are a
+    # full block and a partial one, both drawn from their noise level's stream
     code = run_cli(["denoise", "--structure", "sparse:30:3", "--seed", "4",
                     "--estimator", "constrained", "--sigma-grid", "0.01:0.01:0.03",
                     "--trials", "70", "--output", str(tmp_path / "d.csv")])
     assert code == 0
-    paths = [(si, ti) for si in range(3) for ti in range(70)]
-    assert noise_draws == [tuple(k) for k in streams.keys(4, paths).tolist()]
+    assert noise_draws == [[(si,), 70] for si in range(3)]
 
 
 @pytest.mark.parametrize("estimator, samples", [

@@ -153,6 +153,13 @@ def test_grid_validation():
         denoise.run_regularized(inst, 1.0, [0.1], 1, seed=1)
 
 
+@pytest.mark.parametrize("trials", [2.5, 3.0, True])
+def test_non_integral_trials_raise_type_error(trials):
+    inst = signals.make_sparse(10, 2, seed=1)
+    with pytest.raises(TypeError, match="trials"):
+        denoise.run_regularized(inst, 1.0, [0.1], trials, seed=1)
+
+
 def test_uncertified_trial_fails_closed():
     # a NaN residual compares False with the tolerance; the check must still fail
     inst = signals.make_sparse(10, 2, seed=1)

@@ -798,7 +798,7 @@ def test_mc_config_counts():
     assert all(type(v) is int for v in (mc.samples, mc.seed, mc.chunk))
     with pytest.raises(ValueError, match="at least 2"):
         McConfig(samples=1, seed=1)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="chunk must be at least 1"):
         McConfig(samples=10, seed=1, chunk=0)
     with pytest.raises(ValueError, match="at most"):  # the largest int32 sample index
         McConfig(samples=2**31, seed=1)

@@ -225,15 +225,24 @@ def test_solver_l1_face_solution_and_kkt(n, extra, seed, frac, noise):
     assert np.all(np.delete(np.abs(g), support) <= lam * (1 + 1e-6))
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"step": 0.0}, {"step": -1.0}, {"step": float("nan")}, {"step": float("inf")},
-    {"max_iters": 0}, {"max_iters": -3},
-], ids=["step-zero", "step-negative", "step-nan", "step-inf", "iters-zero", "iters-negative"])
-def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs):
+@pytest.mark.parametrize("kwargs, error", [
+    ({"step": 0.0}, ValueError), ({"step": -1.0}, ValueError),
+    ({"step": float("nan")}, ValueError), ({"step": float("inf")}, ValueError),
+    ({"max_iters": 0}, ValueError), ({"max_iters": -3}, ValueError),
+    ({"max_iters": 2.5}, TypeError), ({"max_iters": 3.0}, TypeError),
+    ({"max_iters": True}, TypeError),
+], ids=["step-zero", "step-negative", "step-nan", "step-inf", "iters-zero", "iters-negative",
+        "iters-fraction", "iters-float", "iters-bool"])
+def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs, error):
     # a zero step stopped at once at the start, marked converged; a NaN step
-    # ran to the iteration cap
-    with pytest.raises(ValueError):
+    # ran to the iteration cap; max_iters=2.5 ran 3 iterations and True ran 1
+    with pytest.raises(error):
         lasso.SolverConfig(**kwargs)
+
+
+def test_solver_config_keeps_numpy_iteration_cap_as_int():
+    cfg = lasso.SolverConfig(max_iters=np.int64(40))
+    assert cfg.max_iters == 40 and type(cfg.max_iters) is int
 
 
 def test_complement_projector_is_the_orthogonal_projector():
@@ -428,6 +437,20 @@ def test_sweep_validation_and_reproducibility():
     assert recs1[1].predicted_eta == pytest.approx(15.0)
 
 
+@pytest.fixture
+def cone_calls(monkeypatch):
+    """The arguments of every cone Monte Carlo the sweep runs while the test runs."""
+    calls = []
+    cone = lasso.msd_cone
+
+    def counting_cone(*args, **kw):
+        calls.append(args)
+        return cone(*args, **kw)
+
+    monkeypatch.setattr(lasso, "msd_cone", counting_cone)
+    return calls
+
+
 @pytest.mark.parametrize("kwargs", [
     {"trials": 1},
     {"matrix_kind": "haar"},
@@ -440,20 +463,22 @@ def test_sweep_validation_and_reproducibility():
     {"d_reference": -5.0},
 ], ids=["trials", "matrix-kind", "sigma", "m-range", "m-fraction", "m-inf", "d-reference-nan",
         "d-reference-inf", "d-reference-negative"])
-def test_sweep_validates_before_cone_monte_carlo(monkeypatch, kwargs):
-    calls = []
-
-    def counting_cone(*args, **kw):
-        calls.append(args)
-        return cone(*args, **kw)
-
-    cone = lasso.msd_cone
-    monkeypatch.setattr(lasso, "msd_cone", counting_cone)
+def test_sweep_validates_before_cone_monte_carlo(cone_calls, kwargs):
     inst = signals.make_sparse(500, 20, "unit", seed=1)
     args = {"m_grid": [40, 80], "trials": 2, "seed": 1, **kwargs}
     with pytest.raises(ValueError):
         lasso.sweep_measurements(inst, **args)
-    assert calls == []
+    assert cone_calls == []
+
+
+@pytest.mark.parametrize("trials", [2.5, 3.0, True])
+def test_sweep_rejects_non_integral_trials_before_cone_monte_carlo(cone_calls, trials):
+    # trials=2.5 once passed the checks and failed in range() only after the
+    # 20,000-sample cone Monte Carlo
+    inst = signals.make_sparse(500, 20, "unit", seed=1)
+    with pytest.raises(TypeError, match="trials"):
+        lasso.sweep_measurements(inst, [40, 80], trials=trials, seed=1)
+    assert cone_calls == []
 
 
 def test_gaussian_sweep_runs():

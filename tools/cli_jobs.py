@@ -2,12 +2,12 @@
 
     PYTHONPATH=src python tools/cli_jobs.py OUTDIR
 
-Each of the 18 jobs below is one `proxmse` command line with a fixed seed.
+Each of the 19 jobs below is one `proxmse` command line with a fixed seed.
 It writes one result file, `OUTDIR/<name>.csv` or `.json`, and under its
 seed the file is byte-identical from run to run (acceptance criterion 11).
 The script exits 1 if any job exits nonzero, after running all of them.
 It prints each job's exit code and wall seconds on stderr, so one run also
-times the jobs end to end (the 7 denoise jobs among them).
+times the jobs end to end (the 8 denoise jobs among them).
 
 To see whether a change alters any output, run the script once per
 checkout, pointing PYTHONPATH at that checkout's `src`, and compare the two
@@ -53,6 +53,10 @@ JOBS = {
                                               "regularized", "--lambda", "11"],
     "denoise_lowrank_constrained": DENOISE + ["--structure", "lowrank:30:4", "--estimator",
                                               "constrained"],
+    # a noise level draws its trials in blocks of 64 rows from one stream:
+    # 130 = 2 * 64 + 2 spans two full blocks and a partial one
+    "denoise_sparse_blocks": ["denoise", "--seed", "11", "--trials", "130", "--structure",
+                              "sparse:200:10", "--estimator", "regularized", "--lambda", "2.0"],
     "lasso_sparse": LASSO + ["--structure", "sparse:100:5", "--m-grid", "20:30:80"],
     "lasso_block": LASSO + ["--structure", "block:20:5:3", "--m-grid", "40:30:100"],
     "lasso_lowrank": LASSO + ["--structure", "lowrank:10:2", "--m-grid", "40:30:100"],
