@@ -15,8 +15,10 @@ the smallest structural feature of x0 so the first grid point sits deep in
 the regime where the first-order approximation is exact.
 
 Each noise level draws its trials' noise vectors v as consecutive rows of
-one stream keyed (seed, sigma index), the layout the Monte Carlo chunks of
-:mod:`proxmse.geometry` use, so a run makes one stream per noise level.
+one stream keyed (seed, sigma index, 0), the layout the Monte Carlo chunks of
+:mod:`proxmse.geometry` use, so a run makes one stream per noise level. The
+path has two entries so that it never equals a chunk's one-entry path: the
+trials stay independent of a reference estimate drawn under the same seed.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def trial_noise(seed: int, sigma_index: int, trial_index: int, dim: int) -> np.n
     """The standard normal draw used by trial (sigma_index, trial_index).
 
     It is row ``trial_index`` of the noise level's stream ``(seed,
-    sigma_index)``, whose rows the trials draw in order.
+    sigma_index, 0)``, whose rows the trials draw in order.
     """
-    return stream(seed, sigma_index).standard_normal((trial_index + 1, dim))[trial_index]
+    return stream(seed, sigma_index, 0).standard_normal((trial_index + 1, dim))[trial_index]
 
 
 def _check_grid(sigma_grid) -> np.ndarray:
@@ -84,7 +86,7 @@ def _run(inst: SignalInstance, lam: float | None, sigma_grid, trials: int, seed:
     """The trial loop of every estimator, BLOCK trials per call.
 
     Noise level si draws its trials' v as consecutive rows of the one
-    stream ``(seed, si)``, so trial ti sees ``trial_noise(seed, si, ti, n)``
+    stream ``(seed, si, 0)``, so trial ti sees ``trial_noise(seed, si, ti, n)``
     whatever the block size. A block's rows are drawn into one (BLOCK, n)
     buffer, and y into another, so memory is O(BLOCK * n + trials).
     ``estimate(Y, sigma)`` gets the rows
@@ -104,7 +106,7 @@ def _run(inst: SignalInstance, lam: float | None, sigma_grid, trials: int, seed:
     records = []
     for si, sigma in enumerate(grid):
         nmse, dvals = [], []
-        rng = stream(seed, si)
+        rng = stream(seed, si, 0)
         for start in range(0, trials, BLOCK):
             block = range(start, min(start + BLOCK, trials))
             V = draws[:len(block)]

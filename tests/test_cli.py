@@ -293,7 +293,7 @@ def test_noise_draws_sees_every_trial_of_a_denoise_job(tmp_path, noise_draws):
                     "--estimator", "constrained", "--sigma-grid", "0.01:0.01:0.03",
                     "--trials", "70", "--output", str(tmp_path / "d.csv")])
     assert code == 0
-    assert noise_draws == [[(si,), 70] for si in range(3)]
+    assert noise_draws == [[(si, 0), 70] for si in range(3)]
 
 
 @pytest.mark.parametrize("estimator, samples", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxmse import denoise, signals, streams
+from proxmse import denoise, geometry, signals, streams
 
 
 def test_stream_rejects_negative_seed_or_path():
@@ -52,3 +52,32 @@ def test_run_draws_equal_stacked_trial_noise(inst):
     assert got_y.shape == (len(grid) * trials, *expected_y[0].shape[1:])
     assert np.array_equal(got_v.view(np.uint64), np.concatenate(expected_v).view(np.uint64))
     assert np.array_equal(got_y.view(np.uint64), np.concatenate(expected_y).view(np.uint64))
+
+
+def test_denoise_trials_share_no_draws_with_a_reference_under_one_seed(monkeypatch):
+    # the CLI and the acceptance checks compare a denoise run with msd_cone /
+    # msd_lambda under the same seed: a noise level must not redraw a chunk
+    inst, seed, trials = signals.make_sparse(30, 3, seed=2), 7, 8
+    chunks = []
+
+    def recording(seed, *path):
+        rng = streams.stream(seed, *path)
+        draw = rng.standard_normal
+
+        class Recorder:
+            def standard_normal(self, *, out):
+                chunks.append(draw(out=out).copy())
+                return out
+        return Recorder()
+
+    monkeypatch.setattr(geometry, "stream", recording)
+    geometry.msd_cone(inst.structure, geometry.McConfig(samples=2 * trials, seed=seed,
+                                                        chunk=trials))
+    noise = []
+    denoise._run(inst, None, [0.25, 0.5], trials, seed,
+                 lambda points, sigma: (points, np.zeros(len(points))),
+                 lambda V: noise.append(V.copy()) or np.zeros(len(V)))
+    assert len(chunks) == len(noise) == 2
+    for c, v in zip(chunks, noise):
+        assert c.shape == v.shape
+        assert not np.any(c == v)
