@@ -36,11 +36,11 @@ def require_nonneg(value, name: str) -> float:
     return value
 
 
-def require_int(value, name: str, minimum: int) -> int:
+def require_int(value, name: str, minimum: int | None = None) -> int:
     """``value`` as a Python int (numpy integers included) of at least ``minimum``.
 
     A bool, a float or any other non-integer raises TypeError instead of
-    being truncated; a value below ``minimum`` raises ValueError.
+    being truncated; a value below ``minimum``, if one is given, raises ValueError.
     """
     try:
         if isinstance(value, bool):
@@ -48,6 +48,6 @@ def require_int(value, name: str, minimum: int) -> int:
         value = operator.index(value)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value}")
     return value

@@ -33,8 +33,13 @@ drawn entries (1 MB), and each tile takes all its passes while it is cached.
 Every profile computes a sample's row from that sample alone, so no result
 bit depends on the tile a sample lands in.
 
+The draw overlaps the rest: while a tile is profiled and swept, one worker
+thread of ``_chunks`` draws the next tile into the other of two draw
+buffers. The worker only draws; every profile and sweep runs on the calling
+thread, and the tiles come in the same order, so no result bit moves.
+
 Memory follows the chunk, plus a few numbers per sample. ``_chunks`` reuses
-one draw buffer and one clip buffer for the whole call. The pooled minimiser
+two draw buffers and one clip buffer for the whole call. The pooled minimiser
 lam* of the sample mean keeps chunk 0's profile only until that chunk's own
 minimiser lam0 is known; from then on it keeps a bracket around lam0
 (``_PooledMinimum``): a few sums per sample and the clip thresholds inside
@@ -44,6 +49,8 @@ the bracket.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,9 +359,10 @@ class _PooledMinimum:
                 return self._minimum()
             if redraws < 2:
                 self._open(a, b, self.c2)
-                for start, p, t in _chunks(self.s, self.mc):
-                    self._keep(start, p, t)
-                    del p, t
+                with closing(_chunks(self.s, self.mc)) as tiles:
+                    for start, p, t in tiles:
+                        self._keep(start, p, t)
+                        del p, t
         raise NumericalError("pooled minimiser still outside its bracket after 2 redraws")
 
     def _minimum(self) -> MsdEstimate:
@@ -383,23 +391,59 @@ def _chunks(s: SignalStructure, mc: McConfig):
     """Yield (start, profile, clip buffer) over row tiles of the sample streams.
 
     Chunk i draws from stream (seed, i) a tile of rows at a time, about
-    ``TILE`` entries, into one buffer that the whole call reuses (no profile
-    shares memory with its draw); rows drawn in consecutive blocks are bitwise
-    those of one whole-chunk draw. Each tile is profiled on its own (every
-    profile is row-independent) and yielded with a view of one clip buffer
-    laid out like nu. Memory is set by the tile, as long as the caller keeps
+    ``TILE`` entries; rows drawn in consecutive blocks are bitwise those of
+    one whole-chunk draw. One worker thread keeps the next tile drawn ahead:
+    it makes each chunk's stream and fills the two draw buffers in turn, and
+    tile i + 2 is drawn only once tile i's profile has returned (no profile
+    shares memory with its draw). numpy releases the interpreter lock while
+    it fills a buffer, so the draw overlaps the profile and the caller's
+    sweep, and every result bit stays the same. The worker only draws: each
+    tile is profiled on the calling thread (every profile is
+    row-independent) and yielded with a view of one clip buffer laid out
+    like nu. A draw's exception is raised here, and closing the generator
+    joins the worker. Memory is set by the tile, as long as the caller keeps
     no tile.
     """
     rows = min(max(1, TILE // s.ambient_dim), mc.chunk, mc.samples)
-    draws, clips = np.empty((rows, s.ambient_dim)), None
+    tiles = []  # (chunk, first sample, rows)
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
-        rng, end = stream(mc.seed, ci), min(start + mc.chunk, mc.samples)
-        for lo in range(start, end, rows):
-            p = s.profile(rng.standard_normal(out=draws[:min(rows, end - lo)]))
+        end = min(start + mc.chunk, mc.samples)
+        tiles += [(ci, lo, min(rows, end - lo)) for lo in range(start, end, rows)]
+    draws, clips = np.empty((2, rows, s.ambient_dim)), None
+    free, drawn, closed, failed = (threading.Semaphore(2), threading.Semaphore(0),
+                                   threading.Event(), [])
+
+    def draw_ahead():
+        try:
+            for i, (ci, lo, n) in enumerate(tiles):
+                free.acquire()  # buffer i % 2 is free once tile i - 2's profile has returned
+                if closed.is_set():
+                    return
+                if lo == ci * mc.chunk:
+                    rng = stream(mc.seed, ci)
+                rng.standard_normal(out=draws[i % 2, :n])
+                drawn.release()
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+            drawn.release()
+
+    worker = threading.Thread(target=draw_ahead, name="proxmse-draw")
+    worker.start()
+    try:
+        for i, (_, lo, n) in enumerate(tiles):
+            drawn.acquire()
+            if failed:
+                raise failed[0]
+            p = s.profile(draws[i % 2, :n])
+            free.release()
             if clips is None:
                 clips = np.empty((rows, p.nu.shape[1]))
-            yield lo, p, clips[:p.c0.size]
-            del p  # freed before the next draw, once the caller drops it too
+            yield lo, p, clips[:n]
+            del p  # freed before the next profile, once the caller drops it too
+    finally:
+        closed.set()
+        free.release()
+        worker.join()
 
 
 def mean_stderr(values) -> tuple[float, float]:
@@ -444,16 +488,17 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
     # array per call raised the low-rank benchmark's peak RSS from 148.0 to 152.7 MB
     blocks, minima = [], np.empty(mc.samples) if cone else None
     tuned = _PooledMinimum(s, mc) if optimal else None
-    for start, p, t in _chunks(s, mc):
-        block = np.empty((len(lams), p.c0.size))
-        for row, lam in zip(block, lams):
-            row[:] = _profile_eval(p, lam, t)
-        blocks.append(block)
-        if cone:
-            minima[start:start + p.c0.size] = _cone_argmin(p, t, start)[1]
-        if optimal:
-            tuned.add(start, p, t)
-        del p, t  # so that a tile's profile is freed before the next one is drawn
+    with closing(_chunks(s, mc)) as tiles:  # closing joins the draw worker, also on a raise
+        for start, p, t in tiles:
+            block = np.empty((len(lams), p.c0.size))
+            for row, lam in zip(block, lams):
+                row[:] = _profile_eval(p, lam, t)
+            blocks.append(block)
+            if cone:
+                minima[start:start + p.c0.size] = _cone_argmin(p, t, start)[1]
+            if optimal:
+                tuned.add(start, p, t)
+            del p, t  # so that a tile's profile is freed before the next one is profiled
     curve = [MsdEstimate(*mean_stderr(v), v.size, lam)
              for v, lam in zip(np.concatenate(blocks, axis=1), lams)]
     del blocks  # before the pooled minimiser's bracket closes, which may draw again

@@ -31,7 +31,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidStructureError
+from .errors import InvalidStructureError, require_int
 from .streams import stream
 
 SUPPORT_TOL = 1e-12
@@ -570,6 +570,7 @@ def make_sparse(n: int, k: int, magnitude_law: str = "uniform", seed: int = 0) -
     U[1,2], bounded away from zero so support detection is unambiguous).
     Deterministic given (arguments, seed).
     """
+    n, k = require_int(n, "n"), require_int(k, "k")
     if k < 1 or k > n:
         raise InvalidStructureError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = stream(seed)
@@ -588,6 +589,7 @@ def make_block_sparse(t: int, b: int, k: int, seed: int = 0,
     Each active block holds a uniformly random unit direction scaled by a
     positive magnitude.
     """
+    t, b, k = require_int(t, "t"), require_int(b, "b"), require_int(k, "k")
     if k < 1 or k > t:
         raise InvalidStructureError(f"need 1 <= k <= t, got k={k}, t={t}")
     if b < 1:
@@ -611,6 +613,7 @@ def make_low_rank(d: int, r: int, seed: int = 0,
     the triangular factor's diagonal signs absorbed, which makes them Haar
     distributed. Singular values are positive (per ``magnitude_law``).
     """
+    d, r = require_int(d, "d"), require_int(r, "r")
     if r < 1 or r > d:
         raise InvalidStructureError(f"need 1 <= r <= d, got r={r}, d={d}")
     rng = stream(seed)

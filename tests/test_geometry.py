@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -731,41 +733,121 @@ def test_profile_shares_no_memory_with_its_draw():
 
 
 class _RecordingStream:
-    """A chunk stream that records the buffer each draw fills."""
+    """A chunk stream that records the buffer each draw fills, and ``note()`` as it starts."""
 
-    def __init__(self, rng, outs):
-        self._rng, self._outs = rng, outs
+    def __init__(self, rng, outs, note=lambda: None):
+        self._rng, self._outs, self._note = rng, outs, note
 
     def standard_normal(self, *, out):
-        self._outs.append(out)
+        self._outs.append((out, self._note()))
         return self._rng.standard_normal(out=out)
 
 
 @pytest.mark.parametrize("kind", ["sparse", "lowrank"])
 def test_one_chunk_alive_at_each_draw(monkeypatch, kind):
-    # the chunks of a pass are drawn into one buffer, and no chunk's profile
-    # outlives the draw of the next one, through a pass and a forced redraw
+    # Five 64-sample chunks of 16-row tiles (19 tiles), drawn twice: a pass
+    # and a forced redraw. At the first profile of each chunk no earlier
+    # profile is alive; the draws of a pass alternate between two buffers;
+    # and a buffer is drawn again only once the profile of the tile last
+    # drawn into it has returned: draw n starts after profiles 0..n-2.
     s = _tiled_structure(kind, 1)
-    live, outs = [], []
+    mc = McConfig(samples=300, seed=1, chunk=64)
+    live, outs, profiled = [], [], [0, 0]  # profiles returned, rows profiled
     profile = type(s).profile
 
     def tracked(self, G):
+        if profiled[1] % mc.samples % mc.chunk == 0:
+            assert all(ref() is None for ref in live), profiled
         p = profile(self, G)
         live.append(weakref.ref(p.nu))
+        profiled[0] += 1
+        profiled[1] += G.shape[0]
         return p
 
-    def checked(seed, *path):
-        assert all(ref() is None for ref in live), path
-        return _RecordingStream(stream(seed, *path), outs)
+    def recorded(seed, *path):
+        return _RecordingStream(stream(seed, *path), outs, lambda: profiled[0])
 
     monkeypatch.setattr(type(s), "profile", tracked)
-    monkeypatch.setattr(geometry, "stream", checked)
+    monkeypatch.setattr(geometry, "stream", recorded)
     monkeypatch.setattr(geometry, "BRACKET", 0.0)
-    mc = McConfig(samples=300, seed=1, chunk=64)
+    monkeypatch.setattr(geometry, "TILE", 16 * s.ambient_dim)
     geometry.estimate(s, mc, [0.5, 1.0], cone=True, optimal=True)
-    assert len(outs) == 10  # five chunks, drawn twice
-    for drawn in (outs[:5], outs[5:]):  # one buffer a pass
-        assert all(np.shares_memory(out, drawn[0]) for out in drawn)
+    assert len(outs) == 2 * 19 and profiled == [2 * 19, 2 * 300]
+    for n, (_, returned) in enumerate(outs):
+        assert returned >= n - 1, (n, returned)
+    for drawn in (outs[:19], outs[19:]):
+        bufs = [out for out, _ in drawn]
+        assert not np.shares_memory(bufs[0], bufs[1])
+        assert all(np.shares_memory(out, bufs[n % 2]) for n, out in enumerate(bufs))
+
+
+class _DrawError(Exception):
+    pass
+
+
+class _FailingStream:
+    """A chunk stream whose draw raises."""
+
+    def standard_normal(self, *, out):
+        raise _DrawError("draw failed")
+
+
+@pytest.mark.parametrize("case", ["returns", "sparse_nan", "lowrank_nan", "draw_raises"])
+def test_draw_worker_ends_with_the_call(monkeypatch, case):
+    # the draw-ahead thread is joined before estimate returns or raises, and
+    # the exception keeps its type: a non-finite profile raised by the sweep
+    # (sparse) or by the profile (low rank), or the draw's own exception
+    s = _tiled_structure("lowrank" if case == "lowrank_nan" else "sparse", 1)
+    mc = McConfig(samples=300, seed=1, chunk=64)
+    if case.endswith("nan"):
+        monkeypatch.setattr(geometry, "stream", lambda seed, ci: _PoisonedStream(
+            stream(seed, ci), 5 if ci == 1 else 99, 0, np.nan))
+    elif case == "draw_raises":
+        monkeypatch.setattr(geometry, "stream",
+                            lambda seed, ci: stream(seed, ci) if ci < 2 else _FailingStream())
+    before = threading.active_count()
+    if case == "returns":
+        geometry.estimate(s, mc, [1.0], cone=True, optimal=True)
+        assert threading.active_count() == before
+        return
+    want = NumericalError if case.endswith("nan") else _DrawError
+    with pytest.raises(want) as exc_info:
+        geometry.estimate(s, mc, [1.0], cone=True, optimal=True)
+    assert type(exc_info.value) is want
+    assert threading.active_count() == before
+    if want is NumericalError:
+        assert exc_info.value.index == 69
+
+
+def test_draw_ahead_under_thread_stress(monkeypatch):
+    # four estimates at once (more threads than cores, each with its draw
+    # worker) with 5-row tiles and a forced redraw, switching threads
+    # every microsecond: each result is bitwise the serial one
+    s = _tiled_structure("sparse", 2)
+    mc = McConfig(samples=300, seed=3, chunk=64)
+    monkeypatch.setattr(geometry, "TILE", 5 * s.ambient_dim)
+    monkeypatch.setattr(geometry, "BRACKET", 0.0)
+
+    def run():
+        return geometry.estimate(s, mc, [0.5, 1.5], cone=True, optimal=True)
+
+    want, results = run(), [None] * 4
+
+    def worker(i):
+        results[i] = run()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 4
 
 
 def test_draws_are_tile_sized(monkeypatch):
@@ -788,8 +870,8 @@ def test_draws_are_tile_sized(monkeypatch):
                           optimal=True)
         assert drawn
         for ci, outs in drawn:
-            assert all(out.size <= max(geometry.TILE, s.ambient_dim) for out in outs), ci
-            assert sum(out.shape[0] for out in outs) == min(chunk, samples - ci * chunk), ci
+            assert all(out.size <= max(geometry.TILE, s.ambient_dim) for out, _ in outs), ci
+            assert sum(out.shape[0] for out, _ in outs) == min(chunk, samples - ci * chunk), ci
 
 
 def test_mc_config_counts():

@@ -42,6 +42,10 @@ def test_make_sparse_rejects_bad_k():
         signals.make_sparse(10, 0)
     with pytest.raises(InvalidStructureError):
         signals.make_sparse(10, 11)
+    # a count that is not an integer is named, not failed on inside numpy
+    for n, k, field in [(30.0, 3, "n"), (30, True, "k"), (30, 3.0, "k"), ("30", 3, "n")]:
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            signals.make_sparse(n, k)
 
 
 def test_make_block_sparse_contract():
@@ -68,6 +72,10 @@ def test_make_block_sparse_nonzero_count():
 def test_make_block_sparse_rejects_bad_k():
     with pytest.raises(InvalidStructureError):
         signals.make_block_sparse(4, 3, 5, seed=0)
+    for t, b, k, field in [(10.0, 2, 3, "t"), (10, 2.0, 3, "b"), (10, 2, np.float64(3), "k"),
+                           (10, True, 3, "b")]:
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            signals.make_block_sparse(t, b, k)
 
 
 def test_make_low_rank_contract():
@@ -95,6 +103,11 @@ def test_make_low_rank_rank_one():
 def test_make_low_rank_rejects_bad_rank():
     with pytest.raises(InvalidStructureError):
         signals.make_low_rank(3, 4, seed=0)
+    for d, r, field in [(6, 2.0, "r"), (6.0, 2, "d"), (6, False, "r")]:
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            signals.make_low_rank(d, r)
+    # numpy integers are counts
+    assert signals.make_low_rank(np.int64(6), np.int32(2)).structure.r == 2
 
 
 def test_degrees_of_freedom():
