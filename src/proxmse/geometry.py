@@ -38,12 +38,13 @@ thread of ``_chunks`` draws the next tile into the other of two draw
 buffers. The worker only draws; every profile and sweep runs on the calling
 thread, and the tiles come in the same order, so no result bit moves.
 
-Memory follows the chunk, plus a few numbers per sample. ``_chunks`` reuses
-two draw buffers and one clip buffer for the whole call. The pooled minimiser
-lam* of the sample mean keeps chunk 0's profile only until that chunk's own
-minimiser lam0 is known; from then on it keeps a bracket around lam0
-(``_PooledMinimum``): a few sums per sample and the clip thresholds inside
-the bracket.
+Memory follows the tile, plus a few numbers per sample. ``_chunks`` reuses
+two draw buffers and one clip buffer for the whole call, and the curve fills
+one (lams, samples) array in place. The pooled minimiser lam* of the sample
+mean keeps the profiles of its first ``LEAD`` samples only until their own
+minimiser lam0 is known; from then on it keeps a bracket around lam0, a few
+standard errors of lam0 wide (``_PooledMinimum``): a few sums per sample and
+the clip thresholds inside the bracket.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ from .streams import stream
 # drawn entries per row tile: 1 MB of float64, whose profile stays in a 2 MB
 # L2 cache while an estimator sweeps the tile many times
 TILE = 1 << 17
-# half-width of the pooled minimiser's bracket around chunk 0's own minimiser,
-# relative to it; a bracket that misses lam* costs one more pass over the samples
-BRACKET = 0.05
+# samples whose pooled minimiser lam0 centres the bracket of lam*; a call of at
+# most LEAD samples takes lam0 itself. It is fixed, so the tiling moves no bit.
+LEAD = 256
+# half-width of that bracket in standard errors of lam0; a bracket that misses
+# lam* costs one more pass over the samples
+Z = 8.0
 
 
 @dataclass(frozen=True)
@@ -219,8 +223,9 @@ def _cone_argmin(p: ScaleProfile, t: np.ndarray, start: int = 0) -> tuple[np.nda
     raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
 
 
-def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]) -> float:
-    """The exact minimiser lam >= 0 of the profiles summed over all samples.
+def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]):
+    """The exact minimiser lam >= 0 of the profiles summed over all samples,
+    and each sample's -h(lam) and h'(lam) there.
 
     ``tiles`` hold (start, profile, clip buffer) and cover the samples from 0
     in order. The per-sample terms are summed over one array, so the tiling
@@ -239,7 +244,7 @@ def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]) -> float:
                 _require_finite(start, p.c0, excess[rows])
             active += int(a.sum())
         if active == count:
-            return lam
+            return lam, excess, slope
         lam += float(_newton_step(excess.sum(), slope.sum()))
         count = active
     raise NumericalError("pooled active set still moving after its pass limit")
@@ -248,11 +253,16 @@ def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]) -> float:
 class _PooledMinimum:
     """The estimate at the pooled minimiser lam*, from the tiles of ``_chunks`` in order.
 
-    It holds memory set by the chunk and a few numbers per sample, not every
-    profile. Chunk 0's tiles are held until that chunk is complete; their own
-    pooled minimiser lam0 (``_pooled_argmin``) is the result when the call
-    has one chunk. Otherwise lam0 centres the bracket [a, b] = lam0 * (1 -+
-    BRACKET), and each tile leaves, per sample, c0, c1 and, over its clip
+    It holds memory set by the tile and a few numbers per sample, not every
+    profile. The tiles that hold the first ``LEAD`` samples (the lead) are
+    held until the lead is complete; the lead's own pooled minimiser lam0
+    (``_pooled_argmin``, on the lead's rows alone: a tile that straddles its
+    end is cut, which moves no bit, as every profile is row-independent) is
+    the result when the call has at most ``LEAD`` samples. Otherwise lam0
+    centres the bracket [a, b] = [lam0 - r, lam0 + r], with r = ``Z`` standard
+    errors of lam0 by the delta method, sd(h(lam0)) / (sqrt(LEAD) mean h'(lam0))
+    over the lead's samples (0 where h' = 0, which leaves lam* to the guard
+    below). Each tile then leaves, per sample, c0, c1 and, over its clip
     thresholds above b, S0 = sum w, S1 = sum w (nu - b) and S2 = sum w (nu - b)^2
     (centred at b, so that nothing cancels). Its thresholds in (a, b] are
     kept one by one as (value, sample, weight); those at or below a are
@@ -273,14 +283,22 @@ class _PooledMinimum:
             self._keep(start, p, t)
             return
         self.first.append((start, p, t))
-        if start + p.c0.size < min(self.mc.chunk, self.mc.samples):
+        lead = min(LEAD, self.mc.samples)
+        if start + p.c0.size < lead:
             return
-        lam0 = _pooled_argmin(self.first)
-        if self.mc.samples <= self.mc.chunk:
+        n = lead - start  # the last tile's rows in the lead
+        head = self.first[:-1] + [(start, ScaleProfile(p.c0[:n], p.c1[:n], p.c2, p.nu[:n], p.w),
+                                   t[:n])]
+        lam0, excess, slope = _pooled_argmin(head)
+        if self.mc.samples <= LEAD:
             values = np.concatenate([_profile_eval(q, lam0, u) for _, q, u in self.first])
             self.tuned = MsdEstimate(*mean_stderr(values), values.size, lam0)
         else:
-            self._open(lam0 * (1.0 - BRACKET), lam0 * (1.0 + BRACKET), p.c2)
+            mean_slope = float(slope.mean())
+            se = (float(excess.std(ddof=1)) / (math.sqrt(lead) * mean_slope) if mean_slope > 0.0
+                  else 0.0)
+            r = Z * se if math.isfinite(se) else 0.0  # past the float range: left to the guard
+            self._open(max(lam0 - r, 0.0), lam0 + r, p.c2)
             for tile in self.first:
                 self._keep(*tile)
         self.first = []
@@ -289,7 +307,9 @@ class _PooledMinimum:
         n = self.mc.samples
         self.a, self.b, self.c2 = a, b, c2
         self.c0, self.c1, self.s0, self.s1, self.s2 = (np.empty(n) for _ in range(5))
-        self.above, self.top, self.kept = 0, 0.0, []
+        self.above, self.top, self.kept = 0, 0.0, ([], [], [])  # values, samples, weights
+        # on a redraw, the last pass's thresholds are freed before new ones are kept
+        self.values = self.samples = self.weights = self.scratch = None
 
     def _keep(self, start: int, p: ScaleProfile, t: np.ndarray) -> None:
         rows = slice(start, start + p.c0.size)
@@ -304,14 +324,22 @@ class _PooledMinimum:
             t *= p.w
         self.s2[rows] = t.sum(axis=1)
         i, j = np.nonzero((p.nu > self.a) & (p.nu <= self.b))
-        self.kept.append((p.nu[i, j], (start + i).astype(np.int32),
-                          None if p.w is None else p.w[j]))
+        values, samples, weights = self.kept
+        values.append(p.nu[i, j])
+        samples.append((start + i).astype(np.int32))
+        if p.w is not None:
+            weights.append(p.w[j])
 
     def _close(self) -> None:
-        """Join the kept thresholds and total the per-sample sums."""
-        self.values, self.samples, self.weights = (
-            None if parts[0] is None else np.concatenate(parts) for parts in zip(*self.kept))
-        self.kept = None
+        """Join the kept thresholds, one field at a time, and total the per-sample sums."""
+        fields, self.kept = list(self.kept), None
+        joined = []
+        while fields:  # a field's parts are freed before the next field is joined
+            parts = fields.pop(0)
+            joined.append(np.concatenate(parts) if parts else None)
+            del parts
+        self.values, self.samples, self.weights = joined
+        self.scratch = np.empty_like(self.values)  # max(values - lam, 0) of each sweep
         self.sums = (float(self.c1.sum()), self.c0.size * self.c2,
                      float(self.s0.sum()), float(self.s1.sum()), float(np.abs(self.c1).sum()))
 
@@ -319,7 +347,7 @@ class _PooledMinimum:
         """Active count, -h(lam), h'(lam) and the total size of the terms of -h(lam),
         of the summed profile at a <= lam <= b."""
         c1, c2, s0, s1, c1_size = self.sums
-        t = np.maximum(self.values - lam, 0.0)
+        t = self._clipped(lam)
         count = np.count_nonzero(t)
         if self.weights is None:
             weight, clipped = count, t.sum()
@@ -328,6 +356,11 @@ class _PooledMinimum:
         clipped = s1 + (self.b - lam) * s0 + float(clipped)  # every w_j (nu_j - lam)_+
         return (self.above + count, c1 + clipped - c2 * lam, c2 + s0 + float(weight),
                 c1_size + clipped + c2 * lam)
+
+    def _clipped(self, lam: float) -> np.ndarray:
+        """max(values - lam, 0), in the one scratch array."""
+        t = np.subtract(self.values, lam, out=self.scratch)
+        return np.maximum(t, 0.0, out=t)
 
     def _widened(self) -> tuple[float, float]:
         """[a, b] if it holds lam*, else a bracket that must hold it."""
@@ -379,7 +412,8 @@ class _PooledMinimum:
         d = self.b - lam
         v = self.c0 - 2.0 * self.c1 * lam + self.c2 * lam * lam
         v += self.s2 + d * (2.0 * self.s1 + d * self.s0)
-        t = np.maximum(self.values - lam, 0.0)
+        t = self._clipped(lam)
+        self.values = None  # last used: room for bincount's intp copy of the sample indices
         t *= t
         if self.weights is not None:
             t *= self.weights
@@ -484,24 +518,20 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
     lams = [require_nonneg(l, "lam") for l in lams]
     if not (lams or cone or optimal):
         raise ValueError("estimate needs lams, cone or optimal")
-    # one (lams, tile) block per tile, concatenated once: one (lams, samples)
-    # array per call raised the low-rank benchmark's peak RSS from 148.0 to 152.7 MB
-    blocks, minima = [], np.empty(mc.samples) if cone else None
+    values, minima = np.empty((len(lams), mc.samples)), np.empty(mc.samples) if cone else None
     tuned = _PooledMinimum(s, mc) if optimal else None
     with closing(_chunks(s, mc)) as tiles:  # closing joins the draw worker, also on a raise
         for start, p, t in tiles:
-            block = np.empty((len(lams), p.c0.size))
-            for row, lam in zip(block, lams):
-                row[:] = _profile_eval(p, lam, t)
-            blocks.append(block)
+            rows = slice(start, start + p.c0.size)
+            for row, lam in zip(values, lams):
+                row[rows] = _profile_eval(p, lam, t)
             if cone:
-                minima[start:start + p.c0.size] = _cone_argmin(p, t, start)[1]
+                minima[rows] = _cone_argmin(p, t, start)[1]
             if optimal:
                 tuned.add(start, p, t)
             del p, t  # so that a tile's profile is freed before the next one is profiled
-    curve = [MsdEstimate(*mean_stderr(v), v.size, lam)
-             for v, lam in zip(np.concatenate(blocks, axis=1), lams)]
-    del blocks  # before the pooled minimiser's bracket closes, which may draw again
+    curve = [MsdEstimate(*mean_stderr(v), v.size, lam) for v, lam in zip(values, lams)]
+    del values  # before the pooled minimiser's bracket closes, which may draw again
     return Estimates(curve, MsdEstimate(*mean_stderr(minima), minima.size) if cone else None,
                      tuned.result() if optimal else None)
 

@@ -529,7 +529,8 @@ def split(y, family: str, block_size: int | None = None):
     if family in ("l1", "wl1"):
         return np.abs(y), lambda m: np.sign(y) * m
     if family == "l12":
-        if block_size is None or block_size < 1:
+        # a float or a bool raises TypeError naming the field, not numpy's own error
+        if block_size is None or require_int(block_size, "block size") < 1:
             raise ValueError(f"block size must be a positive integer, got {block_size!r}")
         length = y.shape[-1] if y.ndim else 1
         if length % block_size:

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxmse import geometry, signals
+from proxmse import cli, geometry, signals
 from proxmse.errors import BoundNotValidError, NumericalError
 from proxmse.geometry import McConfig
 from proxmse.streams import stream
@@ -549,7 +550,7 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
     chunks = [(0, s.profile(rng.standard_normal((5, s.ambient_dim)))),
               (5, s.profile(rng.standard_normal((3, s.ambient_dim))))]
     with np.errstate(all="raise"):
-        lam = geometry._pooled_argmin([(i, p, np.empty_like(p.nu)) for i, p in chunks])
+        lam = geometry._pooled_argmin([(i, p, np.empty_like(p.nu)) for i, p in chunks])[0]
     h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
     tol = 1e-12 * sum(float(_kkt_scale(p).sum()) for _, p in chunks)
     assert lam >= 0.0
@@ -567,33 +568,97 @@ def test_pooled_argmin_kkt_and_grid(kind, seed):
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20),
        layout=st.sampled_from([(300, 64), (37, 16), (200, 7), (1000, 999)]))
 def test_bracketed_optimum_matches_pooled_newton(kind, seed, layout):
-    # the bracket around chunk 0's minimiser against Newton from 0 on every
-    # whole profile; a bracket of width 0 or 1e-9 misses lam* and forces a redraw
+    # the bracket around the lead's minimiser against Newton from 0 on every
+    # whole profile; a bracket of 0 or 1e-9 standard errors misses lam* and
+    # forces a redraw. A call of at most LEAD samples takes no bracket.
     s = _structure(kind, seed)
     samples, chunk = layout
     mc = McConfig(samples=samples, seed=seed, chunk=chunk)
     _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
     paths = [(ci,) for ci in range(-(-samples // chunk))]
     sloped = s.profile(np.zeros((1, s.ambient_dim))).c2 > 0.0
-    for bracket in (geometry.BRACKET, 1e-9, 0.0):
-        made = []
-
-        def counted(seed, *path):
-            made.append(path)
-            return stream(seed, *path)
-
+    for z in (geometry.Z, 1e-9, 0.0):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "BRACKET", bracket)
-            mp.setattr(geometry, "stream", counted)
+            mp.setattr(geometry, "Z", z)
+            made = _counting_streams(mp)
             with np.errstate(all="raise"):
                 lam, got = geometry.optimal_lambda(s, mc)
         assert lam == got.lam
         _assert_close_estimate(got, tuned)
         # the first pass, then at most one redraw of the same streams; with
-        # c2 > 0, chunk 0's own lam0 > 0 is not lam*, so width 0 must redraw
-        assert made in (paths, paths * 2), bracket
-        if bracket == 0.0 and sloped and lam > 0.0:
+        # c2 > 0, the lead's own lam0 > 0 is not lam*, so width 0 must redraw
+        assert made in (paths, paths * 2), z
+        if samples <= geometry.LEAD:
+            assert made == paths, z
+        elif z == 0.0 and sloped and lam > 0.0:
             assert made == paths * 2
+
+
+def _counting_streams(mp) -> list:
+    """Patch geometry's stream so that each stream path it makes is recorded."""
+    made = []
+
+    def counted(seed, *path):
+        made.append(path)
+        return stream(seed, *path)
+
+    mp.setattr(geometry, "stream", counted)
+    return made
+
+
+@pytest.mark.parametrize("desc", ["sparse:500:20", "lowrank:30:4", "block:50:10:5"])
+def test_bracket_holds_lam_star_in_one_pass(monkeypatch, desc):
+    # Z standard errors of the lead's lam0 bracket lam* on the benchmark's
+    # structures and sample count: each call draws its five chunks once, no redraw
+    s = cli.parse_structure(desc, 1, "uniform")[0].structure
+    made = _counting_streams(monkeypatch)
+    for seed in range(1, 6):
+        made.clear()
+        geometry.optimal_lambda(s, McConfig(samples=20_000, seed=seed))
+        assert made == [(ci,) for ci in range(5)], seed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flat_profile_gets_a_finite_bracket(monkeypatch, seed):
+    # c2 = 0 and a flat profile past the largest threshold: the lead's own
+    # h and h' are 0 at lam0, and the bracket is still finite; lam* is the oracle's
+    s = _structure("weighted_zero_support", seed)
+    opened = []
+    open_bracket = geometry._PooledMinimum._open
+
+    def recorded(self, a, b, c2):
+        opened.append((a, b))
+        open_bracket(self, a, b, c2)
+
+    monkeypatch.setattr(geometry._PooledMinimum, "_open", recorded)
+    for samples, chunk in ((1000, 999), (5000, 4096)):
+        mc = McConfig(samples=samples, seed=seed, chunk=chunk)
+        _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
+        opened.clear()
+        lam, got = geometry.optimal_lambda(s, mc)
+        assert opened and all(math.isfinite(a) and math.isfinite(b) for a, b in opened)
+        assert math.isfinite(lam) and lam == got.lam
+        _assert_close_estimate(got, tuned)
+
+
+def _traced_peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_monte_carlo_memory_follows_the_tile():
+    # numpy's allocations, as tracemalloc counts them: the pooled minimiser
+    # keeps a few numbers a sample and the thresholds in a bracket of a few
+    # standard errors, and the curve one (lams, samples) array
+    s = signals.make_sparse(500, 20, seed=1).structure
+    lams = [0.1 * i for i in range(31)]
+    assert _traced_peak_mb(lambda: geometry.optimal_lambda(s, McConfig(20_000, seed=7))) < 10.0
+    assert _traced_peak_mb(
+        lambda: geometry.msd_lambda_curve(s, lams, McConfig(100_000, seed=7))) < 35.0
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -745,21 +810,27 @@ class _RecordingStream:
 
 @pytest.mark.parametrize("kind", ["sparse", "lowrank"])
 def test_one_chunk_alive_at_each_draw(monkeypatch, kind):
-    # Five 64-sample chunks of 16-row tiles (19 tiles), drawn twice: a pass
-    # and a forced redraw. At the first profile of each chunk no earlier
-    # profile is alive; the draws of a pass alternate between two buffers;
-    # and a buffer is drawn again only once the profile of the tile last
-    # drawn into it has returned: draw n starts after profiles 0..n-2.
+    # Six 50-sample chunks of 16-row tiles (24 tiles), drawn twice: a pass
+    # and a forced redraw. Until the bracket opens, only the tiles that hold
+    # the first LEAD samples may be alive, and the lead ends inside tile 20
+    # (rows 250-265); from then on, and through the redraw, no earlier profile
+    # is alive at any profile. The draws of a pass alternate between two
+    # buffers, and a buffer is drawn again only once the profile of the tile
+    # last drawn into it has returned: draw n starts after profiles 0..n-2.
     s = _tiled_structure(kind, 1)
-    mc = McConfig(samples=300, seed=1, chunk=64)
-    live, outs, profiled = [], [], [0, 0]  # profiles returned, rows profiled
+    mc = McConfig(samples=300, seed=1, chunk=50)
+    live, outs, profiled = [], [], [0, 0]  # (first row, nu); profiles returned, rows profiled
     profile = type(s).profile
 
     def tracked(self, G):
-        if profiled[1] % mc.samples % mc.chunk == 0:
-            assert all(ref() is None for ref in live), profiled
+        row = profiled[1] % mc.samples
+        alive = [start for start, ref in live if ref() is not None]
+        if profiled[1] < mc.samples and row < geometry.LEAD:
+            assert all(start < geometry.LEAD for start in alive), profiled
+        else:
+            assert alive == [], profiled
         p = profile(self, G)
-        live.append(weakref.ref(p.nu))
+        live.append((row, weakref.ref(p.nu)))
         profiled[0] += 1
         profiled[1] += G.shape[0]
         return p
@@ -769,13 +840,14 @@ def test_one_chunk_alive_at_each_draw(monkeypatch, kind):
 
     monkeypatch.setattr(type(s), "profile", tracked)
     monkeypatch.setattr(geometry, "stream", recorded)
-    monkeypatch.setattr(geometry, "BRACKET", 0.0)
+    monkeypatch.setattr(geometry, "Z", 0.0)
     monkeypatch.setattr(geometry, "TILE", 16 * s.ambient_dim)
     geometry.estimate(s, mc, [0.5, 1.0], cone=True, optimal=True)
-    assert len(outs) == 2 * 19 and profiled == [2 * 19, 2 * 300]
+    assert len(outs) == 2 * 24 and profiled == [2 * 24, 2 * 300]
+    assert [start for start, _ in live[20:22]] == [250, 266]
     for n, (_, returned) in enumerate(outs):
         assert returned >= n - 1, (n, returned)
-    for drawn in (outs[:19], outs[19:]):
+    for drawn in (outs[:24], outs[24:]):
         bufs = [out for out, _ in drawn]
         assert not np.shares_memory(bufs[0], bufs[1])
         assert all(np.shares_memory(out, bufs[n % 2]) for n, out in enumerate(bufs))
@@ -826,7 +898,7 @@ def test_draw_ahead_under_thread_stress(monkeypatch):
     s = _tiled_structure("sparse", 2)
     mc = McConfig(samples=300, seed=3, chunk=64)
     monkeypatch.setattr(geometry, "TILE", 5 * s.ambient_dim)
-    monkeypatch.setattr(geometry, "BRACKET", 0.0)
+    monkeypatch.setattr(geometry, "Z", 0.0)
 
     def run():
         return geometry.estimate(s, mc, [0.5, 1.5], cone=True, optimal=True)

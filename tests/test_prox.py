@@ -86,15 +86,21 @@ def test_block_rejects_indivisible_length():
         prox.block_soft_threshold(np.arange(5.0), 1.0, 2)
 
 
-@pytest.mark.parametrize("block_size", [0, -2, None])
+@pytest.mark.parametrize("block_size", [0, -2, None, 2.0, True, np.float64(2.0)])
 def test_block_size_must_be_positive(block_size):
+    # a float or a bool is neither truncated nor left to fail inside numpy
     y = np.arange(4.0)
-    with pytest.raises(ValueError, match="block size must be a positive integer"):
+    error, match = ((ValueError, "block size must be a positive integer")
+                    if block_size is None or type(block_size) is int else
+                    (TypeError, "block size must be an integer"))
+    with pytest.raises(error, match=match):
         prox.block_soft_threshold(y, 1.0, block_size)
-    with pytest.raises(ValueError, match="block size must be a positive integer"):
+    with pytest.raises(error, match=match):
         prox.project_ball(y, "l12", 1.0, block_size=block_size)
-    with pytest.raises(ValueError, match="block size must be a positive integer"):
+    with pytest.raises(error, match=match):
         prox.prox_residual("l12", y, y, 1.0, block_size=block_size)
+    with pytest.raises(error, match=match):
+        prox.dual_norm(y, "l12", block_size)
 
 
 def test_non_finite_scale_rejected():
