@@ -25,17 +25,19 @@ lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
 sort-and-threshold l1-ball projection), rise to the smallest minimizer without
 passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
 
-``estimate`` computes every Monte Carlo estimate in one loop, sweeping the
+``estimate`` computes every Monte Carlo estimate in one pass, sweeping the
 thresholds once per lam and once per Newton pass. A 4096-sample chunk of
 sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
 ``_chunks`` draws and profiles each chunk in row tiles of about ``TILE``
-drawn entries (1 MB), and each tile takes all its passes while it is cached.
-Every profile computes a sample's row from that sample alone, so no result
-bit depends on the tile a sample lands in.
+drawn entries (1 MB) and hands each tile to a visitor, which takes all its
+passes while the tile is cached. Every profile computes a sample's row from
+that sample alone, so no result bit depends on the tile a sample lands in.
+``_clip`` is the one kernel that clips thresholds and counts what stays
+active, on a tile's profile or on the bracket's kept thresholds.
 
-The draw overlaps the rest: while a tile is profiled and swept, one worker
+The draw overlaps the rest: while a tile is profiled and visited, one worker
 thread of ``_chunks`` draws the next tile into the other of two draw
-buffers. The worker only draws; every profile and sweep runs on the calling
+buffers. The worker only draws; every profile and visit runs on the calling
 thread, and the tiles come in the same order, so no result bit moves.
 
 Memory follows the tile, plus a few numbers per sample. ``_chunks`` reuses
@@ -44,14 +46,14 @@ one (lams, samples) array in place. The pooled minimiser lam* of the sample
 mean keeps the profiles of its first ``LEAD`` samples only until their own
 minimiser lam0 is known; from then on it keeps a bracket around lam0, a few
 standard errors of lam0 wide (``_PooledMinimum``): a few sums per sample and
-the clip thresholds inside the bracket.
+the clip thresholds inside the bracket. A flat profile (c2 = 0) needs no
+bracket: its lam* is the largest threshold of all the samples.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,16 +180,16 @@ def _profile_eval(p: ScaleProfile, lam, t: np.ndarray | None = None) -> np.ndarr
     return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + t.sum(axis=1)
 
 
-def _clip(p: ScaleProfile, lam, t: np.ndarray):
-    """Fill t with max(nu - lam, 0); per sample, return the active count, the
+def _clip(nu: np.ndarray, w: np.ndarray | None, lam, t: np.ndarray):
+    """Fill t with max(nu - lam, 0); per row, return the active count, the
     active weight sum_A w_j and the clipped sum sum_j w_j t_j."""
     lam = np.asarray(lam, dtype=float)
-    np.subtract(p.nu, lam[..., None], out=t)
+    np.subtract(nu, lam[..., None], out=t)
     np.maximum(t, 0.0, out=t)
     count = np.count_nonzero(t, axis=1)
-    if p.w is None:
+    if w is None:
         return count, count, t.sum(axis=1)
-    return count, ((t > 0.0) * p.w).sum(axis=1), (t * p.w).sum(axis=1)
+    return count, ((t > 0.0) * w).sum(axis=1), (t * w).sum(axis=1)
 
 
 def _newton_step(excess, slope):
@@ -210,7 +212,7 @@ def _cone_argmin(p: ScaleProfile, t: np.ndarray, start: int = 0) -> tuple[np.nda
     lam = np.zeros(n)
     count = np.full(n, -1)
     for passes in range(j + 2):
-        active, weight, clipped = _clip(p, lam, t)
+        active, weight, clipped = _clip(p.nu, p.w, lam, t)
         excess = p.c1 + clipped - p.c2 * lam
         done = active == count
         if done.all():
@@ -238,7 +240,7 @@ def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]):
         active = 0
         for start, p, t in tiles:
             rows = slice(start, start + p.c0.size)
-            a, weight, clipped = _clip(p, lam, t)
+            a, weight, clipped = _clip(p.nu, p.w, lam, t)
             excess[rows], slope[rows] = p.c1 + clipped - p.c2 * lam, p.c2 + weight
             if passes == 0:
                 _require_finite(start, p.c0, excess[rows])
@@ -251,7 +253,7 @@ def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]):
 
 
 class _PooledMinimum:
-    """The estimate at the pooled minimiser lam*, from the tiles of ``_chunks`` in order.
+    """The estimate at the pooled minimiser lam*; ``add`` visits the tiles of ``_chunks``.
 
     It holds memory set by the tile and a few numbers per sample, not every
     profile. The tiles that hold the first ``LEAD`` samples (the lead) are
@@ -261,15 +263,18 @@ class _PooledMinimum:
     the result when the call has at most ``LEAD`` samples. Otherwise lam0
     centres the bracket [a, b] = [lam0 - r, lam0 + r], with r = ``Z`` standard
     errors of lam0 by the delta method, sd(h(lam0)) / (sqrt(LEAD) mean h'(lam0))
-    over the lead's samples (0 where h' = 0, which leaves lam* to the guard
-    below). Each tile then leaves, per sample, c0, c1 and, over its clip
+    over the lead's samples (0 where h' = 0, which only a flat profile has).
+    Each tile then leaves, per sample, c0, c1 and, over its clip
     thresholds above b, S0 = sum w, S1 = sum w (nu - b) and S2 = sum w (nu - b)^2
     (centred at b, so that nothing cancels). Its thresholds in (a, b] are
     kept one by one as (value, sample, weight); those at or below a are
     dropped, as they clip to 0 at every lam >= a. If h(a) <= 0 <= h(b), Newton
     steps from a on what was kept rise to lam* as they do on the whole
     profiles. If not, the bracket widens to an end that must hold lam* and the
-    samples are drawn again: their streams are keyed, so the same ones come back.
+    tiles are visited again: their streams are keyed, so the same samples come
+    back. A flat profile (c2 = 0, so c1 = 0 too) takes no bracket: its summed
+    profile falls until the largest threshold of all the samples, which each
+    tile updates, and there every sample's value is its c0.
     """
 
     def __init__(self, s: SignalStructure, mc: McConfig):
@@ -313,11 +318,11 @@ class _PooledMinimum:
 
     def _keep(self, start: int, p: ScaleProfile, t: np.ndarray) -> None:
         rows = slice(start, start + p.c0.size)
-        count, self.s0[rows], self.s1[rows] = _clip(p, self.b, t)
+        count, self.s0[rows], self.s1[rows] = _clip(p.nu, p.w, self.b, t)
         # a NaN threshold fails every comparison, so no mask may see it first
         _require_finite(start, p.c0, p.c1 + self.s1[rows])
         self.above += int(count.sum())
-        self.top = max(self.top, float(t.max(initial=0.0)))
+        self.top = max(self.top, float(p.nu.max(initial=0.0)))
         self.c0[rows], self.c1[rows] = p.c0, p.c1
         t *= t
         if p.w is not None:
@@ -347,20 +352,10 @@ class _PooledMinimum:
         """Active count, -h(lam), h'(lam) and the total size of the terms of -h(lam),
         of the summed profile at a <= lam <= b."""
         c1, c2, s0, s1, c1_size = self.sums
-        t = self._clipped(lam)
-        count = np.count_nonzero(t)
-        if self.weights is None:
-            weight, clipped = count, t.sum()
-        else:
-            weight, clipped = ((t > 0.0) * self.weights).sum(), (t * self.weights).sum()
-        clipped = s1 + (self.b - lam) * s0 + float(clipped)  # every w_j (nu_j - lam)_+
-        return (self.above + count, c1 + clipped - c2 * lam, c2 + s0 + float(weight),
+        count, weight, clipped = _clip(self.values[None], self.weights, lam, self.scratch[None])
+        clipped = s1 + (self.b - lam) * s0 + float(clipped[0])  # every w_j (nu_j - lam)_+
+        return (self.above + int(count[0]), c1 + clipped - c2 * lam, c2 + s0 + float(weight[0]),
                 c1_size + clipped + c2 * lam)
-
-    def _clipped(self, lam: float) -> np.ndarray:
-        """max(values - lam, 0), in the one scratch array."""
-        t = np.subtract(self.values, lam, out=self.scratch)
-        return np.maximum(t, 0.0, out=t)
 
     def _widened(self) -> tuple[float, float]:
         """[a, b] if it holds lam*, else a bracket that must hold it."""
@@ -373,18 +368,18 @@ class _PooledMinimum:
         if low < -tol and a > 0.0:
             # h(a) > 0, so lam* < a; concave h lies below its tangent at a,
             # which crosses 0 at or below lam*
-            a = max(0.0, a + low / slope) if slope > 0.0 else 0.0
+            a = max(0.0, a + low / slope)
         if high > tol:
-            # h(b) < 0, so lam* > b; past b, h rises at least at the rate c2 * N,
-            # and with c2 = 0 it is flat beyond the largest threshold
-            c2 = self.sums[1]
-            b = b + high / c2 if c2 > 0.0 else b + 2.0 * self.top
+            # h(b) < 0, so lam* > b; past b, h rises at least at the rate c2 * N > 0
+            b += high / self.sums[1]
         return a, b
 
     def result(self) -> MsdEstimate:
-        """The estimate at lam*, drawing the samples again while the bracket misses it."""
+        """The estimate at lam*, visiting the samples again while the bracket misses it."""
         if self.tuned is not None:
             return self.tuned
+        if self.c2 == 0.0:  # flat: lam* is the largest threshold, where each value is c0
+            return MsdEstimate(*mean_stderr(self.c0), self.c0.size, self.top)
         for redraws in range(3):  # one redraw brackets lam*; a second guards the rounding
             self._close()
             a, b = self._widened()
@@ -392,10 +387,7 @@ class _PooledMinimum:
                 return self._minimum()
             if redraws < 2:
                 self._open(a, b, self.c2)
-                with closing(_chunks(self.s, self.mc)) as tiles:
-                    for start, p, t in tiles:
-                        self._keep(start, p, t)
-                        del p, t
+                _chunks(self.s, self.mc, self._keep)
         raise NumericalError("pooled minimiser still outside its bracket after 2 redraws")
 
     def _minimum(self) -> MsdEstimate:
@@ -412,8 +404,8 @@ class _PooledMinimum:
         d = self.b - lam
         v = self.c0 - 2.0 * self.c1 * lam + self.c2 * lam * lam
         v += self.s2 + d * (2.0 * self.s1 + d * self.s0)
-        t = self._clipped(lam)
-        self.values = None  # last used: room for bincount's intp copy of the sample indices
+        _clip(self.values[None], self.weights, lam, self.scratch[None])
+        t, self.values = self.scratch, None  # room for bincount's intp copy of the sample indices
         t *= t
         if self.weights is not None:
             t *= self.weights
@@ -421,8 +413,8 @@ class _PooledMinimum:
         return MsdEstimate(*mean_stderr(v), v.size, lam)
 
 
-def _chunks(s: SignalStructure, mc: McConfig):
-    """Yield (start, profile, clip buffer) over row tiles of the sample streams.
+def _chunks(s: SignalStructure, mc: McConfig, visit) -> None:
+    """Call visit(start, profile, clip buffer) on each row tile of the sample streams, in order.
 
     Chunk i draws from stream (seed, i) a tile of rows at a time, about
     ``TILE`` entries; rows drawn in consecutive blocks are bitwise those of
@@ -431,11 +423,11 @@ def _chunks(s: SignalStructure, mc: McConfig):
     tile i + 2 is drawn only once tile i's profile has returned (no profile
     shares memory with its draw). numpy releases the interpreter lock while
     it fills a buffer, so the draw overlaps the profile and the caller's
-    sweep, and every result bit stays the same. The worker only draws: each
-    tile is profiled on the calling thread (every profile is
-    row-independent) and yielded with a view of one clip buffer laid out
-    like nu. A draw's exception is raised here, and closing the generator
-    joins the worker. Memory is set by the tile, as long as the caller keeps
+    visit, and every result bit stays the same. The worker only draws: each
+    tile is profiled and visited on the calling thread (every profile is
+    row-independent), with a view of one clip buffer laid out like nu. A
+    draw's exception is raised here, and the worker is joined before this
+    returns or raises. Memory is set by the tile, as long as ``visit`` keeps
     no tile.
     """
     rows = min(max(1, TILE // s.ambient_dim), mc.chunk, mc.samples)
@@ -472,8 +464,8 @@ def _chunks(s: SignalStructure, mc: McConfig):
             free.release()
             if clips is None:
                 clips = np.empty((rows, p.nu.shape[1]))
-            yield lo, p, clips[:n]
-            del p  # freed before the next profile, once the caller drops it too
+            visit(lo, p, clips[:n])
+            del p  # freed before the next profile, unless visit keeps it
     finally:
         closed.set()
         free.release()
@@ -510,9 +502,9 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
              optimal: bool = False) -> Estimates:
     """Monte Carlo estimates of the mean squared distance from one pass over the samples.
 
-    Each row tile gets all its work while it is cached: the profile at every
-    lam, then the Newton passes of the cone minimum, then the pooled
-    minimiser's bracket. The estimates share common random numbers, so
+    Each row tile's visit does all its work while the tile is cached: the
+    profile at every lam, then the Newton passes of the cone minimum, then the
+    pooled minimiser's bracket. The estimates share common random numbers, so
     comparing them carries no sampling noise.
     """
     lams = [require_nonneg(l, "lam") for l in lams]
@@ -520,16 +512,17 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
         raise ValueError("estimate needs lams, cone or optimal")
     values, minima = np.empty((len(lams), mc.samples)), np.empty(mc.samples) if cone else None
     tuned = _PooledMinimum(s, mc) if optimal else None
-    with closing(_chunks(s, mc)) as tiles:  # closing joins the draw worker, also on a raise
-        for start, p, t in tiles:
-            rows = slice(start, start + p.c0.size)
-            for row, lam in zip(values, lams):
-                row[rows] = _profile_eval(p, lam, t)
-            if cone:
-                minima[rows] = _cone_argmin(p, t, start)[1]
-            if optimal:
-                tuned.add(start, p, t)
-            del p, t  # so that a tile's profile is freed before the next one is profiled
+
+    def visit(start: int, p: ScaleProfile, t: np.ndarray) -> None:
+        rows = slice(start, start + p.c0.size)
+        for row, lam in zip(values, lams):
+            row[rows] = _profile_eval(p, lam, t)
+        if cone:
+            minima[rows] = _cone_argmin(p, t, start)[1]
+        if optimal:
+            tuned.add(start, p, t)
+
+    _chunks(s, mc, visit)
     curve = [MsdEstimate(*mean_stderr(v), v.size, lam) for v, lam in zip(values, lams)]
     del values  # before the pooled minimiser's bracket closes, which may draw again
     return Estimates(curve, MsdEstimate(*mean_stderr(minima), minima.size) if cone else None,

@@ -123,7 +123,7 @@ def whole_chunk_estimates(s, lams, mc):
     for passes in range(sum(p.nu.size for _, p in chunks) + 2):
         active, excess, slope = 0, 0.0, 0.0
         for start, p in chunks:
-            a, weight, clipped = geometry._clip(p, lam, buf[: p.c0.size])
+            a, weight, clipped = geometry._clip(p.nu, p.w, lam, buf[: p.c0.size])
             e, sl = p.c1 + clipped - p.c2 * lam, p.c2 + weight
             if passes == 0:
                 geometry._require_finite(start, p.c0, e)

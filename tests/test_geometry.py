@@ -621,8 +621,8 @@ def test_bracket_holds_lam_star_in_one_pass(monkeypatch, desc):
 @pytest.mark.parametrize("seed", range(4))
 def test_flat_profile_gets_a_finite_bracket(monkeypatch, seed):
     # c2 = 0 and a flat profile past the largest threshold: the lead's own
-    # h and h' are 0 at lam0, and the bracket is still finite; lam* is the oracle's
-    s = _structure("weighted_zero_support", seed)
+    # h and h' are 0 at lam0, and the bracket is still finite; lam* is the
+    # oracle's, the largest threshold, found in one pass: each chunk is drawn once
     opened = []
     open_bracket = geometry._PooledMinimum._open
 
@@ -631,14 +631,19 @@ def test_flat_profile_gets_a_finite_bracket(monkeypatch, seed):
         open_bracket(self, a, b, c2)
 
     monkeypatch.setattr(geometry._PooledMinimum, "_open", recorded)
-    for samples, chunk in ((1000, 999), (5000, 4096)):
-        mc = McConfig(samples=samples, seed=seed, chunk=chunk)
-        _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
-        opened.clear()
-        lam, got = geometry.optimal_lambda(s, mc)
-        assert opened and all(math.isfinite(a) and math.isfinite(b) for a, b in opened)
-        assert math.isfinite(lam) and lam == got.lam
-        _assert_close_estimate(got, tuned)
+    made = _counting_streams(monkeypatch)
+    for kind in ("weighted_zero_support", "empty_support"):
+        s = _structure(kind, seed)
+        for samples, chunk in ((1000, 999), (5000, 4096)):
+            mc = McConfig(samples=samples, seed=seed, chunk=chunk)
+            _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
+            opened.clear()
+            made.clear()
+            lam, got = geometry.optimal_lambda(s, mc)
+            assert opened and all(math.isfinite(a) and math.isfinite(b) for a, b in opened)
+            assert made == [(0,), (1,)], (kind, samples)
+            assert math.isfinite(lam) and lam == got.lam
+            _assert_close_estimate(got, tuned)
 
 
 def _traced_peak_mb(call) -> float:
@@ -864,11 +869,14 @@ class _FailingStream:
         raise _DrawError("draw failed")
 
 
-@pytest.mark.parametrize("case", ["returns", "sparse_nan", "lowrank_nan", "draw_raises"])
+@pytest.mark.parametrize("case", ["returns", "sparse_nan", "lowrank_nan", "draw_raises",
+                                  "redraw_raises"])
 def test_draw_worker_ends_with_the_call(monkeypatch, case):
     # the draw-ahead thread is joined before estimate returns or raises, and
     # the exception keeps its type: a non-finite profile raised by the sweep
-    # (sparse) or by the profile (low rank), or the draw's own exception
+    # (sparse) or by the profile (low rank), or the draw's own exception, in
+    # the first pass or in a forced redraw (Z = 0), where a chunk fails only
+    # when it is drawn for the second time
     s = _tiled_structure("lowrank" if case == "lowrank_nan" else "sparse", 1)
     mc = McConfig(samples=300, seed=1, chunk=64)
     if case.endswith("nan"):
@@ -877,6 +885,17 @@ def test_draw_worker_ends_with_the_call(monkeypatch, case):
     elif case == "draw_raises":
         monkeypatch.setattr(geometry, "stream",
                             lambda seed, ci: stream(seed, ci) if ci < 2 else _FailingStream())
+    elif case == "redraw_raises":
+        drawn = set()
+
+        def once(seed, ci):
+            if ci in drawn:
+                return _FailingStream()
+            drawn.add(ci)
+            return stream(seed, ci)
+
+        monkeypatch.setattr(geometry, "stream", once)
+        monkeypatch.setattr(geometry, "Z", 0.0)
     before = threading.active_count()
     if case == "returns":
         geometry.estimate(s, mc, [1.0], cone=True, optimal=True)
