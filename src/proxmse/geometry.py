@@ -24,6 +24,8 @@ and linear on each active set A = {j : nu_j > lam}. Newton steps from lam = 0,
 lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
 sort-and-threshold l1-ball projection), rise to the smallest minimizer without
 passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
+``_rise`` is the one Newton loop: per sample for the cone MSD, and on the sums
+over the samples for the pooled minimiser lam* of the sample mean.
 
 ``estimate`` computes every Monte Carlo estimate in one pass, sweeping the
 thresholds once per lam and once per Newton pass. A 4096-sample chunk of
@@ -33,7 +35,10 @@ drawn entries (1 MB) and hands each tile to a visitor, which takes all its
 passes while the tile is cached. Every profile computes a sample's row from
 that sample alone, so no result bit depends on the tile a sample lands in.
 ``_clip`` is the one kernel that clips thresholds and counts what stays
-active, on a tile's profile or on the bracket's kept thresholds.
+active, on a tile's profile or on the bracket's kept thresholds, and
+``_squared`` the one that squares and weights what it clipped. ``_chunks``
+rejects a tile with a non-finite profile before any visit sees it, naming
+the first bad sample, for every estimator.
 
 The draw overlaps the rest: while a tile is profiled and visited, one worker
 thread of ``_chunks`` draws the next tile into the other of two draw
@@ -43,8 +48,9 @@ thread, and the tiles come in the same order, so no result bit moves.
 Memory follows the tile, plus a few numbers per sample. ``_chunks`` reuses
 two draw buffers and one clip buffer for the whole call, and the curve fills
 one (lams, samples) array in place. The pooled minimiser lam* of the sample
-mean keeps the profiles of its first ``LEAD`` samples only until their own
-minimiser lam0 is known; from then on it keeps a bracket around lam0, a few
+mean keeps the profile rows of its first ``LEAD`` samples only until they are
+all drawn, then joins them into one profile and takes that profile's own
+minimiser lam0; from then on it keeps a bracket around lam0, a few
 standard errors of lam0 wide (``_PooledMinimum``): a few sums per sample and
 the clip thresholds inside the bracket. A flat profile (c2 = 0) needs no
 bracket: its lam* is the largest threshold of all the samples.
@@ -169,15 +175,20 @@ def project_scaled_subdiff(s: SignalStructure, g: np.ndarray, lam: float) -> np.
 # Reduced scale profiles (vectorized over Monte Carlo samples)
 # ---------------------------------------------------------------------------
 
+def _squared(t: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Square the clipped thresholds t in place and weight them by w; returns t."""
+    t *= t
+    if w is not None:
+        t *= w
+    return t
+
+
 def _profile_eval(p: ScaleProfile, lam, t: np.ndarray | None = None) -> np.ndarray:
     """The profile at lam, clipping into ``t`` if one is given."""
     lam = np.asarray(lam, dtype=float)
     t = np.subtract(p.nu, lam[..., None], out=t)
     np.maximum(t, 0.0, out=t)
-    t *= t
-    if p.w is not None:
-        t *= p.w
-    return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + t.sum(axis=1)
+    return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + _squared(t, p.w).sum(axis=1)
 
 
 def _clip(nu: np.ndarray, w: np.ndarray | None, lam, t: np.ndarray):
@@ -192,14 +203,40 @@ def _clip(nu: np.ndarray, w: np.ndarray | None, lam, t: np.ndarray):
     return count, ((t > 0.0) * w).sum(axis=1), (t * w).sum(axis=1)
 
 
+def _slopes(p: ScaleProfile, lam, t: np.ndarray):
+    """Each sample's active count, -h(lam) and h'(lam), clipping into t."""
+    active, weight, clipped = _clip(p.nu, p.w, lam, t)
+    return active, p.c1 + clipped - p.c2 * lam, p.c2 + weight
+
+
 def _newton_step(excess, slope):
     """Step -h/h' from excess = -h(lam), slope = h'(lam); 0 where h' = 0 or h > 0."""
     step = np.divide(excess, slope, out=np.zeros_like(excess, dtype=float), where=slope > 0)
     return np.maximum(step, 0.0)
 
 
+def _rise(h, lam, passes: int, start: int = 0):
+    """Newton steps from lam until the active set repeats (see the module doc), where
+    h(lam) gives the active count, -h and h'. An array lam rises per sample, a
+    number on the sums over the samples; an array's error names the first
+    sample still moving, counting lam's first as sample ``start``."""
+    count = -1
+    for _ in range(passes):
+        active, excess, slope = h(lam)
+        done = active == count
+        if np.all(done):
+            return lam
+        step = _newton_step(excess, slope)
+        lam = np.where(done, lam, lam + step) if np.ndim(lam) else lam + float(step)
+        count = active
+    idx = start + int(np.argmin(done)) if np.ndim(lam) else None
+    where = "pooled" if idx is None else f"sample {idx}:"
+    raise NumericalError(f"{where} active set still moving after {passes} passes", index=idx)
+
+
 def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
-    """Raise on the first sample whose c0 or -h(0) (c1 plus clipped sum) is not finite."""
+    """Raise on the first sample whose c0 or ``excess`` (c1 plus a sum of its
+    thresholds) is not finite."""
     bad = np.flatnonzero(~(np.isfinite(c0) & np.isfinite(excess)))
     if bad.size:
         raise NumericalError(f"non-finite scale profile at sample {start + bad[0]}",
@@ -208,58 +245,25 @@ def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
 
 def _cone_argmin(p: ScaleProfile, t: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample minimiser over lam >= 0 and minimum (see the module doc), clipping into t."""
-    n, j = p.nu.shape
-    lam = np.zeros(n)
-    count = np.full(n, -1)
-    for passes in range(j + 2):
-        active, weight, clipped = _clip(p.nu, p.w, lam, t)
-        excess = p.c1 + clipped - p.c2 * lam
-        done = active == count
-        if done.all():
-            return lam, _profile_eval(p, lam, t)
-        if passes == 0:
-            _require_finite(start, p.c0, excess)
-        lam = np.where(done, lam, lam + _newton_step(excess, p.c2 + weight))
-        count = active
-    idx = start + int(np.argmin(done))
-    raise NumericalError(f"sample {idx}: active set still moving after {j + 2} passes", index=idx)
+    lam = _rise(lambda lam: _slopes(p, lam, t), np.zeros(p.c0.size), p.nu.shape[1] + 2, start)
+    return lam, _profile_eval(p, lam, t)
 
 
-def _pooled_argmin(tiles: list[tuple[int, ScaleProfile, np.ndarray]]):
-    """The exact minimiser lam >= 0 of the profiles summed over all samples,
-    and each sample's -h(lam) and h'(lam) there.
-
-    ``tiles`` hold (start, profile, clip buffer) and cover the samples from 0
-    in order. The per-sample terms are summed over one array, so the tiling
-    does not move the rounding.
-    """
-    total = tiles[-1][0] + tiles[-1][1].c0.size
-    excess, slope = np.empty(total), np.empty(total)
-    lam, count = 0.0, -1
-    for passes in range(sum(p.nu.size for _, p, _ in tiles) + 2):
-        active = 0
-        for start, p, t in tiles:
-            rows = slice(start, start + p.c0.size)
-            a, weight, clipped = _clip(p.nu, p.w, lam, t)
-            excess[rows], slope[rows] = p.c1 + clipped - p.c2 * lam, p.c2 + weight
-            if passes == 0:
-                _require_finite(start, p.c0, excess[rows])
-            active += int(a.sum())
-        if active == count:
-            return lam, excess, slope
-        lam += float(_newton_step(excess.sum(), slope.sum()))
-        count = active
-    raise NumericalError("pooled active set still moving after its pass limit")
+def _pooled_argmin(p: ScaleProfile, t: np.ndarray):
+    """The exact minimiser lam >= 0 of the profile summed over its samples,
+    and each sample's -h(lam) and h'(lam) there, clipping into t."""
+    lam = _rise(lambda lam: [x.sum() for x in _slopes(p, lam, t)], 0.0, p.nu.size + 2)
+    return (lam, *_slopes(p, lam, t)[1:])
 
 
 class _PooledMinimum:
     """The estimate at the pooled minimiser lam*; ``add`` visits the tiles of ``_chunks``.
 
     It holds memory set by the tile and a few numbers per sample, not every
-    profile. The tiles that hold the first ``LEAD`` samples (the lead) are
-    held until the lead is complete; the lead's own pooled minimiser lam0
-    (``_pooled_argmin``, on the lead's rows alone: a tile that straddles its
-    end is cut, which moves no bit, as every profile is row-independent) is
+    profile. The rows of the first ``LEAD`` samples (the lead) are held until
+    the lead is complete and then joined into one profile (a tile that
+    straddles its end is cut, which moves no bit, as every profile is
+    row-independent). Its own pooled minimiser lam0 (``_pooled_argmin``) is
     the result when the call has at most ``LEAD`` samples. Otherwise lam0
     centres the bracket [a, b] = [lam0 - r, lam0 + r], with r = ``Z`` standard
     errors of lam0 by the delta method, sd(h(lam0)) / (sqrt(LEAD) mean h'(lam0))
@@ -269,17 +273,18 @@ class _PooledMinimum:
     (centred at b, so that nothing cancels). Its thresholds in (a, b] are
     kept one by one as (value, sample, weight); those at or below a are
     dropped, as they clip to 0 at every lam >= a. If h(a) <= 0 <= h(b), Newton
-    steps from a on what was kept rise to lam* as they do on the whole
-    profiles. If not, the bracket widens to an end that must hold lam* and the
-    tiles are visited again: their streams are keyed, so the same samples come
-    back. A flat profile (c2 = 0, so c1 = 0 too) takes no bracket: its summed
-    profile falls until the largest threshold of all the samples, which each
-    tile updates, and there every sample's value is its c0.
+    steps from a on what was kept (``_rise``, the one Newton loop) rise to
+    lam* as they do on the whole profiles. If not, the bracket widens to an
+    end that must hold lam* and the tiles are visited again: their streams
+    are keyed, so the same samples come back. A flat profile (c2 = 0, so
+    c1 = 0 too) takes no bracket: its summed profile falls until the largest
+    threshold of all the samples, which each tile updates, and there every
+    sample's value is its c0.
     """
 
     def __init__(self, s: SignalStructure, mc: McConfig):
         self.s, self.mc = s, mc
-        self.first: list[tuple[int, ScaleProfile, np.ndarray]] = []
+        self.lead = []  # the lead's (c0, c1, nu) rows of each tile
         self.tuned: MsdEstimate | None = None
         self.kept = None
 
@@ -287,26 +292,25 @@ class _PooledMinimum:
         if self.kept is not None:
             self._keep(start, p, t)
             return
-        self.first.append((start, p, t))
         lead = min(LEAD, self.mc.samples)
-        if start + p.c0.size < lead:
+        n = min(p.c0.size, lead - start)  # the tile's rows in the lead
+        self.lead.append((p.c0[:n], p.c1[:n], p.nu[:n]))
+        if start + n < lead:
             return
-        n = lead - start  # the last tile's rows in the lead
-        head = self.first[:-1] + [(start, ScaleProfile(p.c0[:n], p.c1[:n], p.c2, p.nu[:n], p.w),
-                                   t[:n])]
-        lam0, excess, slope = _pooled_argmin(head)
+        c0, c1, nu = (np.concatenate(f) for f in zip(*self.lead))
+        self.lead, q = [], ScaleProfile(c0, c1, p.c2, nu, p.w)
+        u = np.empty_like(q.nu)
+        lam0, excess, slope = _pooled_argmin(q, u)
         if self.mc.samples <= LEAD:
-            values = np.concatenate([_profile_eval(q, lam0, u) for _, q, u in self.first])
-            self.tuned = MsdEstimate(*mean_stderr(values), values.size, lam0)
-        else:
-            mean_slope = float(slope.mean())
-            se = (float(excess.std(ddof=1)) / (math.sqrt(lead) * mean_slope) if mean_slope > 0.0
-                  else 0.0)
-            r = Z * se if math.isfinite(se) else 0.0  # past the float range: left to the guard
-            self._open(max(lam0 - r, 0.0), lam0 + r, p.c2)
-            for tile in self.first:
-                self._keep(*tile)
-        self.first = []
+            self.tuned = MsdEstimate(*mean_stderr(_profile_eval(q, lam0, u)), lead, lam0)
+            return
+        mean_slope = float(slope.mean())
+        se = (float(excess.std(ddof=1)) / (math.sqrt(lead) * mean_slope) if mean_slope > 0.0
+              else 0.0)
+        r = Z * se if math.isfinite(se) else 0.0  # past the float range: left to the guard
+        self._open(max(lam0 - r, 0.0), lam0 + r, p.c2)
+        self._keep(0, q, u)
+        self._keep(lead, ScaleProfile(p.c0[n:], p.c1[n:], p.c2, p.nu[n:], p.w), t[n:])
 
     def _open(self, a: float, b: float, c2: float) -> None:
         n = self.mc.samples
@@ -319,15 +323,10 @@ class _PooledMinimum:
     def _keep(self, start: int, p: ScaleProfile, t: np.ndarray) -> None:
         rows = slice(start, start + p.c0.size)
         count, self.s0[rows], self.s1[rows] = _clip(p.nu, p.w, self.b, t)
-        # a NaN threshold fails every comparison, so no mask may see it first
-        _require_finite(start, p.c0, p.c1 + self.s1[rows])
         self.above += int(count.sum())
         self.top = max(self.top, float(p.nu.max(initial=0.0)))
         self.c0[rows], self.c1[rows] = p.c0, p.c1
-        t *= t
-        if p.w is not None:
-            t *= p.w
-        self.s2[rows] = t.sum(axis=1)
+        self.s2[rows] = _squared(t, p.w).sum(axis=1)
         i, j = np.nonzero((p.nu > self.a) & (p.nu <= self.b))
         values, samples, weights = self.kept
         values.append(p.nu[i, j])
@@ -392,24 +391,13 @@ class _PooledMinimum:
 
     def _minimum(self) -> MsdEstimate:
         """Newton steps from a (see the module doc), and each sample's value at lam*."""
-        lam, count = self.a, -1
-        for _ in range(self.values.size + 2):
-            active, excess, slope, _ = self._pooled(lam)
-            if active == count:
-                break
-            lam += float(_newton_step(excess, slope))
-            count = active
-        else:
-            raise NumericalError("pooled active set still moving after its pass limit")
+        lam = _rise(lambda lam: self._pooled(lam)[:3], self.a, self.values.size + 2)
         d = self.b - lam
         v = self.c0 - 2.0 * self.c1 * lam + self.c2 * lam * lam
         v += self.s2 + d * (2.0 * self.s1 + d * self.s0)
         _clip(self.values[None], self.weights, lam, self.scratch[None])
         t, self.values = self.scratch, None  # room for bincount's intp copy of the sample indices
-        t *= t
-        if self.weights is not None:
-            t *= self.weights
-        v += np.bincount(self.samples, weights=t, minlength=v.size)
+        v += np.bincount(self.samples, weights=_squared(t, self.weights), minlength=v.size)
         return MsdEstimate(*mean_stderr(v), v.size, lam)
 
 
@@ -426,9 +414,10 @@ def _chunks(s: SignalStructure, mc: McConfig, visit) -> None:
     visit, and every result bit stays the same. The worker only draws: each
     tile is profiled and visited on the calling thread (every profile is
     row-independent), with a view of one clip buffer laid out like nu. A
-    draw's exception is raised here, and the worker is joined before this
-    returns or raises. Memory is set by the tile, as long as ``visit`` keeps
-    no tile.
+    tile whose c0 or c1 + sum nu is not finite raises NumericalError with the
+    index of its first such sample before it is visited. A draw's exception
+    is raised here, and the worker is joined before this returns or raises.
+    Memory is set by the tile, as long as ``visit`` keeps no tile.
     """
     rows = min(max(1, TILE // s.ambient_dim), mc.chunk, mc.samples)
     tiles = []  # (chunk, first sample, rows)
@@ -462,6 +451,8 @@ def _chunks(s: SignalStructure, mc: McConfig, visit) -> None:
                 raise failed[0]
             p = s.profile(draws[i % 2, :n])
             free.release()
+            # a NaN threshold fails every comparison, so no visit may see it first
+            _require_finite(lo, p.c0, p.c1 + p.nu.sum(axis=1))
             if clips is None:
                 clips = np.empty((rows, p.nu.shape[1]))
             visit(lo, p, clips[:n])

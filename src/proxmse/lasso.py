@@ -55,16 +55,16 @@ class SolverConfig:
     last projected-gradient step, taken from the extrapolated point z to
     x+, satisfies ||x+ - z|| <= tol * ||x+||. That step bounds optimality:
     for every feasible u, <grad(x+), x+ - u> <= (4/step) ||x+ - z|| ||x+ - u||.
-    It also converges at the objective reaching ``cost_floor``, which matters
-    when the optimal cost is exactly zero: the iterates then approach the
-    zero-cost set forever and the step test alone may never fire.
+    It also converges at the cost floor, 1e-14 times the cost at the projected
+    start (1e-14 ||y||^2 from 0), which matters when the optimal cost is exactly
+    zero: the iterates then approach the zero-cost set forever and the step
+    test alone may never fire.
     ``max_iters`` ends the run flagged non-converged.
     """
 
     max_iters: int = 600_000
     tol: float = 1e-12
     step: float | None = None
-    cost_floor: float = 0.0
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -72,7 +72,6 @@ class SolverConfig:
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be finite and positive, got {self.step!r}")
         object.__setattr__(self, "max_iters", require_int(self.max_iters, "max_iters", 1))
-        require_nonneg(self.cost_floor, "cost_floor")
 
 
 @dataclass(frozen=True)
@@ -174,8 +173,8 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     when (x+ - z) . (x+ - x) < 0, that is when the step points against the
     momentum (O'Donoghue & Candes 2015).
 
-    It stops on the relative step length (see ``SolverConfig``), on the
-    cost floor, or at cfg.max_iters (flagged non-converged; the caller
+    It stops on the relative step length or the cost floor (see
+    ``SolverConfig``), or at cfg.max_iters (flagged non-converged; the caller
     decides what to do). It compares no costs while iterating: the residual
     y - A x cancels, so near the optimum cost differences are rounding noise
     and a cost-based rule stops at the wrong point. Nor does it stop on the
@@ -204,8 +203,9 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     ax = a @ x
     r = y - ax
     cost = start_cost = float(r @ r)
+    floor = 1e-14 * start_cost
     z, az, t = x, ax, 1.0
-    converged = cost <= cfg.cost_floor
+    converged = cost <= floor
     it = restarts = 0
     tol_sq = cfg.tol * cfg.tol
     while not converged and it < cfg.max_iters:
@@ -216,7 +216,7 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
         it += 1
         moved = x_new - z
         converged = (float(moved @ moved) <= tol_sq * float(x_new @ x_new)
-                     or cost <= cfg.cost_floor)
+                     or cost <= floor)
         dx, dax = x_new - x, ax_new - ax
         x, ax = x_new, ax_new
         if moved @ dx < 0:
@@ -309,11 +309,9 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
                 a = Projector(haar_columns(rng, n, n - m if complement else m), complement)
                 v = a @ rng.standard_normal(n)
             y = a @ x0 + sigma * v
-            # floor small enough that stopping on it perturbs the per-trial
-            # energy identity by at most ~2e-7 of the noise energy
-            floor = cfg.cost_floor or 1e-14 * sigma * sigma * float(v @ v)
-            cfg_t = SolverConfig(cfg.max_iters, cfg.tol, cfg.step, floor)
-            sol = solve_constrained_lasso(a, y, ball, cfg_t, x_init=x0)
+            # from x0 the cost floor is 1e-14 sigma^2 ||v||^2: stopping on it perturbs
+            # the per-trial energy identity by at most ~2e-7 of the noise energy
+            sol = solve_constrained_lasso(a, y, ball, cfg, x_init=x0)
             if not sol.converged:
                 continue
             proj_err = a @ (sol.x - x0)

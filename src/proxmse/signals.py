@@ -129,28 +129,31 @@ class _SignedSupport(_Structure):
     def norm(self, values) -> float:
         return float(np.sum(self.coordinate_weights * np.abs(values)))
 
+    @cached_property
+    def index_sets(self):
+        """The off-support indices with positive and with zero weight, the positive
+        weights (None when all are 1) and w * signs on the support."""
+        w = self.coordinate_weights
+        off = np.setdiff1d(np.arange(self.n), self.support)
+        pos = off[w[off] > 0]
+        unit = np.all(w[pos] == 1.0)
+        return pos, off[w[off] == 0], None if unit else w[pos], w[self.support] * self.signs
+
     def profile(self, G: np.ndarray) -> ScaleProfile:
         """Support coordinates pin to lam*w*sign, the others clip at lam*w;
         zero-weight coordinates off the support count in full."""
-        w = self.coordinate_weights
+        pos, zero, w, signed = self.index_sets
         gs = np.take(G, self.support, axis=1)
-        ws = w[self.support]
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.support] = False
-        off_idx = np.flatnonzero(mask)
-        pos = off_idx[w[off_idx] > 0]
-        zero = off_idx[w[off_idx] == 0]
-        unit = np.all(w[pos] == 1.0)
         nu = np.take(G, pos, axis=1)    # a row-major copy, so take |.| in place
         np.abs(nu, out=nu)
-        if not unit:
-            nu /= w[pos]
+        if w is not None:
+            nu /= w
         return ScaleProfile(
             c0=(gs ** 2).sum(axis=1) + (np.take(G, zero, axis=1) ** 2).sum(axis=1),
-            c1=(gs * (ws * self.signs)).sum(axis=1),
-            c2=float((ws ** 2).sum()),
+            c1=(gs * signed).sum(axis=1),
+            c2=float((signed ** 2).sum()),
             nu=nu,
-            w=None if unit else w[pos] ** 2,
+            w=None if w is None else w ** 2,
         )
 
     def project_subdiff(self, g: np.ndarray, lam: float) -> np.ndarray:
@@ -165,7 +168,7 @@ class _SignedSupport(_Structure):
         return math.sqrt(float((w ** 2).sum())), math.sqrt(float((w[self.support] ** 2).sum()))
 
     def check_values(self, values: np.ndarray) -> None:
-        off = np.setdiff1d(np.arange(self.n), self.support)
+        off = np.concatenate(self.index_sets[:2])
         if off.size and np.max(np.abs(values[off])) > SUPPORT_TOL:
             raise InvalidStructureError("values leak outside the declared support")
         if np.any(np.sign(values[self.support]) != self.signs):
@@ -291,15 +294,18 @@ class BlockSparseStructure(_Structure):
         blocks = np.asarray(values, dtype=float).reshape(self.t, self.b)
         return float(np.sum(np.linalg.norm(blocks, axis=1)))
 
+    @cached_property
+    def inactive(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.t), self.active)
+
     def profile(self, G: np.ndarray) -> ScaleProfile:
         blocks = G.reshape(G.shape[0], self.t, self.b)
         ga = np.take(blocks, self.active, axis=1)
-        inactive = np.setdiff1d(np.arange(self.t), self.active)
         return ScaleProfile(
             c0=(ga ** 2).sum(axis=(1, 2)),
             c1=(ga * self.directions).sum(axis=(1, 2)),
             c2=float(self.k),
-            nu=np.linalg.norm(np.take(blocks, inactive, axis=1), axis=2),
+            nu=np.linalg.norm(np.take(blocks, self.inactive, axis=1), axis=2),
             w=None,
         )
 
@@ -320,8 +326,7 @@ class BlockSparseStructure(_Structure):
 
     def check_values(self, values: np.ndarray) -> None:
         blocks = values.reshape(self.t, self.b)
-        inactive = np.setdiff1d(np.arange(self.t), self.active)
-        if inactive.size and np.max(np.abs(blocks[inactive])) > SUPPORT_TOL:
+        if self.inactive.size and np.max(np.abs(blocks[self.inactive])) > SUPPORT_TOL:
             raise InvalidStructureError("values leak outside the active blocks")
 
     def min_magnitude(self, values: np.ndarray) -> float:
@@ -377,11 +382,15 @@ class LowRankStructure(_Structure):
         """Orthonormal bases of the complements of range(u) and range(v)."""
         return _complement_basis(self.u), _complement_basis(self.v)
 
+    @cached_property
+    def direction(self) -> np.ndarray:
+        return self.u @ self.v.T  # the subgradients' part inside the signal's subspaces
+
     def profile(self, G: np.ndarray) -> ScaleProfile:
         n_samp, d, r = G.shape[0], self.d, self.r
         mats = as_matrix(G, d)
         c0 = (mats ** 2).sum(axis=(1, 2))
-        c1 = np.einsum("nij,ij->n", mats, self.u @ self.v.T)
+        c1 = np.einsum("nij,ij->n", mats, self.direction)
         nu = np.zeros((n_samp, 0))
         if r < d:
             uperp, vperp = self.complements

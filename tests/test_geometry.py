@@ -374,7 +374,8 @@ def test_non_finite_profile_surfaces_with_index(monkeypatch):
                     geometry, "stream",
                     lambda seed, ci, col=col, value=value: _PoisonedStream(
                         stream(seed, ci), 5 if ci == 1 else 99, col, value))
-                for estimator in (geometry.msd_cone, geometry.optimal_lambda):
+                for estimator in (geometry.msd_cone, geometry.optimal_lambda,
+                                  lambda s, mc: geometry.msd_lambda(s, 1.0, mc)):
                     with pytest.raises(NumericalError) as exc_info:
                         estimator(s, McConfig(samples=64, seed=1, chunk=32))
                     assert exc_info.value.index == 37
@@ -546,18 +547,16 @@ def test_cone_argmin_kkt_and_grid(kind, seed, scale):
 @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20))
 def test_pooled_argmin_kkt_and_grid(kind, seed):
     s = _structure(kind, seed)
-    rng = np.random.default_rng(seed)
-    chunks = [(0, s.profile(rng.standard_normal((5, s.ambient_dim)))),
-              (5, s.profile(rng.standard_normal((3, s.ambient_dim))))]
+    p = s.profile(np.random.default_rng(seed).standard_normal((8, s.ambient_dim)))
     with np.errstate(all="raise"):
-        lam = geometry._pooled_argmin([(i, p, np.empty_like(p.nu)) for i, p in chunks])[0]
-    h = sum(float(_derivative(p, lam).sum()) for _, p in chunks)
-    tol = 1e-12 * sum(float(_kkt_scale(p).sum()) for _, p in chunks)
+        lam = geometry._pooled_argmin(p, np.empty_like(p.nu))[0]
+    h = float(_derivative(p, lam).sum())
+    tol = 1e-12 * float(_kkt_scale(p).sum())
     assert lam >= 0.0
     assert abs(h) <= tol or (lam == 0.0 and h >= -tol)
 
     def mean_at(x):
-        return sum(float(geometry._profile_eval(p, x).sum()) for _, p in chunks)
+        return float(geometry._profile_eval(p, x).sum())
 
     best = mean_at(lam)
     for x in np.linspace(0.0, 1.5 * lam + 2.0, 301):
