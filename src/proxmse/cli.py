@@ -190,8 +190,9 @@ def run_bounds(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
 
 def run_denoise(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     estimator = args.estimator
-    if estimator in ("regularized", "mixed") and args.lam is None:
-        raise ConfigError(f"--lambda is required for the {estimator} estimator")
+    if (args.lam is None) != (estimator == "constrained"):  # the constrained one has no lambda
+        raise ConfigError(f"the {estimator} estimator "
+                          f"{'needs' if args.lam is None else 'takes no'} --lambda")
     if estimator == "mixed" and args.reference_samples:
         raise ConfigError("the mixed estimator takes no --reference-samples")
     if args.sigma_grid is not None:

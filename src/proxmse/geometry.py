@@ -85,8 +85,8 @@ class McConfig:
     """Monte Carlo controls: sample count, seed, and chunked stream layout.
 
     Samples are generated in chunks of ``chunk``; chunk i draws from an
-    independent stream keyed (seed, i), so chunks may be evaluated in any
-    order or in parallel without changing the result.
+    independent stream keyed (seed, i), so chunks may be evaluated in any order
+    or in parallel without changing the result. No estimator caps ``samples``.
     """
 
     samples: int
@@ -99,8 +99,6 @@ class McConfig:
         # seed is checked here, not at the first draw
         for name, minimum in (("samples", 2), ("seed", 0), ("chunk", 1)):
             object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
-        if self.samples > 2**31 - 1:  # the pooled minimiser keeps sample indices as int32
-            raise ValueError(f"at most 2**31 - 1 Monte Carlo samples, got {self.samples}")
 
 
 @dataclass(frozen=True)
@@ -271,8 +269,9 @@ class _PooledMinimum:
     Each tile then leaves, per sample, c0, c1 and, over its clip
     thresholds above b, S0 = sum w, S1 = sum w (nu - b) and S2 = sum w (nu - b)^2
     (centred at b, so that nothing cancels). Its thresholds in (a, b] are
-    kept one by one as (value, sample, weight); those at or below a are
-    dropped, as they clip to 0 at every lam >= a. If h(a) <= 0 <= h(b), Newton
+    kept one by one as (value, weight), in sample order, with one count per
+    sample of how many it kept; those at or below a are dropped, as they
+    clip to 0 at every lam >= a. If h(a) <= 0 <= h(b), Newton
     steps from a on what was kept (``_rise``, the one Newton loop) rise to
     lam* as they do on the whole profiles. If not, the bracket widens to an
     end that must hold lam* and the tiles are visited again: their streams
@@ -316,9 +315,10 @@ class _PooledMinimum:
         n = self.mc.samples
         self.a, self.b, self.c2 = a, b, c2
         self.c0, self.c1, self.s0, self.s1, self.s2 = (np.empty(n) for _ in range(5))
-        self.above, self.top, self.kept = 0, 0.0, ([], [], [])  # values, samples, weights
+        self.counts = np.empty(n, dtype=np.int32)  # kept thresholds of each sample
+        self.above, self.top, self.kept = 0, 0.0, ([], [])  # values, weights
         # on a redraw, the last pass's thresholds are freed before new ones are kept
-        self.values = self.samples = self.weights = self.scratch = None
+        self.values = self.weights = self.scratch = None
 
     def _keep(self, start: int, p: ScaleProfile, t: np.ndarray) -> None:
         rows = slice(start, start + p.c0.size)
@@ -327,22 +327,20 @@ class _PooledMinimum:
         self.top = max(self.top, float(p.nu.max(initial=0.0)))
         self.c0[rows], self.c1[rows] = p.c0, p.c1
         self.s2[rows] = _squared(t, p.w).sum(axis=1)
-        i, j = np.nonzero((p.nu > self.a) & (p.nu <= self.b))
-        values, samples, weights = self.kept
-        values.append(p.nu[i, j])
-        samples.append((start + i).astype(np.int32))
+        inside = (p.nu > self.a) & (p.nu <= self.b)
+        self.counts[rows] = np.count_nonzero(inside, axis=1)
+        values, weights = self.kept
+        values.append(p.nu[inside])  # row-major, so in sample order
         if p.w is not None:
-            weights.append(p.w[j])
+            weights.append(np.broadcast_to(p.w, p.nu.shape)[inside])
 
     def _close(self) -> None:
-        """Join the kept thresholds, one field at a time, and total the per-sample sums."""
-        fields, self.kept = list(self.kept), None
-        joined = []
-        while fields:  # a field's parts are freed before the next field is joined
-            parts = fields.pop(0)
-            joined.append(np.concatenate(parts) if parts else None)
-            del parts
-        self.values, self.samples, self.weights = joined
+        """Join the kept values, then the kept weights, and total the per-sample sums."""
+        values, weights = self.kept
+        self.kept = None
+        self.values = np.concatenate(values)
+        del values  # its parts are freed before the weights are joined
+        self.weights = np.concatenate(weights) if weights else None
         self.scratch = np.empty_like(self.values)  # max(values - lam, 0) of each sweep
         self.sums = (float(self.c1.sum()), self.c0.size * self.c2,
                      float(self.s0.sum()), float(self.s1.sum()), float(np.abs(self.c1).sum()))
@@ -396,8 +394,9 @@ class _PooledMinimum:
         v = self.c0 - 2.0 * self.c1 * lam + self.c2 * lam * lam
         v += self.s2 + d * (2.0 * self.s1 + d * self.s0)
         _clip(self.values[None], self.weights, lam, self.scratch[None])
-        t, self.values = self.scratch, None  # room for bincount's intp copy of the sample indices
-        v += np.bincount(self.samples, weights=_squared(t, self.weights), minlength=v.size)
+        t, self.values = self.scratch, None  # room for the sample index of each kept threshold
+        samples = np.repeat(np.arange(v.size), self.counts)
+        v += np.bincount(samples, weights=_squared(t, self.weights), minlength=v.size)
         return MsdEstimate(*mean_stderr(v), v.size, lam)
 
 
@@ -563,6 +562,7 @@ def msd_lambda_exact_l1(n: int, k: int, lam: float) -> float:
     Equals k*(1 + lam^2) + (n - k) * E max(|g| - lam, 0)^2: support
     coordinates are pinned to lam*sign, off-support coordinates clip at lam.
     """
+    n, k = require_int(n, "n"), require_int(k, "k")
     if k < 1 or k > n:
         raise InvalidStructureError(f"need 1 <= k <= n, got k={k}, n={n}")
     lam = require_nonneg(lam, "lam")

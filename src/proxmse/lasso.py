@@ -67,10 +67,9 @@ class SolverConfig:
     step: float | None = None
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and positive, got {self.step!r}")
+        for name, value in (("tol", self.tol), ("step", 1.0 if self.step is None else self.step)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         object.__setattr__(self, "max_iters", require_int(self.max_iters, "max_iters", 1))
 
 

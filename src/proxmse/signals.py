@@ -45,6 +45,21 @@ def _frozen_array(a, dtype=float) -> np.ndarray:
     return out
 
 
+def _frozen_indices(a, name: str, bound: int, distinct: bool = True) -> np.ndarray:
+    """``a`` as read-only int indices in [0, bound), distinct unless told otherwise; an entry
+    that is not a whole number (a fraction, NaN, inf or a bool) raises, not truncated."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a) & (a == np.trunc(a))):
+        raise InvalidStructureError(f"{name} indices must be whole numbers, got "
+                                    f"{np.array2string(a, threshold=6)}")
+    a = _frozen_array(a, dtype=int)
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        raise InvalidStructureError(f"{name} index out of range")
+    if distinct and np.unique(a).size < a.size:
+        raise InvalidStructureError(f"{name} indices must be distinct")
+    return a
+
+
 @dataclass
 class ScaleProfile:
     """Per-sample coefficients of dist^2 as a function of lam (see geometry's module doc).
@@ -98,19 +113,12 @@ class _SignedSupport(_Structure):
     plain sparse structure (unit weights) and the weighted one."""
 
     def __post_init__(self):
-        object.__setattr__(self, "support", _frozen_array(self.support, dtype=int))
-        object.__setattr__(self, "signs", _frozen_array(self.signs))
+        object.__setattr__(self, "n", require_int(self.n, "n"))
         if self.n < 1:
             raise InvalidStructureError("ambient dimension must be positive")
-        k = self.support.size
-        if k > self.n:
-            raise InvalidStructureError(f"support size {k} exceeds ambient dimension {self.n}")
-        ordered = np.sort(self.support)
-        if k and (ordered[0] < 0 or ordered[-1] >= self.n):
-            raise InvalidStructureError("support index out of range")
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise InvalidStructureError("support indices must be distinct")
-        if self.signs.shape != (k,) or not np.all(np.abs(self.signs) == 1.0):
+        object.__setattr__(self, "support", _frozen_indices(self.support, "support", self.n))
+        object.__setattr__(self, "signs", _frozen_array(self.signs))
+        if self.signs.shape != (self.k,) or not np.all(np.abs(self.signs) == 1.0):
             raise InvalidStructureError("signs must be exactly +-1 on the support")
 
     @property
@@ -223,13 +231,11 @@ class WeightedSparseStructure(_SignedSupport):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "region_of", _frozen_array(self.region_of, dtype=int))
         object.__setattr__(self, "weights", _frozen_array(self.weights))
+        object.__setattr__(self, "region_of", _frozen_indices(self.region_of, "region",
+                                                              self.weights.size, False))
         if self.region_of.shape != (self.n,):
             raise InvalidStructureError("region_of must assign every coordinate")
-        t = self.weights.size
-        if self.region_of.min() < 0 or self.region_of.max() >= t:
-            raise InvalidStructureError("region index out of range")
         if not np.all(np.isfinite(self.weights) & (self.weights >= 0)):
             raise InvalidStructureError("weights must be finite and nonnegative")
 
@@ -257,21 +263,17 @@ class BlockSparseStructure(_Structure):
     descriptor_fields = ("t", "b", "k")
 
     def __post_init__(self):
-        object.__setattr__(self, "active", _frozen_array(self.active, dtype=int))
-        object.__setattr__(self, "directions", _frozen_array(self.directions))
+        for name in ("t", "b"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.t < 1 or self.b < 1:
             raise InvalidStructureError("block counts must be positive")
-        k = self.active.size
-        if k > self.t or k != np.unique(self.active).size:
-            raise InvalidStructureError(f"active block set invalid (k={k}, t={self.t})")
-        if k and (self.active.min() < 0 or self.active.max() >= self.t):
-            raise InvalidStructureError("active block index out of range")
-        if self.directions.shape != (k, self.b):
+        object.__setattr__(self, "active", _frozen_indices(self.active, "active block", self.t))
+        object.__setattr__(self, "directions", _frozen_array(self.directions))
+        if self.directions.shape != (self.k, self.b):
             raise InvalidStructureError("one direction of length b per active block required")
-        if k:
-            norms = np.linalg.norm(self.directions, axis=1)
-            if np.any(np.abs(norms - 1.0) > ORTHO_TOL):
-                raise InvalidStructureError("block directions must have unit Euclidean norm")
+        norms = np.linalg.norm(self.directions, axis=1)  # none when no block is active
+        if np.any(np.abs(norms - 1.0) > ORTHO_TOL):
+            raise InvalidStructureError("block directions must have unit Euclidean norm")
 
     @property
     def k(self) -> int:
@@ -348,6 +350,8 @@ class LowRankStructure(_Structure):
     descriptor_fields = ("d", "r")
 
     def __post_init__(self):
+        for name in ("d", "r"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         object.__setattr__(self, "u", _frozen_array(self.u))
         object.__setattr__(self, "v", _frozen_array(self.v))
         if self.d < 1:

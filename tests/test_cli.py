@@ -306,9 +306,23 @@ def test_noise_draws_sees_every_trial_of_a_denoise_job(tmp_path, noise_draws):
 def test_denoise_bad_reference_samples_exit_2_before_trials(tmp_path, noise_draws, estimator,
                                                             samples):
     out = tmp_path / "never.csv"
+    lam = [] if estimator == "constrained" else ["--lambda", "2"]
     code = run_cli(["denoise", "--structure", "sparse:200:10", "--seed", "4",
-                    "--estimator", estimator, "--lambda", "2", "--trials", "400",
+                    "--estimator", estimator, *lam, "--trials", "400",
                     "--reference-samples", samples, "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert noise_draws == []
+
+
+@pytest.mark.parametrize("lam", ["nan", "2"])
+def test_denoise_constrained_rejects_lambda_before_trials(tmp_path, noise_draws, lam):
+    # the constrained estimator has no lambda: a given one, even NaN, was
+    # written into the config without having been used
+    out = tmp_path / "never.csv"
+    code = run_cli(["denoise", "--structure", "sparse:200:10", "--seed", "4",
+                    "--estimator", "constrained", "--lambda", lam, "--trials", "5",
+                    "--output", str(out)])
     assert code == 2
     assert not out.exists()
     assert noise_draws == []
@@ -338,8 +352,9 @@ def test_lasso_sweep_csv(tmp_path):
     ["denoise", "--estimator", "regularized", "--lambda", "1.0", "--sigma-grid", "nan",
      "--trials", "5"],
     ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--sigma-scale", "inf"],
+    ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--tol", "inf"],
 ], ids=["msd-lambda", "denoise-lambda", "bounds-lambda", "bounds-cone-msd", "sigma-grid",
-        "lasso-sigma"])
+        "lasso-sigma", "lasso-tol"])
 def test_non_finite_scalars_exit_2_no_file(tmp_path, args):
     out = tmp_path / "nan.csv"
     code = run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])

@@ -231,11 +231,15 @@ def test_solver_l1_face_solution_and_kkt(n, extra, seed, frac, noise):
     ({"max_iters": 0}, ValueError), ({"max_iters": -3}, ValueError),
     ({"max_iters": 2.5}, TypeError), ({"max_iters": 3.0}, TypeError),
     ({"max_iters": True}, TypeError),
+    ({"tol": 0.0}, ValueError), ({"tol": -1e-12}, ValueError),
+    ({"tol": float("nan")}, ValueError), ({"tol": float("inf")}, ValueError),
 ], ids=["step-zero", "step-negative", "step-nan", "step-inf", "iters-zero", "iters-negative",
-        "iters-fraction", "iters-float", "iters-bool"])
+        "iters-fraction", "iters-float", "iters-bool", "tol-zero", "tol-negative", "tol-nan",
+        "tol-inf"])
 def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs, error):
     # a zero step stopped at once at the start, marked converged; a NaN step
-    # ran to the iteration cap; max_iters=2.5 ran 3 iterations and True ran 1
+    # ran to the iteration cap; max_iters=2.5 ran 3 iterations and True ran 1;
+    # an infinite tol stopped every trial after one iteration
     with pytest.raises(error):
         lasso.SolverConfig(**kwargs)
 

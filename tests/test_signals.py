@@ -231,6 +231,54 @@ def test_low_rank_rejects_empty_side():
         signals.LowRankStructure(0, 0, np.zeros((0, 0)), np.zeros((0, 0)))
 
 
+FLAT = np.array([[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: signals.SparseStructure(5, [0.7], [1.0]), InvalidStructureError),
+    (lambda: signals.SparseStructure(5, [np.nan], [1.0]), InvalidStructureError),
+    (lambda: signals.SparseStructure(5, [np.inf], [1.0]), InvalidStructureError),
+    (lambda: signals.SparseStructure(5, [True], [1.0]), InvalidStructureError),
+    (lambda: signals.BlockSparseStructure(4, 2, [1.9], [[1.0, 0.0]]), InvalidStructureError),
+    (lambda: signals.WeightedSparseStructure(3, [0], [1.0], [0.5, 1.2, 0], [1.0, 1.0]),
+     InvalidStructureError),
+    (lambda: signals.SparseStructure(5.0, [0], [1.0]), TypeError),
+    (lambda: signals.WeightedSparseStructure(3.0, [0], [1.0], [0, 0, 0], [1.0]), TypeError),
+    (lambda: signals.BlockSparseStructure(4.0, 2, [1], [[1.0, 0.0]]), TypeError),
+    (lambda: signals.BlockSparseStructure(4, 2.0, [1], [[1.0, 0.0]]), TypeError),
+    (lambda: signals.LowRankStructure(2.0, 1, FLAT, FLAT), TypeError),
+    (lambda: signals.LowRankStructure(2, 1.0, FLAT, FLAT), TypeError),
+    (lambda: geometry.msd_lambda_exact_l1(10, 2.5, 1.0), TypeError),
+    (lambda: geometry.msd_lambda_exact_l1(10.0, 2, 1.0), TypeError),
+], ids=["support-fraction", "support-nan", "support-inf", "support-bool", "active-fraction",
+        "region-fraction", "sparse-n", "weighted-n", "block-t", "block-b", "lowrank-d",
+        "lowrank-r", "exact-k", "exact-n"])
+def test_structures_reject_fractional_counts_and_indices(build, error):
+    # each was truncated: support [0.7] became [0], active [1.9] became [1],
+    # region_of [0.5, 1.2, 0] became [0, 1, 0], SparseStructure(5.0, ...) was
+    # labelled sparse:5.0:1 and msd_lambda_exact_l1(10, 2.5, 1.0) returned 6.13
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize("build, label", [
+    (lambda: signals.SparseStructure(5, [], []), "sparse:5:0"),
+    (lambda: signals.SparseStructure(np.int64(5), [1.0, 3], [1.0, -1.0]), "sparse:5:2"),
+    (lambda: signals.WeightedSparseStructure(3, [], [], [0.0, 1.0, 1.0], [1.0, 2.0]),
+     "weighted:3:0:2"),
+    (lambda: signals.BlockSparseStructure(4, 2, [], np.zeros((0, 2))), "block:4:2:0"),
+    (lambda: signals.LowRankStructure(np.int32(2), np.int64(1), FLAT, FLAT), "lowrank:2:1"),
+], ids=["sparse-empty", "sparse-whole-floats", "weighted-whole-floats", "block-empty",
+        "lowrank-numpy-counts"])
+def test_structures_keep_empty_and_whole_number_indices(build, label):
+    s = build()
+    assert s.label == label
+    for name in ("n", "t", "b", "d", "r"):
+        assert type(getattr(s, name, 0)) is int
+    for name in ("support", "active", "region_of"):
+        assert getattr(s, name, np.zeros(0, dtype=int)).dtype.kind == "i"
+
+
 def test_min_magnitude():
     inst = signals.make_sparse(10, 2, "uniform", seed=5)
     nz = inst.values[np.flatnonzero(inst.values)]

@@ -5,8 +5,11 @@
 For each structure of the msd jobs in `tools/cli_jobs.py`, seeds 1 and 2 and
 four (samples, chunk) layouts, it writes the `repr` of every field of
 `geometry.estimate(lams, cone=True, optimal=True)` on the jobs' lambda grid
-to `OUTDIR/<kind>.txt`. No CLI job writes the tuned lam*, so this is where
-its bits are compared: run it once per checkout and `diff -r` the outputs.
+to `OUTDIR/<kind>.txt`. It does the same for a weighted sparse structure
+with non-unit and zero weights (`weighted.txt`), the one kind whose
+bracket keeps a weight with each threshold. No CLI job writes the tuned
+lam*, so this is where its bits are compared: run it once per checkout and
+`diff -r` the outputs.
 """
 
 from __future__ import annotations
@@ -15,20 +18,28 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
 from cli_jobs import STRUCTURES
-from proxmse import cli, geometry
+from proxmse import cli, geometry, signals
 
 # a benchmark-sized call; the tiled job's layout, with a one-sample last chunk;
 # many chunks past the lead of LEAD samples; one call of at most LEAD samples
 LAYOUTS = ((20000, 4096), (8707, 4353), (300, 64), (200, 4096))
 LAMS = cli.parse_grid("0:0.5:3")
+# the structure of each kind, built from its seed; the weighted one has four
+# regions, with weights 1, 2.5, 0 and 0.5, taking coordinates in turn
+KINDS = {desc.split(":")[0]: (lambda seed, desc=desc:
+                              cli.parse_structure(desc, seed, "uniform")[0].structure)
+         for desc in STRUCTURES}
+KINDS["weighted"] = lambda seed: signals.make_weighted_sparse(
+    300, 12, np.arange(300) % 4, [1.0, 2.5, 0.0, 0.5], seed=seed).structure
 
 if __name__ == "__main__":
     os.makedirs(sys.argv[1], exist_ok=True)
-    for desc in STRUCTURES:
-        with open(os.path.join(sys.argv[1], f"{desc.split(':')[0]}.txt"), "w") as out:
+    for kind, make in KINDS.items():
+        with open(os.path.join(sys.argv[1], f"{kind}.txt"), "w") as out:
             for seed in (1, 2):
-                s = cli.parse_structure(desc, seed, "uniform")[0].structure
+                s = make(seed)
                 for samples, chunk in LAYOUTS:
                     est = geometry.estimate(s, geometry.McConfig(samples, seed, chunk), LAMS,
                                             cone=True, optimal=True)
