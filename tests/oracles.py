@@ -103,14 +103,26 @@ def soft_tail_moment_quadrature(lam):
     return 2.0 * math.exp(-0.5 * lam * lam) / math.sqrt(2.0 * math.pi) * val
 
 
+def row_major_profile_eval(p, lam):
+    """The scale profile at lam (a number, or one per sample) on the row-major
+    (samples, thresholds) profile as the structure returns it: every threshold
+    of every sample clipped, and each row summed as numpy sums it."""
+    lam = np.asarray(lam, dtype=float)
+    t = np.maximum(p.nu - lam[..., None], 0.0) ** 2
+    if p.w is not None:
+        t *= p.w
+    return p.c0 - 2.0 * p.c1 * lam + p.c2 * lam * lam + t.sum(axis=1)
+
+
 def whole_chunk_estimates(s, lams, mc):
     """``msd_lambda_curve``, ``msd_cone`` and ``optimal_lambda`` over undivided
     chunk profiles, as they ran before the profiles were cut into row tiles:
-    per-sample values concatenated per estimator, pooled sums added per chunk."""
+    per-sample values concatenated per estimator, pooled sums added per chunk.
+    Each chunk is sorted as one tile, and every pooled clip sweeps all its ranks."""
     chunks = []
     for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
         G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
-        chunks.append((start, s.profile(G)))
+        chunks.append((start, geometry._sorted(s.profile(G))))
 
     def estimate(values, lam=None):
         values = np.concatenate(values)
@@ -118,12 +130,13 @@ def whole_chunk_estimates(s, lams, mc):
 
     curve = [estimate([geometry._profile_eval(p, lam) for _, p in chunks], lam) for lam in lams]
     buf = np.empty_like(chunks[0][1].nu)
-    cone = estimate([geometry._cone_argmin(p, buf[: p.c0.size], start)[1] for start, p in chunks])
+    cone = estimate([geometry._cone_argmin(p, buf[:, : p.c0.size], start)[1]
+                     for start, p in chunks])
     lam, count = 0.0, -1
     for passes in range(sum(p.nu.size for _, p in chunks) + 2):
         active, excess, slope = 0, 0.0, 0.0
         for start, p in chunks:
-            a, weight, clipped = geometry._clip(p.nu, p.w, lam, buf[: p.c0.size])
+            a, weight, clipped = geometry._clip(p.nu, p.w, lam, buf[:, : p.c0.size])
             e, sl = p.c1 + clipped - p.c2 * lam, p.c2 + weight
             if passes == 0:
                 geometry._require_finite(start, p.c0, e)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import sys
@@ -24,6 +25,7 @@ from oracles import (
     brute_lowrank_codim1,
     brute_sparse,
     brute_weighted,
+    row_major_profile_eval,
     soft_tail_moment_quadrature,
     whole_chunk_estimates,
 )
@@ -225,7 +227,7 @@ def test_profile_matches_direct_distance():
     ]
     for s in cases:
         G = rng.standard_normal((6, s.ambient_dim))
-        prof = s.profile(G)
+        prof = geometry._sorted(s.profile(G))
         for lam in (0.0, 0.5, 1.9):
             vals = geometry._profile_eval(prof, lam)
             for i in range(6):
@@ -382,7 +384,7 @@ def test_non_finite_profile_surfaces_with_index(monkeypatch):
 
 
 def _tiled_structure(kind: str, seed: int):
-    """Structures with at least 8 clip thresholds, where numpy sums a row pairwise."""
+    """Structures with at least 8 clip thresholds, where numpy would sum a lone column pairwise."""
     if kind == "sparse":
         return signals.make_sparse(40, 4, seed=seed).structure
     if kind == "weighted":
@@ -526,8 +528,9 @@ def test_cone_argmin_kkt_and_grid(kind, seed, scale):
     s = _structure(kind, seed)
     G = scale * np.random.default_rng(seed).standard_normal((4, s.ambient_dim))
     p = s.profile(G)
+    tile = geometry._sorted(p)  # p stays the same profile
     with np.errstate(all="raise"):
-        lam, val = geometry._cone_argmin(p, np.empty_like(p.nu))
+        lam, val = geometry._cone_argmin(tile, np.empty_like(tile.nu))
     h = _derivative(p, lam)
     tol = 1e-12 * _kkt_scale(p) * (1.0 + scale)
     assert np.all(lam >= 0.0)
@@ -548,19 +551,60 @@ def test_cone_argmin_kkt_and_grid(kind, seed, scale):
 def test_pooled_argmin_kkt_and_grid(kind, seed):
     s = _structure(kind, seed)
     p = s.profile(np.random.default_rng(seed).standard_normal((8, s.ambient_dim)))
+    tile = geometry._sorted(p)  # p stays the same profile
     with np.errstate(all="raise"):
-        lam = geometry._pooled_argmin(p, np.empty_like(p.nu))[0]
+        lam = geometry._pooled_argmin(tile, np.empty_like(tile.nu))[0]
     h = float(_derivative(p, lam).sum())
     tol = 1e-12 * float(_kkt_scale(p).sum())
     assert lam >= 0.0
     assert abs(h) <= tol or (lam == 0.0 and h >= -tol)
 
     def mean_at(x):
-        return float(geometry._profile_eval(p, x).sum())
+        return float(geometry._profile_eval(tile, x).sum())
 
     best = mean_at(lam)
     for x in np.linspace(0.0, 1.5 * lam + 2.0, 301):
         assert best <= mean_at(x) + 1e-9 * (1.0 + abs(best))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**20),
+       samples=st.sampled_from([1, 2, 7, 40]), lam=st.floats(0.0, 4.0),
+       per_sample=st.booleans())
+def test_sweeps_from_the_first_clipped_rank_are_exact(kind, seed, samples, lam, per_sample):
+    # A sweep starts at the first rank whose top exceeds the smallest lam; one
+    # that starts at rank 0 (every top at infinity) only adds exact zeros
+    # first, so both carry the same bits, at one lam and at a lam per sample.
+    # Both match the row-major profile, which sums each row as numpy does.
+    s = _structure(kind, seed)
+    rng = np.random.default_rng(seed)
+    p = s.profile(rng.standard_normal((samples, s.ambient_dim)))
+    lams = rng.uniform(0.0, 2.0 * lam, samples) if per_sample else lam
+    want = row_major_profile_eval(p, lams)
+    tile = geometry._sorted(p)
+    whole = dataclasses.replace(tile, top=np.full_like(tile.top, np.inf))
+    t = np.empty_like(tile.nu)
+    got = geometry._profile_eval(tile, lams, t)
+    assert np.array_equal(got, geometry._profile_eval(whole, lams, t))
+    for skipped, swept in zip(geometry._slopes(tile, lams, t), geometry._slopes(whole, lams, t)):
+        assert np.array_equal(skipped, swept)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_a_column_sums_alone_as_in_a_tile():
+    # numpy sums a lone (J, 1) column pairwise but the columns of a wider
+    # array in row order; _column_sums adds a lone column in row order too,
+    # so a one-sample tile carries the bits of the same sample in a full tile
+    t = np.random.default_rng(5).standard_normal((480, 262)) ** 2
+    whole = geometry._column_sums(t)
+    assert np.array_equal(whole, np.add.accumulate(t, axis=0)[-1])
+    for i in range(t.shape[1]):
+        for alone in (t[:, i:i + 1], t[:, i:i + 1].copy()):
+            sums = geometry._column_sums(alone)
+            assert sums.shape == (1,) and sums[0] == whole[i], i
+    # a sweep that skips every rank adds nothing
+    assert geometry._column_sums(t[:0, :1]).tolist() == [0.0]
+    assert geometry._column_sums(t[:0]).tolist() == [0.0] * t.shape[1]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -619,9 +663,9 @@ def test_bracket_holds_lam_star_in_one_pass(monkeypatch, desc):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_flat_profile_gets_a_finite_bracket(monkeypatch, seed):
-    # c2 = 0 and a flat profile past the largest threshold: the lead's own
-    # h and h' are 0 at lam0, and the bracket is still finite; lam* is the
-    # oracle's, the largest threshold, found in one pass: each chunk is drawn once
+    # c2 = 0 and a flat profile past the largest threshold: lam* is the
+    # oracle's, the largest threshold, found in one pass with no bracket
+    # opened (each chunk is drawn once)
     opened = []
     open_bracket = geometry._PooledMinimum._open
 
@@ -639,7 +683,7 @@ def test_flat_profile_gets_a_finite_bracket(monkeypatch, seed):
             opened.clear()
             made.clear()
             lam, got = geometry.optimal_lambda(s, mc)
-            assert opened and all(math.isfinite(a) and math.isfinite(b) for a, b in opened)
+            assert opened == []
             assert made == [(0,), (1,)], (kind, samples)
             assert math.isfinite(lam) and lam == got.lam
             _assert_close_estimate(got, tuned)
