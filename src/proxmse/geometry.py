@@ -20,15 +20,15 @@ sample.
 
 Minima over lam >= 0 are exact. Half the derivative of the profile,
 h(lam) = c2*lam - c1 - sum_j w_j max(nu_j - lam, 0), is concave, nondecreasing
-and linear on each active set A = {j : nu_j > lam}. Newton steps from lam = 0,
-lam <- max(lam, (c1 + sum_A w_j nu_j) / (c2 + sum_A w_j)) (the threshold rule of
-sort-and-threshold l1-ball projection), rise to the smallest minimizer without
-passing it, A only shrinks, and they stop when A repeats: within J + 1 steps.
-``_rise`` is the one Newton loop: per sample for the cone MSD, and on the sums
-over the samples for the pooled minimiser lam* of the sample mean.
+and linear on each active set A = {j : nu_j > lam}, where its root is
+(c1 + sum_A w_j nu_j) / (c2 + sum_A w_j). Per sample, the sorted thresholds
+take the sort-then-threshold rule of l1-ball projection (``threshold_root``):
+the root of the last top-j set A whose j-th threshold exceeds it. The sums
+over the samples take Newton steps (``_rise``) from lam = 0, which rise to the
+smallest minimizer, A only shrinking, until A repeats: within J + 1 steps.
 
 ``estimate`` computes every Monte Carlo estimate in one pass, sweeping the
-thresholds once per lam and once per Newton pass. A 4096-sample chunk of
+thresholds once per lam, cone or Newton pass. A 4096-sample chunk of
 sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
 ``_chunks`` draws and profiles each chunk in row tiles of about ``TILE``
 drawn entries (1 MB) and hands each tile to a visitor, which takes all its
@@ -81,6 +81,7 @@ import numpy as np
 
 from .errors import (BoundNotValidError, InvalidStructureError, NumericalError, require_int,
                      require_nonneg)
+from .prox import threshold_root
 from .signals import ScaleProfile, SignalStructure, as_vector
 from .streams import stream
 
@@ -280,29 +281,17 @@ def _slopes(p: _Tile, lam, t: np.ndarray):
     return active, p.c1 + clipped - p.c2 * lam, p.c2 + weight
 
 
-def _newton_step(excess, slope):
-    """Step -h/h' from excess = -h(lam), slope = h'(lam); 0 where h' = 0 or h > 0."""
-    step = np.divide(excess, slope, out=np.zeros_like(excess, dtype=float), where=slope > 0)
-    return np.maximum(step, 0.0)
-
-
-def _rise(h, lam, passes: int, start: int = 0):
-    """Newton steps from lam until the active set repeats (see the module doc), where
-    h(lam) gives the active count, -h and h'. An array lam rises per sample, a
-    number on the sums over the samples; an array's error names the first
-    sample still moving, counting lam's first as sample ``start``."""
+def _rise(h, lam: float, passes: int) -> float:
+    """Newton steps from lam on the sums over the samples until the active set
+    repeats (see the module doc), where h(lam) gives the active count, -h and h'."""
     count = -1
     for _ in range(passes):
         active, excess, slope = h(lam)
-        done = active == count
-        if np.all(done):
+        if active == count:
             return lam
-        step = _newton_step(excess, slope)
-        lam = np.where(done, lam, lam + step) if np.ndim(lam) else lam + float(step)
+        lam += max(float(excess / slope), 0.0) if slope > 0 else 0.0
         count = active
-    idx = start + int(np.argmin(done)) if np.ndim(lam) else None
-    where = "pooled" if idx is None else f"sample {idx}:"
-    raise NumericalError(f"{where} active set still moving after {passes} passes", index=idx)
+    raise NumericalError(f"pooled active set still moving after {passes} passes")
 
 
 def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
@@ -314,9 +303,15 @@ def _require_finite(start: int, c0: np.ndarray, excess: np.ndarray) -> None:
                              index=int(start + bad[0]))
 
 
-def _cone_argmin(p: _Tile, t: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample minimiser over lam >= 0 and minimum (see the module doc), clipping into t."""
-    lam = _rise(lambda lam: _slopes(p, lam, t), np.zeros(p.c0.size), p.nu.shape[0] + 2, start)
+def _cone_argmin(p: _Tile, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample minimiser over lam >= 0 and minimum (see the module doc),
+    writing the rule's candidates, then the clipped thresholds, into t."""
+    # c1/c2 is the root where no threshold is active, and below it elsewhere; a
+    # flat profile (c2 = 0, so c1 = 0) is constant from its largest threshold on
+    lam = np.maximum(p.c1 / p.c2, 0.0) if p.c2 else p.nu.max(axis=0, initial=0.0)
+    if p.c2 and len(p.nu):
+        w = None if p.w is None else p.w[::-1]
+        np.maximum(lam, threshold_root(p.nu[::-1], p.c1, p.c2, w, t), out=lam)
     return lam, _profile_eval(p, lam, t)
 
 
@@ -337,22 +332,22 @@ class _PooledMinimum:
     sample's sums come from its own column). Its own pooled minimiser lam0
     (``_pooled_argmin``) is the result when the call has at most ``LEAD``
     samples. Otherwise lam0 centres the bracket [a, b] = [lam0 - r, lam0 + r],
-    with r = ``Z`` standard errors of lam0 by the delta method,
-    sd(h(lam0)) / (sqrt(LEAD) mean h'(lam0)) over the lead's samples.
-    Each tile then leaves, per sample, c0, c1 and, over its clip
-    thresholds above b, S0 = sum w, S1 = sum w (nu - b) and S2 = sum w (nu - b)^2
-    (centred at b, so that nothing cancels). Its thresholds in (a, b] are
-    kept one by one as (value, weight), sample by sample and ascending within
-    a sample, with one count per sample of how many it kept; those at or
-    below a are dropped, as they clip to 0 at every lam >= a. If
-    h(a) <= 0 <= h(b), Newton steps from a on what was kept (``_rise``, the
-    one Newton loop) rise to lam* as they do on the whole profiles. If not,
-    the bracket widens to an end that must hold lam* and the tiles are
-    visited again: their streams are keyed, so the same samples come back.
-    A flat profile (c2 = 0, so c1 = 0 too) takes no lead and no bracket: its
-    summed profile falls until the largest threshold of all the samples, the
-    largest top of any tile, and there every sample's value is its c0, which
-    is all it keeps.
+    with r = ``Z`` standard errors of lam0 by the delta method, sd(h(lam0)) /
+    (sqrt(LEAD) mean h'(lam0)) over the lead's samples. Each tile then leaves,
+    per sample, c0, c1 and, over its clip thresholds above b, S0 = sum w, S1 =
+    sum w (nu - b) and S2 = sum w (nu - b)^2 (centred at b, so that nothing
+    cancels). Its thresholds in (a, b] are kept one by one as (value, weight),
+    sample by sample and ascending within a sample, with one count per sample
+    of how many it kept; those at or below a are dropped, as they clip to 0 at
+    every lam >= a. If h(a) <= 0 <= h(b), Newton steps from a on what was kept
+    (``_rise``, the one Newton loop; the kept thresholds are not sorted
+    together) rise to lam* as they do on the whole profiles. If not, the
+    bracket widens to an end that must hold lam* and the tiles are visited
+    again: their streams are keyed, so the same samples come back. A flat
+    profile (c2 = 0, so c1 = 0 too) takes no lead and no bracket: its summed
+    profile falls until the largest threshold of all the samples, the largest
+    top of any tile, and there every sample's value is its c0, which is all it
+    keeps.
     """
 
     def __init__(self, s: SignalStructure, mc: McConfig):
@@ -583,7 +578,7 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
     """Monte Carlo estimates of the mean squared distance from one pass over the samples.
 
     Each row tile's visit does all its work while the tile is cached: the
-    profile at every lam, then the Newton passes of the cone minimum, then the
+    profile at every lam, then the threshold rule of the cone minimum, then the
     pooled minimiser's bracket. The estimates share common random numbers, so
     comparing them carries no sampling noise.
     """
@@ -598,7 +593,7 @@ def estimate(s: SignalStructure, mc: McConfig, lams=(), cone: bool = False,
         for row, lam in zip(values, lams):
             row[rows] = _profile_eval(p, lam, t)
         if cone:
-            minima[rows] = _cone_argmin(p, t, start)[1]
+            minima[rows] = _cone_argmin(p, t)[1]
         if optimal:
             tuned.add(start, p, t)
 

@@ -45,12 +45,6 @@ from .streams import stream
 class SolverConfig:
     """Accelerated projected-gradient controls.
 
-    ``step=None`` selects 1/sigma_max(A)^2, with sigma_max(A) the largest
-    singular value computed exactly by ``np.linalg.norm(A, 2)``, so the step
-    never exceeds the 1/L the step-length bound below assumes. For a
-    ``Projector``, whose operator norm is exactly one, it selects 1 and
-    takes no SVD.
-
     ``tol`` is a relative step length: the solver has converged once its
     last projected-gradient step, taken from the extrapolated point z to
     x+, satisfies ||x+ - z|| <= tol * ||x+||. That step bounds optimality:
@@ -64,12 +58,10 @@ class SolverConfig:
 
     max_iters: int = 600_000
     tol: float = 1e-12
-    step: float | None = None
 
     def __post_init__(self):
-        for name, value in (("tol", self.tol), ("step", 1.0 if self.step is None else self.step)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         object.__setattr__(self, "max_iters", require_int(self.max_iters, "max_iters", 1))
 
 
@@ -151,15 +143,32 @@ def sample_partial_unitary(m: int, n: int, seed: int) -> np.ndarray:
     return haar_columns(stream(seed), n, m).T
 
 
+def _operator_step(a, y: np.ndarray):
+    """The operator as the solver applies it, and its step 1/||A||^2, the 1/L that
+    the step-length bound of ``SolverConfig`` assumes: 1 for a ``Projector``
+    (no SVD), else from ``np.linalg.norm(A, 2)``, exact."""
+    if isinstance(a, Projector):
+        outside = y - a @ y
+        if float(outside @ outside) > 1e-24 * float(y @ y):
+            raise ValueError(f"y has a part of norm {float(np.linalg.norm(outside)):.3g} "
+                             "outside range(P)")
+        return a, 1.0
+    a = np.asarray(a, dtype=float)
+    norm_sq = float(np.linalg.norm(a, 2)) ** 2
+    if norm_sq == 0.0:
+        raise NumericalError("A is zero: no step size")
+    return a, 1.0 / norm_sq
+
+
 def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
                             cfg: SolverConfig = SolverConfig(),
                             x_init: np.ndarray | None = None) -> LassoSolution:
     """FISTA with gradient restart for min_x ||y - A x||^2 over the ball.
 
-    ``a`` is a matrix or a ``Projector`` P. For P the default step is 1,
-    exact as ||P|| = 1, and y must lie in range(P): the solver applies
-    P.T, the inclusion, to residuals y - P z, so it raises ValueError when
-    y - P y exceeds 1e-12 ||y||.
+    ``a`` is a matrix or a ``Projector`` P (see ``_operator_step``). For P the
+    step is 1, exact as ||P|| = 1, and y must lie in range(P): the solver
+    applies P.T, the inclusion, to residuals y - P z, so it raises ValueError
+    when y - P y exceeds 1e-12 ||y||.
 
     From x = project(x_init) (zero by default) it iterates
 
@@ -183,20 +192,7 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     non-converged.
     """
     y = np.asarray(y, dtype=float)
-    step = cfg.step
-    if isinstance(a, Projector):
-        outside = y - a @ y
-        if float(outside @ outside) > 1e-24 * float(y @ y):
-            raise ValueError(f"y has a part of norm {float(np.linalg.norm(outside)):.3g} "
-                             "outside range(P)")
-        step = 1.0 if step is None else step
-    else:
-        a = np.asarray(a, dtype=float)
-        if step is None:
-            norm_sq = float(np.linalg.norm(a, 2)) ** 2
-            if norm_sq == 0.0:
-                raise NumericalError("A is zero: no step size")
-            step = 1.0 / norm_sq
+    a, step = _operator_step(a, y)
     x = np.zeros(a.shape[1]) if x_init is None else np.asarray(x_init, dtype=float)
     x = ball.project(x)
     ax = a @ x

@@ -14,7 +14,9 @@ threshold of the l1 ball of magnitudes, and the dual norm
 thresholds ``soft_threshold``, ``weighted_soft_threshold``,
 ``block_soft_threshold`` and ``singular_value_threshold`` share one kernel
 on a norm family, a shrink level per magnitude and a block size, and build
-no structure object.
+no structure object. The ball's threshold is the sort-then-threshold rule
+:func:`threshold_root`, which also gives each sample's cone minimum in
+:mod:`proxmse.geometry`.
 
 Every operator also takes a stack of points along leading batch axes, in
 the layout of :func:`proxmse.signals.split` ((..., n) vectors, (..., d, d)
@@ -118,18 +120,23 @@ def singular_value_threshold(y, tau: float) -> ProxResult:
 # Euclidean projections onto norm balls, and the dual norms
 # ---------------------------------------------------------------------------
 
-def _l1_ball_shrink(mags: np.ndarray, radius: float) -> np.ndarray:
-    """Per row of mags, the theta with sum max(mags - theta, 0) = radius (rows outside).
+def threshold_root(u: np.ndarray, c1, c2: float = 0.0, w: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per column of u, the root lam of c2*lam - c1 = sum_j w_j max(u_j - lam, 0).
 
-    Sort-then-threshold (Duchi, Shalev-Shwartz, Singer & Chandra 2008): with
-    the magnitudes in decreasing order, theta is the candidate
-    (top-j sum - radius) / j of the last j whose j-th magnitude exceeds it.
+    u holds J >= 1 thresholds a column, decreasing down axis 0, w their weights
+    (None: ones). Sort-then-threshold (Duchi, Shalev-Shwartz, Singer & Chandra
+    2008): lam is the candidate (c1 + top-j sum of w*u) / (c2 + top-j sum of w),
+    written into ``out`` if given, of the last j whose u_j exceeds it. No
+    candidate exceeds the root; where no u_j exceeds its own, the J-th comes
+    back. The l1 ball of radius R is c1 = -R, c2 = 0, w = 1.
     """
-    u = np.sort(mags, axis=-1)[..., ::-1]
-    count = u.shape[-1]
-    cand = (np.cumsum(u, axis=-1) - radius) / np.arange(1, count + 1)
-    last = count - 1 - np.argmax((u > cand)[..., ::-1], axis=-1)
-    return cand[(*np.indices(last.shape, sparse=True), last)]
+    cand = np.cumsum(u if w is None else np.multiply(u, w, out=out), axis=0, out=out)
+    cand += c1
+    cand /= c2 + (np.arange(1, len(u) + 1).reshape((-1,) + (1,) * (u.ndim - 1))
+                  if w is None else np.cumsum(w, axis=0))
+    last = len(u) - 1 - np.argmax((u > cand)[::-1], axis=0)
+    return cand[(last, *np.indices(last.shape, sparse=True))]
 
 
 def _ball_kind(kind: str) -> str:
@@ -155,7 +162,7 @@ def project_ball(y, kind: str, radius: float, *, block_size: int | None = None) 
     rows_inside = np.count_nonzero(inside)
     if rows_inside == inside.size:
         return y.copy()
-    theta = _l1_ball_shrink(mags, radius)
+    theta = threshold_root(np.sort(mags.T, axis=0)[::-1], -radius).T
     x = rebuild(np.maximum(mags - theta[..., None], 0.0))
     if rows_inside:
         x[inside] = y[inside]

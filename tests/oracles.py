@@ -88,6 +88,25 @@ def grid_prox_scalar(y, tau, weight=1.0, step=1e-4):
     return xs[int(np.argmin(obj))]
 
 
+def combined_se(*ses):
+    """The standard error of a sum or difference of independent estimates."""
+    return math.sqrt(sum(s * s for s in ses))
+
+
+def l1_ball_shrink(mags: np.ndarray, radius: float) -> np.ndarray:
+    """Per row of mags, the theta with sum max(mags - theta, 0) = radius (rows outside).
+
+    Sort-then-threshold (Duchi, Shalev-Shwartz, Singer & Chandra 2008): with
+    the magnitudes in decreasing order, theta is the candidate
+    (top-j sum - radius) / j of the last j whose j-th magnitude exceeds it.
+    """
+    u = np.sort(mags, axis=-1)[..., ::-1]
+    count = u.shape[-1]
+    cand = (np.cumsum(u, axis=-1) - radius) / np.arange(1, count + 1)
+    last = count - 1 - np.argmax((u > cand)[..., ::-1], axis=-1)
+    return cand[(*np.indices(last.shape, sparse=True), last)]
+
+
 def soft_tail_moment_quadrature(lam):
     """E max(|g| - lam, 0)^2 for standard normal g, by adaptive quadrature.
 
@@ -130,8 +149,7 @@ def whole_chunk_estimates(s, lams, mc):
 
     curve = [estimate([geometry._profile_eval(p, lam) for _, p in chunks], lam) for lam in lams]
     buf = np.empty_like(chunks[0][1].nu)
-    cone = estimate([geometry._cone_argmin(p, buf[:, : p.c0.size], start)[1]
-                     for start, p in chunks])
+    cone = estimate([geometry._cone_argmin(p, buf[:, : p.c0.size])[1] for _, p in chunks])
     lam, count = 0.0, -1
     for passes in range(sum(p.nu.size for _, p in chunks) + 2):
         active, excess, slope = 0, 0.0, 0.0
@@ -143,7 +161,7 @@ def whole_chunk_estimates(s, lams, mc):
             active, excess, slope = active + int(a.sum()), excess + e.sum(), slope + sl.sum()
         if active == count:
             break
-        lam += float(geometry._newton_step(excess, slope))
+        lam += max(float(excess / slope), 0.0) if slope > 0 else 0.0
         count = active
     else:
         raise AssertionError("pooled active set still moving")

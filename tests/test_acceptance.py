@@ -16,6 +16,7 @@ from oracles import (
     brute_lowrank_codim1,
     brute_sparse,
     brute_weighted,
+    combined_se,
     grid_prox_scalar,
     soft_tail_moment_quadrature,
 )
@@ -33,10 +34,6 @@ def criterion(num, description, ok, detail=""):
         line += f" | {detail}"
     print(line)
     assert ok, line
-
-
-def combined_se(*ses):
-    return math.sqrt(sum(s * s for s in ses))
 
 
 # ---------------------------------------------------------------------------

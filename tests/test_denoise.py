@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import first_order_error
+from oracles import combined_se, first_order_error
 
 from proxmse import denoise, geometry, prox, signals
 from proxmse.errors import InvalidStructureError, NumericalError
-
-
-def combined_se(a, b):
-    return math.sqrt(a * a + b * b)
 
 
 def test_zero_lambda_nmse_is_noise_energy_per_trial():

@@ -483,7 +483,8 @@ def test_invalid_lams_raise_before_any_stream(monkeypatch, lams):
 # ---------------------------------------------------------------------------
 
 def _structure(kind: str, seed: int):
-    """Small structures of every kind, including profiles with c2 = 0."""
+    """Small structures of every kind, including profiles with c2 = 0 and with no
+    clip thresholds."""
     rng = np.random.default_rng(seed)
     if kind == "sparse":
         return signals.make_sparse(9, 3, seed=seed).structure
@@ -503,6 +504,9 @@ def _structure(kind: str, seed: int):
             9, base.support, base.signs, region_of, [0.0, rng.uniform(0.5, 2.0)])
     if kind == "empty_support":
         return signals.SparseStructure(9, [], [])
+    if kind == "full_support":  # no clip threshold at all (J = 0)
+        return (signals.make_sparse(6, 6, seed=seed) if seed % 2
+                else signals.make_low_rank(3, 3, seed=seed)).structure
     raise ValueError(kind)
 
 
@@ -518,7 +522,8 @@ def _kkt_scale(p) -> np.ndarray:
     return 1.0 + np.abs(p.c1) + p.nu @ w
 
 
-KINDS = ["sparse", "weighted", "block", "lowrank", "weighted_zero_support", "empty_support"]
+KINDS = ["sparse", "weighted", "block", "lowrank", "weighted_zero_support", "empty_support",
+         "full_support"]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -839,9 +844,8 @@ def test_mc_config_rejects_negative_seed(monkeypatch):
 
 def test_profile_shares_no_memory_with_its_draw():
     # the Monte Carlo chunks reuse one draw buffer, so a profile must own its arrays
-    for kind in [*KINDS, "full_rank"]:
-        s = (signals.make_low_rank(3, 3, seed=2).structure if kind == "full_rank"
-             else _structure(kind, 2))
+    for kind in KINDS:  # full_support at seed 2 is a full-rank matrix
+        s = _structure(kind, 2)
         G = np.random.default_rng(2).standard_normal((7, s.ambient_dim))
         p = s.profile(G)
         for name in ("c0", "c1", "nu"):

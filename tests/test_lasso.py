@@ -58,8 +58,7 @@ def test_partial_unitary_rejects_m_above_n():
 def test_solver_identity_operator_matches_projection():
     a = np.eye(2)
     y = np.array([3.0, 1.0])
-    sol = lasso.solve_constrained_lasso(a, y, lasso.BallSpec("l1", 2.0),
-                                        lasso.SolverConfig(step=1.0))
+    sol = lasso.solve_constrained_lasso(a, y, lasso.BallSpec("l1", 2.0))
     assert sol.converged
     assert np.allclose(sol.x, prox.project_ball(y, "l1", 2.0), atol=1e-10)
     assert np.allclose(sol.x, [2.0, 0.0], atol=1e-10)
@@ -73,7 +72,7 @@ def test_solver_cost_never_exceeds_truth_cost():
     sigma = 1e-3
     y = a @ x0 + sigma * rng.standard_normal(40)
     ball = lasso.ball_for(inst)
-    sol = lasso.solve_constrained_lasso(a, y, ball, lasso.SolverConfig(step=1.0), x_init=x0)
+    sol = lasso.solve_constrained_lasso(a, y, ball, x_init=x0)
     cost_truth = float(np.sum((y - a @ x0) ** 2))
     assert sol.cost <= cost_truth
 
@@ -84,7 +83,7 @@ def test_noiseless_exact_recovery_above_transition():
     a = lasso.sample_partial_unitary(40, 60, seed=13)   # m well above the cone MSD (~21)
     y = a @ x0
     ball = lasso.ball_for(inst)
-    sol = lasso.solve_constrained_lasso(a, y, ball, lasso.SolverConfig(step=1.0))
+    sol = lasso.solve_constrained_lasso(a, y, ball)
     assert sol.converged
     assert np.linalg.norm(sol.x - x0) <= 1e-6 * np.linalg.norm(x0)
 
@@ -94,21 +93,21 @@ def test_solver_gaussian_default_step_recovers_signal():
     a = stream(15).standard_normal((40, 30))
     y = a @ inst.values
     ball = lasso.ball_for(inst)
-    sol = lasso.solve_constrained_lasso(a, y, ball)   # step=None -> 1/||A||^2, exact
+    sol = lasso.solve_constrained_lasso(a, y, ball)   # step 1/||A||^2, exact
     assert sol.converged
     assert np.linalg.norm(sol.x - inst.values) <= 1e-5 * np.linalg.norm(inst.values)
 
 
 def test_solver_default_step_is_exact_on_gaussian_operator():
-    # the default step is 1/||A||^2 from the exact operator norm; an estimate
-    # short of ||A||^2 would give a step above the 1/L that the step-length
-    # stop assumes
-    inst = signals.make_sparse(100, 5, "unit", seed=16)
+    # the step is 1/||A||^2 from the exact operator norm; an estimate short of
+    # ||A||^2 would give a step above the 1/L that the step-length stop assumes
     a = stream(17).standard_normal((80, 100))
-    y = a @ inst.values + 0.01 * np.random.default_rng(18).standard_normal(80)
-    ball = lasso.ball_for(inst)
-    sol = lasso.solve_constrained_lasso(a, y, ball)
-    assert np.array_equal(sol.x, _exact_step_solution(a, y, ball).x)
+    assert lasso._operator_step(a, np.zeros(80))[1] == 1.0 / np.linalg.norm(a, 2) ** 2
+    # a Projector's norm is exactly one, and its step takes no SVD
+    q = signals.haar_columns(np.random.default_rng(18), 9, 4)
+    for complement in (False, True):
+        p = lasso.Projector(q, complement)
+        assert lasso._operator_step(p, p @ np.ones(9)) == (p, 1.0)
 
 
 def test_solver_zero_operator_raises_numerical_error():
@@ -116,34 +115,40 @@ def test_solver_zero_operator_raises_numerical_error():
         lasso.solve_constrained_lasso(np.zeros((3, 5)), np.ones(3), lasso.BallSpec("l1", 1.0))
 
 
-def _exact_step_solution(a, y, ball):
-    """The solve with the step 1/||A||^2 set by hand, from the exact operator norm."""
-    step = 1.0 / np.linalg.norm(a, 2) ** 2
-    return lasso.solve_constrained_lasso(a, y, ball, lasso.SolverConfig(step=step))
-
-
 def test_solver_default_step_off_the_ones_null_space():
     # the all-ones vector lies in the null space of A = [1, -1]; ||A||^2 = 2,
-    # so the default step is 1/2
+    # so the step is 1/2
     a = np.array([[1.0, -1.0]])
-    ball = lasso.BallSpec("l1", 1.0)
-    sol = lasso.solve_constrained_lasso(a, [1.0], ball)
-    half = lasso.solve_constrained_lasso(a, [1.0], ball, lasso.SolverConfig(step=0.5))
+    assert lasso._operator_step(a, np.ones(1))[1] == pytest.approx(0.5, rel=1e-15)
+    sol = lasso.solve_constrained_lasso(a, [1.0], lasso.BallSpec("l1", 1.0))
     assert sol.converged
-    assert np.array_equal(sol.x, _exact_step_solution(a, [1.0], ball).x)
-    assert np.allclose(sol.x, half.x, atol=1e-12)
     assert np.allclose(sol.x, [0.5, -0.5], atol=1e-12)
 
 
+class _CostlierBall:
+    """An l1 ball of radius 2 whose projection keeps the start, then returns one
+    feasible point costlier than it, (1, 0), whatever it is given."""
+
+    radius = 2.0
+
+    def __init__(self):
+        self.calls = 0
+
+    def project(self, x):
+        self.calls += 1
+        return np.array(x, dtype=float) if self.calls == 1 else np.array([1.0, 0.0])
+
+    def dual_norm(self, g):
+        return prox.dual_norm(g, "l1")
+
+
 def test_solver_flags_cost_above_start():
-    # a step of 3/||A||^2 overshoots: the loose step-length stop fires at a
+    # the step-length stop fires once the iterates stop moving, here at a
     # point costlier than the start, which must not count as converged
     a = np.array([[1.0, 0.0]])
-    sol = lasso.solve_constrained_lasso(a, [0.0], lasso.BallSpec("l1", 100.0),
-                                        lasso.SolverConfig(tol=0.01, step=3.0),
-                                        x_init=np.array([0.01, 10.0]))
-    assert sol.iterations == 1
-    assert sol.cost > 0.01 ** 2
+    sol = lasso.solve_constrained_lasso(a, [0.0], _CostlierBall(), x_init=np.array([0.01, 0.0]))
+    assert sol.iterations == 2
+    assert sol.cost == 1.0 > 0.01 ** 2
     assert not sol.converged
 
 
@@ -170,10 +175,9 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
     n = x0.size
     if matrix_kind == "unitary":
         a = lasso.sample_partial_unitary(m, n, seed=32)
-        cfg = lasso.SolverConfig(step=1.0)
     else:
         a = stream(32).standard_normal((m, n))
-        cfg = lasso.SolverConfig()                       # step 1/||A||^2, exact
+    cfg = lasso.SolverConfig()                           # step 1/||A||^2, exact
     sigma = lasso.default_sigma(inst)
     v = np.random.default_rng(33).standard_normal(m)
     y = a @ x0 + sigma * v
@@ -226,20 +230,16 @@ def test_solver_l1_face_solution_and_kkt(n, extra, seed, frac, noise):
 
 
 @pytest.mark.parametrize("kwargs, error", [
-    ({"step": 0.0}, ValueError), ({"step": -1.0}, ValueError),
-    ({"step": float("nan")}, ValueError), ({"step": float("inf")}, ValueError),
     ({"max_iters": 0}, ValueError), ({"max_iters": -3}, ValueError),
     ({"max_iters": 2.5}, TypeError), ({"max_iters": 3.0}, TypeError),
     ({"max_iters": True}, TypeError),
     ({"tol": 0.0}, ValueError), ({"tol": -1e-12}, ValueError),
     ({"tol": float("nan")}, ValueError), ({"tol": float("inf")}, ValueError),
-], ids=["step-zero", "step-negative", "step-nan", "step-inf", "iters-zero", "iters-negative",
-        "iters-fraction", "iters-float", "iters-bool", "tol-zero", "tol-negative", "tol-nan",
-        "tol-inf"])
+], ids=["iters-zero", "iters-negative", "iters-fraction", "iters-float", "iters-bool",
+        "tol-zero", "tol-negative", "tol-nan", "tol-inf"])
 def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs, error):
-    # a zero step stopped at once at the start, marked converged; a NaN step
-    # ran to the iteration cap; max_iters=2.5 ran 3 iterations and True ran 1;
-    # an infinite tol stopped every trial after one iteration
+    # max_iters=2.5 ran 3 iterations and True ran 1; an infinite tol stopped
+    # every trial after one iteration
     with pytest.raises(error):
         lasso.SolverConfig(**kwargs)
 
@@ -307,9 +307,8 @@ def test_projector_form_solves_the_same_problem(family, size, k, kq_frac, comple
         a = q.T
     y = a @ x0 + sigma * (a @ pg)
     ball = lasso.ball_for(inst)
-    cfg = lasso.SolverConfig(step=1.0)
-    on_p = lasso.solve_constrained_lasso(p, w, ball, cfg, x_init=x0)
-    on_a = lasso.solve_constrained_lasso(a, y, ball, cfg, x_init=x0)
+    on_p = lasso.solve_constrained_lasso(p, w, ball, x_init=x0)
+    on_a = lasso.solve_constrained_lasso(a, y, ball, x_init=x0)
     assert on_p.converged and on_a.converged
     assert np.linalg.norm(on_p.x - on_a.x) <= 1e-9
     # below the transition the optimal cost is zero, reached only to rounding
@@ -326,7 +325,7 @@ def test_solver_flags_non_convergence():
     a = lasso.sample_partial_unitary(10, 30, seed=17)
     y = a @ inst.values + 0.01 * np.random.default_rng(18).standard_normal(10)
     sol = lasso.solve_constrained_lasso(a, y, lasso.ball_for(inst),
-                                        lasso.SolverConfig(max_iters=1, step=1.0))
+                                        lasso.SolverConfig(max_iters=1))
     assert not sol.converged
     assert sol.iterations == 1
 

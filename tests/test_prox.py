@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import grid_prox_scalar, l1_ball_shrink
 
 from proxmse import prox, signals
 
@@ -9,13 +10,6 @@ from proxmse import prox, signals
 # ---------------------------------------------------------------------------
 # 1-D grid oracle: minimize 0.5*(y - x)^2 + tau*f(x) directly
 # ---------------------------------------------------------------------------
-
-def grid_prox_scalar(y, tau, weight=1.0, step=1e-4):
-    span = abs(y) + 1.0
-    xs = np.arange(-span, span + step / 2, step)
-    obj = 0.5 * (y - xs) ** 2 + tau * weight * np.abs(xs)
-    return xs[int(np.argmin(obj))]
-
 
 def grid_prox_radial(gb, tau, step=1e-4):
     # block prox is radial: minimize over the scalar radius along gb
@@ -454,3 +448,28 @@ def test_stacked_ball_projection_and_dual_norm_match_each_row(kind, seed, scale,
     else:
         assert not projected.any()
     assert not projected[3].any()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(prox.BALL_KINDS), batch=st.sampled_from([(), (5,), (2, 3)]),
+       seed=st.integers(0, 2**20), scale=st.sampled_from([0.1, 1.0, 5.0]),
+       tied=st.booleans(), fraction=st.sampled_from([0.05, 0.5, 1.0, 2.0]))
+def test_project_ball_keeps_the_row_threshold_rule_bits(kind, batch, seed, scale, tied, fraction):
+    # the shared threshold rule, on columns, against the row-wise l1-ball
+    # shrink it replaced: every projected point keeps its bits. Small whole
+    # numbers tie magnitudes (and zero some); a radius near the first point's
+    # norm leaves some rows inside the ball, which come back unchanged.
+    s0 = _zero_structure(kind, seed)
+    rng = np.random.default_rng(seed)
+    size = batch + (s0.ambient_dim,)
+    rows = rng.integers(-2, 3, size) if tied else rng.standard_normal(size)
+    points = s0.layout(scale * rows)[0]
+    mags, rebuild = signals.split(points, kind, s0.block_size)
+    first = float(mags.reshape(-1, mags.shape[-1])[0].sum())  # the first point's norm
+    radius = fraction * first if first > 0 else 1.0
+    want = rebuild(np.maximum(mags - l1_ball_shrink(mags, radius)[..., None], 0.0))
+    inside = mags.sum(axis=-1) <= radius
+    want[inside] = points[inside]
+    got = prox.project_ball(points, kind, radius, block_size=s0.block_size)
+    assert got.shape == points.shape
+    assert np.array_equal(got, want)

@@ -7,8 +7,10 @@ four (samples, chunk) layouts, it writes the `repr` of every field of
 `geometry.estimate(lams, cone=True, optimal=True)` on the jobs' lambda grid
 to `OUTDIR/<kind>.txt`. It does the same for a weighted sparse structure
 with non-unit and zero weights (`weighted.txt`), the one kind whose
-bracket keeps a weight with each threshold. No CLI job writes the tuned
-lam*, so this is where its bits are compared: run it once per checkout and
+bracket keeps a weight with each threshold, and for sparse:40:40
+(`full.txt`), whose full support leaves no clip threshold, so that each
+sample's cone minimum is c1/c2 or 0. No CLI job writes the tuned lam*, so
+this is where its bits are compared: run it once per checkout and
 `diff -r` the outputs.
 """
 
@@ -27,10 +29,12 @@ from proxmse import cli, geometry, signals
 LAYOUTS = ((20000, 4096), (8707, 4353), (300, 64), (200, 4096))
 LAMS = cli.parse_grid("0:0.5:3")
 # the structure of each kind, built from its seed; the weighted one has four
-# regions, with weights 1, 2.5, 0 and 0.5, taking coordinates in turn
-KINDS = {desc.split(":")[0]: (lambda seed, desc=desc:
-                              cli.parse_structure(desc, seed, "uniform")[0].structure)
-         for desc in STRUCTURES}
+# regions, with weights 1, 2.5, 0 and 0.5, taking coordinates in turn, and full
+# (sparse:40:40) has no clip threshold
+DESCS = {desc.split(":")[0]: desc for desc in STRUCTURES} | {"full": "sparse:40:40"}
+KINDS = {kind: (lambda seed, desc=desc:
+                cli.parse_structure(desc, seed, "uniform")[0].structure)
+         for kind, desc in DESCS.items()}
 KINDS["weighted"] = lambda seed: signals.make_weighted_sparse(
     300, 12, np.arange(300) % 4, [1.0, 2.5, 0.0, 0.5], seed=seed).structure
 
