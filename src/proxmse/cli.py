@@ -152,13 +152,12 @@ def _write(path: str, text: str) -> None:
 def run_msd(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     if args.lambda_grid is None and not args.cone:
         raise ConfigError("msd needs --lambda-grid and/or --cone")
-    mc = geometry.McConfig(samples=args.samples, seed=args.seed, chunk=args.chunk)
+    mc = geometry.McConfig(samples=args.samples, seed=args.seed)
     lams = parse_grid(args.lambda_grid) if args.lambda_grid is not None else []
     ests = geometry.estimate(inst.structure, mc, lams, cone=args.cone)
     rows = [{"lambda": est.lam, "mean": est.mean, "stderr": est.stderr, "samples": est.samples}
             for est in ests.curve + ([ests.cone] if args.cone else [])]
-    return rows, {"lambda_grid": args.lambda_grid, "cone": args.cone,
-                  "samples": args.samples, "chunk": args.chunk}
+    return rows, {"lambda_grid": args.lambda_grid, "cone": args.cone, "samples": args.samples}
 
 
 def run_bounds(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
@@ -228,13 +227,11 @@ def run_lasso(args, inst: signals.SignalInstance) -> tuple[list[dict], dict]:
     sigma = lasso.default_sigma(inst, args.sigma_scale)
     records = lasso.sweep_measurements(
         inst, parse_grid(args.m_grid), sigma=sigma, trials=args.trials, matrix_kind=args.matrix,
-        cfg=lasso.SolverConfig(max_iters=args.max_iters, tol=args.tol), seed=args.seed,
-        mc=geometry.McConfig(samples=args.samples, seed=args.seed),
+        seed=args.seed, mc=geometry.McConfig(samples=args.samples, seed=args.seed),
     )
     rows = [{"matrix_kind": args.matrix, **dataclasses.asdict(rec)} for rec in records]
     return rows, {"m_grid": [rec.m for rec in records], "trials": args.trials, "sigma": sigma,
-                  "matrix_kind": args.matrix, "samples": args.samples,
-                  "max_iters": args.max_iters, "tol": args.tol}
+                  "matrix_kind": args.matrix, "samples": args.samples}
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid", dest="lambda_grid", help="scale grid start:step:stop")
     p.add_argument("--cone", action="store_true", help="also estimate the cone MSD")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--chunk", type=int, default=4096)
     p.set_defaults(runner=run_msd)
 
     p = sub.add_parser("bounds", help="closed-form bound and sandwich constants")
@@ -301,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", choices=["unitary", "gaussian"], default="unitary")
     p.add_argument("--samples", type=int, default=20_000,
                    help="MC samples for the cone MSD prediction")
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=600_000)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="solver stop: last projected-gradient step length "
-                        "relative to ||x||")
     p.set_defaults(runner=run_lasso)
     return parser
 

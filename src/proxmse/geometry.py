@@ -28,13 +28,14 @@ over the samples take Newton steps (``_rise``) from lam = 0, which rise to the
 smallest minimizer, A only shrinking, until A repeats: within J + 1 steps.
 
 ``estimate`` computes every Monte Carlo estimate in one pass, sweeping the
-thresholds once per lam, cone or Newton pass. A 4096-sample chunk of
-sparse:500:20 holds 15.7 MB of them, more than a core's L2 cache, so
-``_chunks`` draws and profiles each chunk in row tiles of about ``TILE``
-drawn entries (1 MB) and hands each tile to a visitor, which takes all its
-passes while the tile is cached. ``_chunks`` rejects a tile with a
-non-finite profile before any visit sees it, naming the first bad sample,
-for every estimator.
+thresholds once per lam, once for the cone minima and once for the pooled
+minimiser's bracket; only the pooled sums take Newton steps. A ``CHUNK`` of
+4096 samples of sparse:500:20 holds 15.7 MB of thresholds, more than a
+core's L2 cache, so ``_chunks`` draws and profiles each chunk in row tiles
+of about ``TILE`` drawn entries (1 MB) and hands each tile to a visitor,
+which takes all its passes while the tile is cached. ``_chunks`` rejects a
+tile with a non-finite profile before any visit sees it, naming the first
+bad sample, for every estimator.
 
 A visit sees a tile sorted (``_Tile``): ``_chunks`` sorts each sample's
 thresholds and copies them thresholds-major into one reused (J, rows)
@@ -85,6 +86,9 @@ from .prox import threshold_root
 from .signals import ScaleProfile, SignalStructure, as_vector
 from .streams import stream
 
+# samples per chunk, chunk i drawn from stream (seed, i): it fixes which
+# normals a call draws; the tile, not the chunk, sets the memory
+CHUNK = 4096
 # drawn entries per row tile: 1 MB of float64, whose profile stays in a 2 MB
 # L2 cache while an estimator sweeps the tile many times
 TILE = 1 << 17
@@ -98,23 +102,27 @@ Z = 8.0
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo controls: sample count, seed, and chunked stream layout.
+    """Monte Carlo controls: sample count and seed.
 
-    Samples are generated in chunks of ``chunk``; chunk i draws from an
+    Samples are drawn in chunks of ``CHUNK`` = 4096; chunk i draws from an
     independent stream keyed (seed, i), so chunks may be evaluated in any order
     or in parallel without changing the result. No estimator caps ``samples``.
     """
 
     samples: int
     seed: int
-    chunk: int = 4096
 
     def __post_init__(self):
         # each count must be an integer (numpy integers included): a float
         # or a bool is rejected here, not truncated or failed on later; the
         # seed is checked here, not at the first draw
-        for name, minimum in (("samples", 2), ("seed", 0), ("chunk", 1)):
+        for name, minimum in (("samples", 2), ("seed", 0)):
             object.__setattr__(self, name, require_int(getattr(self, name), name, minimum))
+
+    @property
+    def chunk(self) -> int:
+        """``CHUNK``, for callers that read the chunk layout from the config."""
+        return CHUNK
 
 
 @dataclass(frozen=True)
@@ -484,9 +492,10 @@ class _PooledMinimum:
 def _chunks(s: SignalStructure, mc: McConfig, visit) -> None:
     """Call visit(start, tile, clip buffer) on each row tile of the sample streams, in order.
 
-    Chunk i draws from stream (seed, i) a tile of rows at a time, about
-    ``TILE`` entries; rows drawn in consecutive blocks are bitwise those of
-    one whole-chunk draw. One worker thread keeps the next tile drawn ahead:
+    Chunk i, the ``CHUNK`` samples from i * CHUNK on (fewer in the last),
+    draws from stream (seed, i) a tile of rows at a time, about ``TILE``
+    entries; rows drawn in consecutive blocks are bitwise those of one
+    whole-chunk draw. One worker thread keeps the next tile drawn ahead:
     it makes each chunk's stream and fills the two draw buffers in turn, and
     tile i + 2 is drawn only once tile i's profile has returned (no profile
     shares memory with its draw). numpy releases the interpreter lock while
@@ -501,10 +510,10 @@ def _chunks(s: SignalStructure, mc: McConfig, visit) -> None:
     raises. Memory is set by the tile, as long as ``visit`` keeps no view of
     the buffers.
     """
-    rows = min(max(1, TILE // s.ambient_dim), mc.chunk, mc.samples)
+    rows = min(max(1, TILE // s.ambient_dim), CHUNK, mc.samples)
     tiles = []  # (chunk, first sample, rows)
-    for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
-        end = min(start + mc.chunk, mc.samples)
+    for ci, start in enumerate(range(0, mc.samples, CHUNK)):
+        end = min(start + CHUNK, mc.samples)
         tiles += [(ci, lo, min(rows, end - lo)) for lo in range(start, end, rows)]
     draws, bufs = np.empty((2, rows, s.ambient_dim)), None
     free, drawn, closed, failed = (threading.Semaphore(2), threading.Semaphore(0),
@@ -516,7 +525,7 @@ def _chunks(s: SignalStructure, mc: McConfig, visit) -> None:
                 free.acquire()  # buffer i % 2 is free once tile i - 2's profile has returned
                 if closed.is_set():
                     return
-                if lo == ci * mc.chunk:
+                if lo == ci * CHUNK:
                     rng = stream(mc.seed, ci)
                 rng.standard_normal(out=draws[i % 2, :n])
                 drawn.release()

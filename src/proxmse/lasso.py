@@ -41,28 +41,10 @@ from .signals import SignalInstance, haar_columns
 from .streams import stream
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Accelerated projected-gradient controls.
-
-    ``tol`` is a relative step length: the solver has converged once its
-    last projected-gradient step, taken from the extrapolated point z to
-    x+, satisfies ||x+ - z|| <= tol * ||x+||. That step bounds optimality:
-    for every feasible u, <grad(x+), x+ - u> <= (4/step) ||x+ - z|| ||x+ - u||.
-    It also converges at the cost floor, 1e-14 times the cost at the projected
-    start (1e-14 ||y||^2 from 0), which matters when the optimal cost is exactly
-    zero: the iterates then approach the zero-cost set forever and the step
-    test alone may never fire.
-    ``max_iters`` ends the run flagged non-converged.
-    """
-
-    max_iters: int = 600_000
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        object.__setattr__(self, "max_iters", require_int(self.max_iters, "max_iters", 1))
+# the solver's stop rule (see ``solve_constrained_lasso``): a relative step
+# length, and the iteration count at which a run ends flagged non-converged
+TOL = 1e-12
+MAX_ITERS = 600_000
 
 
 @dataclass(frozen=True)
@@ -145,7 +127,7 @@ def sample_partial_unitary(m: int, n: int, seed: int) -> np.ndarray:
 
 def _operator_step(a, y: np.ndarray):
     """The operator as the solver applies it, and its step 1/||A||^2, the 1/L that
-    the step-length bound of ``SolverConfig`` assumes: 1 for a ``Projector``
+    the solver's step-length bound assumes: 1 for a ``Projector``
     (no SVD), else from ``np.linalg.norm(A, 2)``, exact."""
     if isinstance(a, Projector):
         outside = y - a @ y
@@ -161,7 +143,6 @@ def _operator_step(a, y: np.ndarray):
 
 
 def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
-                            cfg: SolverConfig = SolverConfig(),
                             x_init: np.ndarray | None = None) -> LassoSolution:
     """FISTA with gradient restart for min_x ||y - A x||^2 over the ball.
 
@@ -181,15 +162,21 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     when (x+ - z) . (x+ - x) < 0, that is when the step points against the
     momentum (O'Donoghue & Candes 2015).
 
-    It stops on the relative step length or the cost floor (see
-    ``SolverConfig``), or at cfg.max_iters (flagged non-converged; the caller
-    decides what to do). It compares no costs while iterating: the residual
-    y - A x cancels, so near the optimum cost differences are rounding noise
-    and a cost-based rule stops at the wrong point. Nor does it stop on the
-    Frank-Wolfe gap, which closes slowly while the support is still being
-    found; the gap is only reported, once, at the returned point. A run
-    whose final cost exceeds the cost at its projected start is flagged
-    non-converged.
+    It has converged once its last projected-gradient step, taken from the
+    extrapolated point z to x+, satisfies ||x+ - z|| <= ``TOL`` * ||x+||. That
+    step bounds optimality: for every feasible u,
+    <grad(x+), x+ - u> <= (4/step) ||x+ - z|| ||x+ - u||. It also converges at
+    the cost floor, 1e-14 times the cost at the projected start (1e-14 ||y||^2
+    from 0), which matters when the optimal cost is exactly zero: the iterates
+    then approach the zero-cost set forever and the step test alone may never
+    fire. After ``MAX_ITERS`` iterations it stops flagged non-converged (the
+    caller decides what to do). It compares no costs while iterating: the
+    residual y - A x cancels, so near the optimum cost differences are
+    rounding noise and a cost-based rule stops at the wrong point. Nor does
+    it stop on the Frank-Wolfe gap, which closes slowly while the support is
+    still being found; the gap is only reported, once, at the returned
+    point. A run whose final cost exceeds the cost at its projected start is
+    flagged non-converged.
     """
     y = np.asarray(y, dtype=float)
     a, step = _operator_step(a, y)
@@ -202,8 +189,8 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     z, az, t = x, ax, 1.0
     converged = cost <= floor
     it = restarts = 0
-    tol_sq = cfg.tol * cfg.tol
-    while not converged and it < cfg.max_iters:
+    tol_sq = TOL * TOL
+    while not converged and it < MAX_ITERS:
         x_new = ball.project(z + step * (a.T @ (y - az)))
         ax_new = a @ x_new
         r = y - ax_new
@@ -234,8 +221,7 @@ def default_sigma(inst: SignalInstance, scale: float = 1e-4) -> float:
 
 
 def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
-                       trials: int = 50, matrix_kind: str = "unitary",
-                       cfg: SolverConfig = SolverConfig(), seed: int = 0,
+                       trials: int = 50, matrix_kind: str = "unitary", seed: int = 0,
                        mc: McConfig | None = None,
                        d_reference: float | None = None,
                        collect: bool = False):
@@ -252,8 +238,9 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     law N(0, P) of A^T v, and eta, F, E and the noise energy
     ||P g||^2 = ||A^T v||^2 are functions of (P, A^T y), so each trial's
     statistics have the distribution of the m x n draw. At m = n, Q is empty
-    and P = I. Non-converged trials are excluded but counted; more than 10%
-    exclusions at any m raise RunQualityError. ``predicted_eta`` is
+    and P = I. Every trial runs the one solver stop rule, ``TOL`` and
+    ``MAX_ITERS``. Non-converged trials are excluded but counted; more than
+    10% exclusions at any m raise RunQualityError. ``predicted_eta`` is
     min(m, D) with D the cone MSD: ``d_reference`` (finite and nonnegative),
     or else estimated once via ``mc`` (default 20,000 samples) and shared by
     every record; every argument is checked before that and before any
@@ -306,7 +293,7 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
             y = a @ x0 + sigma * v
             # from x0 the cost floor is 1e-14 sigma^2 ||v||^2: stopping on it perturbs
             # the per-trial energy identity by at most ~2e-7 of the noise energy
-            sol = solve_constrained_lasso(a, y, ball, cfg, x_init=x0)
+            sol = solve_constrained_lasso(a, y, ball, x_init=x0)
             if not sol.converged:
                 continue
             proj_err = a @ (sol.x - x0)

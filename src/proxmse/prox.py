@@ -155,9 +155,9 @@ def project_ball(y, kind: str, radius: float, *, block_size: int | None = None) 
     """
     radius = require_nonneg(radius, "radius")
     y = np.asarray(y, dtype=float)
+    mags, rebuild = split(y, _ball_kind(kind), block_size)  # checked even at radius 0
     if radius == 0:
         return np.zeros_like(y)
-    mags, rebuild = split(y, _ball_kind(kind), block_size)
     inside = mags.sum(axis=-1) <= radius
     rows_inside = np.count_nonzero(inside)
     if rows_inside == inside.size:

@@ -677,13 +677,19 @@ def instance_from_descriptor(desc: dict, magnitude_law: str = "uniform") -> Sign
     """Build a SignalInstance from a JSON-style descriptor dict such as
     {"kind": "sparse", "n": 500, "k": 20, "seed": 1}. Each count and the seed
     must be a JSON integer: a float, a string or a boolean is rejected, not
-    truncated."""
+    truncated, and so is a count too large for one numpy array."""
     kind = desc.get("kind")
     if not isinstance(kind, str) or kind not in _MAKERS:
         raise InvalidStructureError(f"unknown structure kind {kind!r}")
     args = {name: desc.get(name) for name in (*DESCRIPTOR_FIELDS[kind], "seed")}
+    # a count past the float64 entries one numpy array can hold overflows (or
+    # crashes) numpy's sampling instead of failing as a configuration error
+    most = np.iinfo(np.intp).max // np.dtype(float).itemsize
     for name, value in args.items():
         if type(value) is not int:   # None when the field is missing
             raise InvalidStructureError(f"descriptor field {name!r} must be an integer, "
                                         f"got {value!r}")
+        if name != "seed" and value > most:
+            raise InvalidStructureError(f"descriptor field {name!r} must be at most "
+                                        f"{most}, got {value}")
     return _MAKERS[kind](**args, magnitude_law=desc.get("magnitude_law", magnitude_law))

@@ -137,10 +137,11 @@ def whole_chunk_estimates(s, lams, mc):
     """``msd_lambda_curve``, ``msd_cone`` and ``optimal_lambda`` over undivided
     chunk profiles, as they ran before the profiles were cut into row tiles:
     per-sample values concatenated per estimator, pooled sums added per chunk.
-    Each chunk is sorted as one tile, and every pooled clip sweeps all its ranks."""
-    chunks = []
-    for ci, start in enumerate(range(0, mc.samples, mc.chunk)):
-        G = stream(mc.seed, ci).standard_normal((min(mc.chunk, mc.samples - start), s.ambient_dim))
+    Each chunk is sorted as one tile, and every pooled clip sweeps all its ranks.
+    The chunk is ``geometry.CHUNK`` as the call reads it, patched or not."""
+    chunks, chunk = [], geometry.CHUNK
+    for ci, start in enumerate(range(0, mc.samples, chunk)):
+        G = stream(mc.seed, ci).standard_normal((min(chunk, mc.samples - start), s.ambient_dim))
         chunks.append((start, geometry._sorted(s.profile(G))))
 
     def estimate(values, lam=None):

@@ -127,7 +127,7 @@ def test_msd_job_draws_each_chunk_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(geometry, "stream", counted)
     code = run_cli(["msd", "--structure", "sparse:40:4", "--seed", "1",
-                    "--lambda-grid", "0:1:2", "--cone", "--samples", "8192", "--chunk", "4096",
+                    "--lambda-grid", "0:1:2", "--cone", "--samples", "8192",
                     "--output", str(tmp_path / "msd.csv")])
     assert code == 0
     assert made == [(0,), (1,)]
@@ -140,6 +140,20 @@ def test_invalid_structure_json_exits_2_no_file(tmp_path):
                         "--cone", "--samples", "2000", "--output", str(out)])
         assert code == 2, text
         assert not out.exists()
+
+
+HUGE = "100000000000000000000000000000"
+
+
+@pytest.mark.parametrize("structure", [
+    f"sparse:{HUGE}:2", f"block:{HUGE}:2:1", f'{{"kind":"sparse","n":{HUGE},"k":2,"seed":1}}',
+], ids=["sparse", "block", "json"])
+def test_huge_structure_count_exits_2_no_file(tmp_path, structure):
+    # a count numpy cannot hold once exited 1 with an OverflowError traceback
+    out = tmp_path / "never.csv"
+    code = run_cli(["bounds", "--structure", structure, "--seed", "1", "--output", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_config_structure_reproduces_magnitude_law(tmp_path):
@@ -352,13 +366,26 @@ def test_lasso_sweep_csv(tmp_path):
     ["denoise", "--estimator", "regularized", "--lambda", "1.0", "--sigma-grid", "nan",
      "--trials", "5"],
     ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--sigma-scale", "inf"],
-    ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--tol", "inf"],
 ], ids=["msd-lambda", "denoise-lambda", "bounds-lambda", "bounds-cone-msd", "sigma-grid",
-        "lasso-sigma", "lasso-tol"])
+        "lasso-sigma"])
 def test_non_finite_scalars_exit_2_no_file(tmp_path, args):
     out = tmp_path / "nan.csv"
     code = run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["msd", "--cone", "--samples", "2000", "--chunk", "4096"],
+    ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--max-iters", "10"],
+    ["lasso", "--m-grid", "10", "--trials", "2", "--samples", "100", "--tol", "1e-12"],
+], ids=["msd-chunk", "lasso-max-iters", "lasso-tol"])
+def test_removed_settings_exit_2_no_file(tmp_path, args):
+    # the chunk layout and the solver's stop rule are constants, not options
+    out = tmp_path / "removed.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(args + ["--structure", "sparse:30:3", "--seed", "1", "--output", str(out)])
+    assert exc_info.value.code == 2
     assert not out.exists()
 
 

@@ -368,6 +368,7 @@ def test_non_finite_profile_surfaces_with_index(monkeypatch):
     cases = [(sparse, int(sparse.support[0])),
              (sparse, int(np.setdiff1d(np.arange(10), sparse.support)[0])),
              (lowrank, 0), (lowrank, 11)]
+    monkeypatch.setattr(geometry, "CHUNK", 32)
     for tile in (geometry.TILE, 1):
         monkeypatch.setattr(geometry, "TILE", tile)
         for value in (np.nan, np.inf):
@@ -378,8 +379,10 @@ def test_non_finite_profile_surfaces_with_index(monkeypatch):
                         stream(seed, ci), 5 if ci == 1 else 99, col, value))
                 for estimator in (geometry.msd_cone, geometry.optimal_lambda,
                                   lambda s, mc: geometry.msd_lambda(s, 1.0, mc)):
-                    with pytest.raises(NumericalError) as exc_info:
-                        estimator(s, McConfig(samples=64, seed=1, chunk=32))
+                    # the low-rank profile of a non-finite draw warns "invalid value"
+                    with (pytest.raises(NumericalError) as exc_info,
+                          np.errstate(invalid="ignore")):
+                        estimator(s, McConfig(samples=64, seed=1))
                     assert exc_info.value.index == 37
 
 
@@ -414,19 +417,20 @@ def test_row_tiles_match_whole_chunks(kind, seed):
     s = _tiled_structure(kind, seed)
     lams = [0.0, 0.7, 1.5, 3.0]
     for samples, chunk in TILE_LAYOUTS:
-        mc = McConfig(samples=samples, seed=seed, chunk=chunk)
-        curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
-        optima = []
-        for rows in (1, 4, 5, 7, 8):
-            with pytest.MonkeyPatch.context() as mp:
+        mc = McConfig(samples=samples, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "CHUNK", chunk)
+            curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
+            optima = []
+            for rows in (1, 4, 5, 7, 8):
                 mp.setattr(geometry, "TILE", rows * s.ambient_dim)
                 got = (geometry.msd_lambda_curve(s, lams, mc), geometry.msd_cone(s, mc),
                        geometry.optimal_lambda(s, mc))
                 one_pass = geometry.estimate(s, mc, lams, cone=True, optimal=True)
-            assert got[:2] == (curve, cone), (samples, chunk, rows)
-            assert (one_pass.curve, one_pass.cone) == (curve, cone), (samples, chunk, rows)
-            assert got[2] == (one_pass.optimal.lam, one_pass.optimal), (samples, chunk, rows)
-            optima.append(one_pass.optimal)
+                assert got[:2] == (curve, cone), (samples, chunk, rows)
+                assert (one_pass.curve, one_pass.cone) == (curve, cone), (samples, chunk, rows)
+                assert got[2] == (one_pass.optimal.lam, one_pass.optimal), (samples, chunk, rows)
+                optima.append(one_pass.optimal)
         assert optima == [optima[0]] * len(optima), (samples, chunk)
         if samples <= chunk:
             assert optima[0] == tuned, (samples, chunk)
@@ -442,11 +446,12 @@ def _assert_close_estimate(got, want, rel=1e-12):
 
 
 @pytest.mark.parametrize("kind", ["sparse", "weighted", "block", "lowrank"])
-def test_estimate_subsets_match_the_estimators(kind):
+def test_estimate_subsets_match_the_estimators(monkeypatch, kind):
     # each field is what its own estimator gives, whatever else the pass computes
     s = _tiled_structure(kind, 3)
     lams = [0.0, 1.5]
-    mc = McConfig(samples=300, seed=3, chunk=64)
+    monkeypatch.setattr(geometry, "CHUNK", 64)
+    mc = McConfig(samples=300, seed=3)
     curve, cone, (_, tuned) = whole_chunk_estimates(s, lams, mc)
     assert geometry.msd_lambda(s, lams[1], mc) == curve[1]
     _, optimal = geometry.optimal_lambda(s, mc)
@@ -621,12 +626,15 @@ def test_bracketed_optimum_matches_pooled_newton(kind, seed, layout):
     # forces a redraw. A call of at most LEAD samples takes no bracket.
     s = _structure(kind, seed)
     samples, chunk = layout
-    mc = McConfig(samples=samples, seed=seed, chunk=chunk)
-    _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
+    mc = McConfig(samples=samples, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "CHUNK", chunk)
+        _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
     paths = [(ci,) for ci in range(-(-samples // chunk))]
     sloped = s.profile(np.zeros((1, s.ambient_dim))).c2 > 0.0
     for z in (geometry.Z, 1e-9, 0.0):
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "CHUNK", chunk)
             mp.setattr(geometry, "Z", z)
             made = _counting_streams(mp)
             with np.errstate(all="raise"):
@@ -683,7 +691,8 @@ def test_flat_profile_gets_a_finite_bracket(monkeypatch, seed):
     for kind in ("weighted_zero_support", "empty_support"):
         s = _structure(kind, seed)
         for samples, chunk in ((1000, 999), (5000, 4096)):
-            mc = McConfig(samples=samples, seed=seed, chunk=chunk)
+            monkeypatch.setattr(geometry, "CHUNK", chunk)
+            mc = McConfig(samples=samples, seed=seed)
             _, _, (_, tuned) = whole_chunk_estimates(s, [], mc)
             opened.clear()
             made.clear()
@@ -827,10 +836,10 @@ def test_reproducibility_same_config():
     assert a == b
 
 
-@pytest.mark.parametrize("field", ["samples", "seed", "chunk"])
+@pytest.mark.parametrize("field", ["samples", "seed"])
 @pytest.mark.parametrize("value", [1000.0, 1.5, True, np.bool_(True), "100"])
 def test_mc_config_rejects_non_integral_counts(field, value):
-    args = {"samples": 1000, "seed": 1, "chunk": 100, field: value}
+    args = {"samples": 1000, "seed": 1, field: value}
     with pytest.raises(TypeError, match=field):
         McConfig(**args)
 
@@ -873,7 +882,8 @@ def test_one_chunk_alive_at_each_draw(monkeypatch, kind):
     # buffers, and a buffer is drawn again only once the profile of the tile
     # last drawn into it has returned: draw n starts after profiles 0..n-2.
     s = _tiled_structure(kind, 1)
-    mc = McConfig(samples=300, seed=1, chunk=50)
+    monkeypatch.setattr(geometry, "CHUNK", 50)
+    mc = McConfig(samples=300, seed=1)
     live, outs, profiled = [], [], [0, 0]  # (first row, nu); profiles returned, rows profiled
     profile = type(s).profile
 
@@ -928,7 +938,8 @@ def test_draw_worker_ends_with_the_call(monkeypatch, case):
     # the first pass or in a forced redraw (Z = 0), where a chunk fails only
     # when it is drawn for the second time
     s = _tiled_structure("lowrank" if case == "lowrank_nan" else "sparse", 1)
-    mc = McConfig(samples=300, seed=1, chunk=64)
+    monkeypatch.setattr(geometry, "CHUNK", 64)
+    mc = McConfig(samples=300, seed=1)
     if case.endswith("nan"):
         monkeypatch.setattr(geometry, "stream", lambda seed, ci: _PoisonedStream(
             stream(seed, ci), 5 if ci == 1 else 99, 0, np.nan))
@@ -965,7 +976,8 @@ def test_draw_ahead_under_thread_stress(monkeypatch):
     # worker) with 5-row tiles and a forced redraw, switching threads
     # every microsecond: each result is bitwise the serial one
     s = _tiled_structure("sparse", 2)
-    mc = McConfig(samples=300, seed=3, chunk=64)
+    mc = McConfig(samples=300, seed=3)
+    monkeypatch.setattr(geometry, "CHUNK", 64)
     monkeypatch.setattr(geometry, "TILE", 5 * s.ambient_dim)
     monkeypatch.setattr(geometry, "Z", 0.0)
 
@@ -1000,6 +1012,7 @@ def test_draws_are_tile_sized(monkeypatch):
     for s, tile, samples, chunk in cases:
         if tile is not None:
             monkeypatch.setattr(geometry, "TILE", tile)
+        monkeypatch.setattr(geometry, "CHUNK", chunk)
         drawn = []
 
         def recorded(seed, ci):
@@ -1007,8 +1020,7 @@ def test_draws_are_tile_sized(monkeypatch):
             return _RecordingStream(stream(seed, ci), drawn[-1][1])
 
         monkeypatch.setattr(geometry, "stream", recorded)
-        geometry.estimate(s, McConfig(samples=samples, seed=1, chunk=chunk), [1.0], cone=True,
-                          optimal=True)
+        geometry.estimate(s, McConfig(samples=samples, seed=1), [1.0], cone=True, optimal=True)
         assert drawn
         for ci, outs in drawn:
             assert all(out.size <= max(geometry.TILE, s.ambient_dim) for out, _ in outs), ci
@@ -1016,12 +1028,10 @@ def test_draws_are_tile_sized(monkeypatch):
 
 
 def test_mc_config_counts():
-    mc = McConfig(samples=np.int64(1000), seed=np.uint32(1), chunk=np.int16(100))
-    assert (mc.samples, mc.seed, mc.chunk) == (1000, 1, 100)
-    assert all(type(v) is int for v in (mc.samples, mc.seed, mc.chunk))
+    mc = McConfig(samples=np.int64(1000), seed=np.uint32(1))
+    assert (mc.samples, mc.seed) == (1000, 1)
+    assert all(type(v) is int for v in (mc.samples, mc.seed))
     with pytest.raises(ValueError, match="at least 2"):
         McConfig(samples=1, seed=1)
-    with pytest.raises(ValueError, match="chunk must be at least 1"):
-        McConfig(samples=10, seed=1, chunk=0)
     # no ceiling: the pooled minimiser keeps a count per sample, not a sample index
     assert McConfig(samples=2**31, seed=1).samples == 2**31

@@ -177,12 +177,11 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
         a = lasso.sample_partial_unitary(m, n, seed=32)
     else:
         a = stream(32).standard_normal((m, n))
-    cfg = lasso.SolverConfig()                           # step 1/||A||^2, exact
     sigma = lasso.default_sigma(inst)
     v = np.random.default_rng(33).standard_normal(m)
     y = a @ x0 + sigma * v
     ball = lasso.ball_for(inst)
-    sol = lasso.solve_constrained_lasso(a, y, ball, cfg, x_init=x0)
+    sol = lasso.solve_constrained_lasso(a, y, ball, x_init=x0)  # step 1/||A||^2, exact
     assert sol.converged
     noise_energy = float(v @ v)
     assert sol.cost <= sigma ** 2 * noise_energy
@@ -194,7 +193,7 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
     gap = _gap(a, y, sol.x, ball)
     assert sol.gap == pytest.approx(gap, rel=1e-6, abs=1e-15)
     step = 1.0 / np.linalg.norm(a, 2) ** 2
-    bound = 8 * ball.radius * cfg.tol * np.linalg.norm(sol.x) / step
+    bound = 8 * ball.radius * lasso.TOL * np.linalg.norm(sol.x) / step
     assert -1e-15 <= sol.gap <= bound
 
 
@@ -227,26 +226,6 @@ def test_solver_l1_face_solution_and_kkt(n, extra, seed, frac, noise):
     lam = np.max(np.abs(g[support]))
     assert np.allclose(g[support] * signs, lam, rtol=1e-6, atol=1e-12)
     assert np.all(np.delete(np.abs(g), support) <= lam * (1 + 1e-6))
-
-
-@pytest.mark.parametrize("kwargs, error", [
-    ({"max_iters": 0}, ValueError), ({"max_iters": -3}, ValueError),
-    ({"max_iters": 2.5}, TypeError), ({"max_iters": 3.0}, TypeError),
-    ({"max_iters": True}, TypeError),
-    ({"tol": 0.0}, ValueError), ({"tol": -1e-12}, ValueError),
-    ({"tol": float("nan")}, ValueError), ({"tol": float("inf")}, ValueError),
-], ids=["iters-zero", "iters-negative", "iters-fraction", "iters-float", "iters-bool",
-        "tol-zero", "tol-negative", "tol-nan", "tol-inf"])
-def test_solver_config_rejects_bad_step_and_iteration_cap(kwargs, error):
-    # max_iters=2.5 ran 3 iterations and True ran 1; an infinite tol stopped
-    # every trial after one iteration
-    with pytest.raises(error):
-        lasso.SolverConfig(**kwargs)
-
-
-def test_solver_config_keeps_numpy_iteration_cap_as_int():
-    cfg = lasso.SolverConfig(max_iters=np.int64(40))
-    assert cfg.max_iters == 40 and type(cfg.max_iters) is int
 
 
 def test_complement_projector_is_the_orthogonal_projector():
@@ -320,12 +299,12 @@ def test_projector_form_solves_the_same_problem(family, size, k, kq_frac, comple
         assert float(rp @ rp) == pytest.approx(float(ra @ ra), rel=1e-12, abs=floor)
 
 
-def test_solver_flags_non_convergence():
+def test_solver_flags_non_convergence(monkeypatch):
     inst = signals.make_sparse(30, 2, "unit", seed=16)
     a = lasso.sample_partial_unitary(10, 30, seed=17)
     y = a @ inst.values + 0.01 * np.random.default_rng(18).standard_normal(10)
-    sol = lasso.solve_constrained_lasso(a, y, lasso.ball_for(inst),
-                                        lasso.SolverConfig(max_iters=1))
+    monkeypatch.setattr(lasso, "MAX_ITERS", 1)
+    sol = lasso.solve_constrained_lasso(a, y, lasso.ball_for(inst))
     assert not sol.converged
     assert sol.iterations == 1
 
@@ -416,13 +395,14 @@ def test_iteration_tail_near_transition():
         assert d.energy <= d.noise_energy * (1 + 1e-6)
 
 
-def test_run_quality_error_on_starved_solver():
+def test_run_quality_error_on_starved_solver(monkeypatch):
     inst = signals.make_sparse(60, 6, "unit", seed=24)
     sigma = lasso.default_sigma(inst)
+    monkeypatch.setattr(lasso, "MAX_ITERS", 2)
     with pytest.raises(RunQualityError):
         lasso.sweep_measurements(
             inst, [35], sigma, trials=10, matrix_kind="unitary", seed=25,
-            d_reference=30.0, cfg=lasso.SolverConfig(max_iters=2), collect=True,
+            d_reference=30.0, collect=True,
         )
 
 

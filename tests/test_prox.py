@@ -252,6 +252,18 @@ def test_project_ball_zero_radius():
     assert np.allclose(prox.project_ball(y, "l1", 0.0), 0.0)
 
 
+@pytest.mark.parametrize("y, kind, block_size, message", [
+    (np.ones(5), "bogus", None, "unknown ball kind"),
+    (np.ones(5), "l12", 2, "not divisible"),
+    (np.ones(6), "nuclear", None, "square length"),
+], ids=["kind", "block-size", "nuclear-shape"])
+def test_project_ball_checks_its_input_at_zero_radius(y, kind, block_size, message):
+    # radius 0 once returned zeros before the kind, block size or shape was checked
+    for radius in (0.0, 1.0):
+        with pytest.raises(ValueError, match=message):
+            prox.project_ball(y, kind, radius, block_size=block_size)
+
+
 # ---------------------------------------------------------------------------
 # nonexpansiveness and scaling
 # ---------------------------------------------------------------------------

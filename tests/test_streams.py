@@ -71,8 +71,8 @@ def test_denoise_trials_share_no_draws_with_a_reference_under_one_seed(monkeypat
         return Recorder()
 
     monkeypatch.setattr(geometry, "stream", recording)
-    geometry.msd_cone(inst.structure, geometry.McConfig(samples=2 * trials, seed=seed,
-                                                        chunk=trials))
+    monkeypatch.setattr(geometry, "CHUNK", trials)
+    geometry.msd_cone(inst.structure, geometry.McConfig(samples=2 * trials, seed=seed))
     noise = []
     denoise._run(inst, None, [0.25, 0.5], trials, seed,
                  lambda points, sigma: (points, np.zeros(len(points))),

@@ -30,12 +30,11 @@ JOBS = {
     **{f"msd_{s.split(':')[0]}": ["msd", "--structure", s, "--lambda-grid", "0:0.5:3",
                                   "--cone", "--samples", "20000", "--format", "json",
                                   "--seed", "1"] for s in STRUCTURES},
-    # geometry draws a chunk of sparse:500:20 (500 entries a sample) in
-    # 262-row tiles: 4353 = 16 * 262 + 161 ends each chunk in a short tile,
-    # and 8707 = 2 * 4353 + 1 leaves a one-sample last chunk
+    # geometry draws each 4096-sample chunk of sparse:500:20 (500 entries a
+    # sample) in 262-row tiles: 4096 = 15 * 262 + 166 ends each chunk in a
+    # short tile, and 8193 = 2 * 4096 + 1 leaves a one-sample last chunk
     "msd_sparse_tiles": ["msd", "--structure", "sparse:500:20", "--lambda-grid", "0:0.5:3",
-                         "--cone", "--samples", "8707", "--chunk", "4353", "--format", "json",
-                         "--seed", "1"],
+                         "--cone", "--samples", "8193", "--format", "json", "--seed", "1"],
     **{f"bounds_{s.split(':')[0]}": ["bounds", "--structure", s, "--lambda", "11",
                                      "--cone-msd", "389", "--seed", "1"] for s in STRUCTURES},
     "denoise_sparse_regularized": DENOISE + ["--structure", "sparse:200:10", "--estimator",

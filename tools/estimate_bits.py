@@ -3,7 +3,8 @@
     PYTHONPATH=src python tools/estimate_bits.py OUTDIR
 
 For each structure of the msd jobs in `tools/cli_jobs.py`, seeds 1 and 2 and
-four (samples, chunk) layouts, it writes the `repr` of every field of
+three sample counts (drawn in chunks of `geometry.CHUNK` samples), it writes
+the `repr` of every field of
 `geometry.estimate(lams, cone=True, optimal=True)` on the jobs' lambda grid
 to `OUTDIR/<kind>.txt`. It does the same for a weighted sparse structure
 with non-unit and zero weights (`weighted.txt`), the one kind whose
@@ -24,9 +25,9 @@ import numpy as np
 from cli_jobs import STRUCTURES
 from proxmse import cli, geometry, signals
 
-# a benchmark-sized call; the tiled job's layout, with a one-sample last chunk;
-# many chunks past the lead of LEAD samples; one call of at most LEAD samples
-LAYOUTS = ((20000, 4096), (8707, 4353), (300, 64), (200, 4096))
+# a benchmark-sized call of five chunks; the tiled job's layout, with a
+# one-sample last chunk; one call of at most LEAD samples
+SAMPLES = (20000, 8193, 200)
 LAMS = cli.parse_grid("0:0.5:3")
 # the structure of each kind, built from its seed; the weighted one has four
 # regions, with weights 1, 2.5, 0 and 0.5, taking coordinates in turn, and full
@@ -44,9 +45,9 @@ if __name__ == "__main__":
         with open(os.path.join(sys.argv[1], f"{kind}.txt"), "w") as out:
             for seed in (1, 2):
                 s = make(seed)
-                for samples, chunk in LAYOUTS:
-                    est = geometry.estimate(s, geometry.McConfig(samples, seed, chunk), LAMS,
+                for samples in SAMPLES:
+                    est = geometry.estimate(s, geometry.McConfig(samples, seed), LAMS,
                                             cone=True, optimal=True)
                     for field in dataclasses.fields(est):
-                        out.write(f"seed {seed}, {samples} samples, chunk {chunk}, "
+                        out.write(f"seed {seed}, {samples} samples, "
                                   f"{field.name}: {getattr(est, field.name)!r}\n")
