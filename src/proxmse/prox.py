@@ -187,6 +187,44 @@ class BallSpec:
     def dual_norm(self, g: np.ndarray) -> float:
         return dual_norm(g, self.kind, self.block_size)
 
+    def face(self, x: np.ndarray, gram, b: np.ndarray):
+        """The least-squares point on the face of the ball that holds x, and its
+        multiplier: (u, mu), or None.
+
+        On the l1 ball, with S the support of x and s its signs, the point
+        minimises ||y - A u||^2 over u zero off S. For x on the sphere it keeps
+        s . u_S = radius, which is one (|S|+1)-square KKT system (Osborne,
+        Presnell & Turlach 2000)
+
+            [[G_SS, s], [s^T, 0]] [u_S; mu] = [b_S; radius],
+
+        with G_SS = ``gram(S)`` = (A^T A)_SS and b = A^T y; for x inside the
+        ball it solves G_SS u_S = b_S and takes mu = 0. x counts as inside when
+        its norm is below radius by more than 1e-12 of it. The result is not
+        checked: u may leave the face, and mu may be negative; a singular
+        system gives NaN. None on the l12 and nuclear balls, whose faces are
+        not linear.
+        """
+        if self.kind != "l1":
+            return None
+        support = np.flatnonzero(x)
+        s = np.sign(x[support])
+        k = support.size
+        if float(s @ x[support]) < self.radius * (1 - 1e-12):
+            kkt, rhs = gram(support), b[support]
+        else:
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = gram(support)
+            kkt[:k, k] = kkt[k, :k] = s
+            rhs = np.append(b[support], self.radius)
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.full(rhs.size, np.nan)
+        u = np.zeros_like(x)
+        u[support] = sol[:k]
+        return u, float(sol[k]) if k < sol.size else 0.0
+
 
 def ball_for(inst: SignalInstance) -> BallSpec:
     """The level-set ball {f(x) <= f(x0)} of the instance's structure norm."""

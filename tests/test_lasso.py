@@ -102,12 +102,20 @@ def test_solver_default_step_is_exact_on_gaussian_operator():
     # the step is 1/||A||^2 from the exact operator norm; an estimate short of
     # ||A||^2 would give a step above the 1/L that the step-length stop assumes
     a = stream(17).standard_normal((80, 100))
-    assert lasso._operator_step(a, np.zeros(80))[1] == 1.0 / np.linalg.norm(a, 2) ** 2
-    # a Projector's norm is exactly one, and its step takes no SVD
+    _, step, gram = lasso._operator_step(a, np.zeros(80))
+    assert step == 1.0 / np.linalg.norm(a, 2) ** 2
+    support = np.array([3, 17, 40, 99])
+    explicit = (a.T @ a)[np.ix_(support, support)]
+    assert np.abs(gram(support) - explicit).max() <= 1e-12 * np.abs(explicit).max()
+    # a Projector's norm is exactly one, and its step takes no SVD; its Gram
+    # block is P_SS, from the rows of Q alone
     q = signals.haar_columns(np.random.default_rng(18), 9, 4)
-    for complement in (False, True):
+    for complement, explicit in ((False, q @ q.T), (True, np.eye(9) - q @ q.T)):
         p = lasso.Projector(q, complement)
-        assert lasso._operator_step(p, p @ np.ones(9)) == (p, 1.0)
+        *operator_step, gram = lasso._operator_step(p, p @ np.ones(9))
+        assert tuple(operator_step) == (p, 1.0)
+        support = np.array([0, 4, 5, 8])
+        assert np.abs(gram(support) - explicit[np.ix_(support, support)]).max() <= 1e-15
 
 
 def test_solver_zero_operator_raises_numerical_error():
@@ -307,6 +315,102 @@ def test_solver_flags_non_convergence(monkeypatch):
     sol = lasso.solve_constrained_lasso(a, y, lasso.ball_for(inst))
     assert not sol.converged
     assert sol.iterations == 1
+    assert sol.finish == "limit"
+
+
+def _l1_problem(kind, n, m_frac, seed, noise):
+    """An l1 LASSO problem: (operator, y, gradient map x -> A^T (y - A x) from an
+    explicit matrix, least-norm zero-gradient point). ``kind`` is a Gaussian
+    matrix with round(m_frac n) rows, or a ``Projector`` P = Q Q^T
+    ("projector") or I - Q Q^T ("complement") with y = P x0 + noise P g."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n) * (rng.random(n) < 0.4)
+    if kind == "gaussian":
+        a = rng.standard_normal((max(1, round(m_frac * n)), n))
+        y = a @ x0 + noise * rng.standard_normal(a.shape[0])
+        return a, y, lambda x: a.T @ (y - a @ x), np.linalg.lstsq(a, y, rcond=None)[0]
+    complement = kind == "complement"
+    kq = min(n - 1, max(1, round(m_frac * n / 4)))
+    q = signals.haar_columns(rng, n, kq)
+    p = lasso.Projector(q, complement)
+    explicit = np.eye(n) - q @ q.T if complement else q @ q.T
+    y = p @ x0 + noise * (p @ rng.standard_normal(n))
+    return p, y, lambda x: y - explicit @ x, y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["gaussian", "projector", "complement"]), n=st.integers(2, 40),
+       m_frac=st.floats(0.2, 2.0), seed=st.integers(0, 2**20), frac=st.floats(0.05, 1.5),
+       noise=st.sampled_from([0.0, 0.01, 1.0]))
+def test_face_finish_is_certified_and_no_costlier_than_fista(kind, n, m_frac, seed, frac,
+                                                             noise):
+    # frac below 1 puts the optimum on the sphere; above it the least-norm
+    # zero-gradient point lies inside the ball, and so does an optimum
+    a, y, grad, x_ref = _l1_problem(kind, n, m_frac, seed, noise)
+    ball = lasso.BallSpec("l1", frac * float(np.abs(x_ref).sum()))
+    sol = lasso.solve_constrained_lasso(a, y, ball)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lasso, "HOLD", lasso.MAX_ITERS + 1)
+        fista = lasso.solve_constrained_lasso(a, y, ball)
+    assert sol.converged and fista.converged
+    if sol.finish != "face":
+        # no certified face: FISTA's own run, declined attempts and all
+        assert np.array_equal(sol.x, fista.x)
+        assert (sol.iterations, sol.cost, sol.gap, sol.finish) == (
+            fista.iterations, fista.cost, fista.gap, fista.finish)
+        return
+    assert sol.iterations < fista.iterations
+    # a cost is evaluated from the residual y - A x, so its rounding scales with
+    # ||y||^2, not with the cost: at the optimum the two runs tie to that rounding
+    assert sol.cost <= fista.cost + 1e-12 * float(y @ y)
+    # the KKT certificate, recomputed from the explicit matrix: with
+    # mu = max |g|, g_S = mu sign(x_S) (so |g_i| <= mu off S), x in the ball,
+    # and on its sphere unless mu vanishes
+    x = sol.x
+    g = grad(x)
+    on = x != 0
+    mu = float(np.abs(g).max())
+    tol = 1e-10 * float(np.abs(grad(np.zeros_like(x))).max())
+    norm = float(np.abs(x).sum())
+    assert np.abs(g[on] - mu * np.sign(x[on])).max(initial=0.0) <= tol
+    assert norm <= ball.radius * (1 + 1e-12)
+    assert mu <= tol or norm >= ball.radius * (1 - 1e-12)
+    # the reported gap is still the Frank-Wolfe gap at the returned point
+    assert sol.gap == pytest.approx(2 * (ball.radius * mu - float(g @ x)), rel=1e-6,
+                                    abs=tol * ball.radius)
+
+
+@pytest.mark.parametrize("breaks", ["sign", "multiplier"])
+def test_declined_face_leaves_fista_bit_for_bit(monkeypatch, breaks):
+    # an overdetermined Gaussian problem whose optimum sits on the sphere with
+    # mu > 0; every face solve is spoiled, so every attempt must be declined
+    # and the run must be FISTA's own
+    a, y, _, x_ref = _l1_problem("gaussian", 12, 1.5, 41, 0.01)
+    ball = lasso.BallSpec("l1", 0.5 * float(np.abs(x_ref).sum()))
+    assert lasso.solve_constrained_lasso(a, y, ball).finish == "face"
+    face = prox.BallSpec.face
+    spoiled = []
+
+    def spoiled_face(self, x, gram, b):
+        u, mu = face(self, x, gram, b)
+        if breaks == "sign":
+            u[np.argmax(np.abs(u))] *= -1
+        else:
+            mu = -mu
+        spoiled.append(mu)
+        return u, mu
+
+    monkeypatch.setattr(prox.BallSpec, "face", spoiled_face)
+    sol = lasso.solve_constrained_lasso(a, y, ball)
+    assert spoiled
+    if breaks == "multiplier":
+        assert all(mu < 0 for mu in spoiled)
+    monkeypatch.setattr(lasso, "HOLD", lasso.MAX_ITERS + 1)
+    fista = lasso.solve_constrained_lasso(a, y, ball)
+    assert sol.finish == fista.finish == "step"
+    assert np.array_equal(sol.x, fista.x)
+    assert (sol.iterations, sol.restarts, sol.cost, sol.gap) == (
+        fista.iterations, fista.restarts, fista.cost, fista.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +446,9 @@ def test_sweep_sum_rule_above_transition():
     se = sums.std(ddof=1) / math.sqrt(sums.size)
     assert abs(sums.mean() - 150) <= 3 * se
     assert rec.predicted_eta == pytest.approx(45.0)
+    # above the transition the optimum is unique, and every trial ends on its
+    # certified face
+    assert {d.finish for d in diags} == {"face"}
     # eta settles near the cone MSD once m clears the transition
     assert abs(rec.eta_mean - 45.0) <= 3 * rec.eta_stderr + 0.05 * math.sqrt(300)
 
