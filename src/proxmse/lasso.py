@@ -17,8 +17,9 @@ P = A^T A and w = A^T y: the gradient is A^T (y - A x) = w - P x, and
 trial therefore solves on a ``Projector`` and w. It draws the smaller Haar
 basis Q, with k = min(m, n - m) columns, and takes P = Q Q^T when 2m <= n
 and P = I - Q Q^T otherwise, so a product with P costs 4nk flops and the QR
-is of an n x k matrix. The residual w - P x lies in range(P), where the
-adjoint of P is the identity, so an iteration costs one product with P.
+is of an n x k matrix with 2k <= n, which ``haar_columns`` factors by
+Cholesky QR. The residual w - P x lies in range(P), where the adjoint of P
+is the identity, so an iteration costs one product with P.
 
 It then estimates three normalized quantities per measurement count m:
 
@@ -306,7 +307,8 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     statistics. A Gaussian trial draws A and v ~ N(0, I_m). A unitary trial
     draws the smaller Haar basis Q, with k = min(m, n - m) columns: that of
     range(A^T), P = Q Q^T, when 2m <= n, and that of its complement, itself
-    Haar, P = I - Q Q^T, otherwise. It draws g ~ N(0, I_n) and solves on the
+    Haar, P = I - Q Q^T, otherwise; as 2k <= n, ``haar_columns`` builds Q
+    by Cholesky QR. The trial then draws g ~ N(0, I_n) and solves on the
     ``Projector`` P and w = P x0 + sigma P g in place of A and y. P g has the
     law N(0, P) of A^T v, and eta, F, E and the noise energy
     ||P g||^2 = ||A^T v||^2 are functions of (P, A^T y), so each trial's
@@ -323,8 +325,9 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
     E is not always a property of the problem. Where the set
     {x : A x = y, f(x) <= f(x0)} holds more than one point, at and below the
     transition, every point of it has zero cost, and E = ||x* - x0||^2 / sigma^2
-    depends on which of them the solver stops at; eta and F do not, since
-    A x* and the cost are the same at all of them. On the l1 ball such trials
+    depends on which of them the solver stops at, so rounding in Q moves it
+    by more than its last digits; eta and F do not, since A x* and the cost
+    are the same at all of them. On the l1 ball such trials
     end on the cost floor, so E is taken at FISTA's iterate there; a face
     finish reports the solution of its face's KKT system instead, and
     ``TrialDiagnostics.finish`` says which. In the sparse:500:20 sweep at

@@ -623,9 +623,10 @@ def make_low_rank(d: int, r: int, seed: int = 0,
                   magnitude_law: str = "uniform") -> SignalInstance:
     """Draw a rank-r d x d matrix X0 = U diag(s) V^T with Haar-random factors.
 
-    U and V come from QR factorizations of independent Gaussian matrices with
-    the triangular factor's diagonal signs absorbed, which makes them Haar
-    distributed. Singular values are positive (per ``magnitude_law``).
+    U and V are the Q factors, with positive-diagonal triangular factors, of
+    independent d x r Gaussian matrices (``haar_columns``: Cholesky QR when
+    2r <= d, Householder otherwise), which makes them Haar distributed.
+    Singular values are positive (per ``magnitude_law``).
     """
     d, r = require_int(d, "d"), require_int(r, "r")
     if r < 1 or r > d:
@@ -639,8 +640,20 @@ def make_low_rank(d: int, r: int, seed: int = 0,
 
 
 def haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
-    """Haar-random d x r matrix with orthonormal columns (QR of a Gaussian matrix)."""
+    """Haar-random d x r matrix with orthonormal columns: the Q factor of a
+    d x r Gaussian matrix G whose triangular factor has a positive diagonal.
+
+    Both branches draw only G, so they leave the stream in the same place.
+    When 2r <= d, Q comes by Cholesky QR, Q = G L^-T with L L^T = G^T G:
+    such a G has cond(G) near (sqrt d + sqrt r) / (sqrt d - sqrt r) <= 5.8,
+    so Q is orthonormal to a few eps. Cholesky QR's error grows like
+    cond(G)^2 eps, and a G with 2r > d can be arbitrarily ill conditioned,
+    so there Householder QR runs, with the triangular factor's diagonal
+    signs absorbed into Q.
+    """
     g = rng.standard_normal((d, r))
+    if 2 * r <= d:
+        return g @ np.linalg.inv(np.linalg.cholesky(g.T @ g)).T
     q, rr = np.linalg.qr(g)
     signs = np.sign(np.diag(rr))
     signs[signs == 0] = 1.0

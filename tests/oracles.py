@@ -107,6 +107,17 @@ def l1_ball_shrink(mags: np.ndarray, radius: float) -> np.ndarray:
     return cand[(*np.indices(last.shape, sparse=True), last)]
 
 
+def householder_haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
+    """Haar-random d x r matrix with orthonormal columns: Householder QR of a
+    Gaussian matrix, the triangular factor's diagonal signs absorbed, at
+    every width (``signals.haar_columns`` takes Cholesky QR when 2r <= d)."""
+    g = rng.standard_normal((d, r))
+    q, rr = np.linalg.qr(g)
+    signs = np.sign(np.diag(rr))
+    signs[signs == 0] = 1.0
+    return q * signs
+
+
 def soft_tail_moment_quadrature(lam):
     """E max(|g| - lam, 0)^2 for standard normal g, by adaptive quadrature.
 

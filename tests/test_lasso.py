@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import householder_haar_columns
 
 from proxmse import lasso, prox, signals
 from proxmse.errors import NumericalError, RunQualityError
@@ -484,6 +485,28 @@ def test_complement_draw_statistics():
         assert d.energy <= d.noise_energy * (1 + 1e-6)
     sums = np.array([d.energy for d in diags])
     assert abs(sums.mean() - m) <= 3 * sums.std(ddof=1) / math.sqrt(sums.size)
+
+
+def test_sweep_trials_match_householder_bases(monkeypatch):
+    # above the transition (cone MSD of sparse:100:5 is ~25) each trial's
+    # optimum is unique, so the Cholesky QR basis, equal to the Householder one
+    # up to rounding, gives every trial the same statistics and finish; y still
+    # lies in range(P) to the solver's 1e-24 check
+    inst = signals.make_sparse(100, 5, "unit", seed=7)
+
+    def sweep():
+        return lasso.sweep_measurements(inst, [50, 80], trials=10, seed=7,
+                                        d_reference=25.0, collect=True)[1]
+
+    ours = sweep()
+    monkeypatch.setattr(lasso, "haar_columns", householder_haar_columns)
+    ref = sweep()
+    for m in (50, 80):
+        assert len(ours[m]) == len(ref[m]) == 10
+        for d, e in zip(ours[m], ref[m]):
+            assert d.finish == e.finish
+            for name in ("eta", "f", "e"):
+                assert getattr(d, name) == pytest.approx(getattr(e, name), rel=1e-9), name
 
 
 def test_iteration_tail_near_transition():

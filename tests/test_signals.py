@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     block_at,
+    householder_haar_columns,
     lowrank_at,
     same_subdifferential,
     signed_support_at,
@@ -98,6 +99,30 @@ def test_make_low_rank_rank_one():
     inst = signals.make_low_rank(5, 1, seed=9)
     sv = np.linalg.svd(signals.as_matrix(inst.values, 5), compute_uv=False)
     assert np.count_nonzero(sv > 1e-10) == 1
+
+
+def _assert_haar_columns_match_householder(d, r, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    q, ref = signals.haar_columns(rng, d, r), householder_haar_columns(ref_rng, d, r)
+    assert q.shape == ref.shape == (d, r)
+    assert np.abs(q - ref).max(initial=0.0) <= 1e-12
+    assert np.linalg.norm(q.T @ q - np.eye(r), 2) <= 1e-13
+    # the draw takes the same normals, so the trial's noise drawn next keeps its bits
+    assert np.array_equal(rng.standard_normal(d), ref_rng.standard_normal(d))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), d=st.integers(0, 64), seed=st.integers(0, 2**20))
+def test_haar_columns_match_householder(data, d, seed):
+    # Cholesky QR for 2r <= d and Householder beyond, r = 0 and r = d included
+    r = data.draw(st.integers(0, d))
+    _assert_haar_columns_match_householder(d, r, seed)
+
+
+@pytest.mark.parametrize("d, r", [(500, 200), (500, 250)])
+def test_haar_columns_match_householder_at_sweep_widths(d, r):
+    for seed in range(3):
+        _assert_haar_columns_match_householder(d, r, seed)
 
 
 def test_make_low_rank_rejects_bad_rank():
