@@ -33,12 +33,7 @@ import numpy as np
 
 from . import denoise as denoise_lab
 from . import geometry, lasso, signals
-from .errors import (
-    BoundNotValidError,
-    InvalidStructureError,
-    NumericalError,
-    RunQualityError,
-)
+from .errors import BoundNotValidError, NumericalError, RunQualityError
 
 
 class ConfigError(ValueError):
@@ -47,7 +42,8 @@ class ConfigError(ValueError):
 
 def parse_grid(text: str) -> list[float]:
     """Parse 'start:step:stop' (inclusive of stop when it lands on the grid)
-    or a single number; every number must be finite."""
+    or a single number; every number must be finite, and a grid holds at most
+    ``signals.MAX_COUNT`` points, counted before any is built."""
     parts = text.split(":")
     try:
         values = [float(p) for p in parts]
@@ -59,10 +55,12 @@ def parse_grid(text: str) -> list[float]:
             start, step, stop = values
             if step <= 0:
                 raise ConfigError(f"grid step must be positive in {text!r}")
-            count = int(np.floor((stop - start) / step + 1e-9)) + 1
-            if count < 1:
+            last = (stop - start) / step + 1e-9   # inf when the quotient overflows
+            if last < 0:
                 raise ConfigError(f"empty grid {text!r}")
-            return [start + i * step for i in range(count)]
+            if not last < signals.MAX_COUNT:
+                raise ConfigError(f"more than {signals.MAX_COUNT} points")
+            return (start + np.arange(math.floor(last) + 1) * step).tolist()
     except ValueError as exc:
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
     raise ConfigError(f"bad grid {text!r}: use a number or start:step:stop")
@@ -93,7 +91,7 @@ def parse_structure(text: str, seed: int, magnitude_law: str) -> tuple[signals.S
     desc.setdefault("magnitude_law", magnitude_law)
     try:
         return signals.instance_from_descriptor(desc, magnitude_law), desc
-    except InvalidStructureError as exc:
+    except (TypeError, ValueError) as exc:   # the maker's rejection of a count or the seed
         raise ConfigError(str(exc)) from exc
 
 

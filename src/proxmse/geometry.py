@@ -83,7 +83,7 @@ import numpy as np
 from .errors import (BoundNotValidError, InvalidStructureError, NumericalError, require_int,
                      require_nonneg)
 from .prox import threshold_root
-from .signals import ScaleProfile, SignalStructure, as_vector
+from .signals import ScaleProfile, SignalStructure, as_vector, require_count
 from .streams import stream
 
 # samples per chunk, chunk i drawn from stream (seed, i): it fixes which
@@ -656,9 +656,8 @@ def msd_lambda_exact_l1(n: int, k: int, lam: float) -> float:
     Equals k*(1 + lam^2) + (n - k) * E max(|g| - lam, 0)^2: support
     coordinates are pinned to lam*sign, off-support coordinates clip at lam.
     """
-    n, k = require_int(n, "n"), require_int(k, "k")
-    if k < 1 or k > n:
-        raise InvalidStructureError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n = require_count(n, "n")
+    k = require_count(k, "k", n)
     lam = require_nonneg(lam, "lam")
     return float(k * (1.0 + lam * lam) + (n - k) * soft_tail_moment(lam))
 

@@ -205,8 +205,8 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     returned only if it passes the KKT certificate of ``_certified``;
     otherwise FISTA goes on from its own iterate, its steps unchanged. Each
     sign pattern is tried at most once. The l1,2 and nuclear faces are not
-    linear: there ``face`` returns None, and the solver stops tracking sign
-    patterns, so those balls never finish this way. ``finish`` says what
+    linear, so on those balls (``ball.kind`` other than "l1") the solver
+    tracks no sign pattern and never finishes this way. ``finish`` says what
     ended the run: "face", "step" (the step-length rule), "floor" (the cost
     floor) or "limit" (``MAX_ITERS``); ``iterations`` counts FISTA
     iterations only.
@@ -223,7 +223,8 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     converged = cost <= floor
     it = restarts = held = 0
     b = a.T @ y
-    signs, tried, finish = None, set(), None   # tried is None on a ball without linear faces
+    signs, tried, finish = None, set(), None
+    faces = ball.kind == "l1"   # the one ball whose faces are linear
     tol_sq = TOL * TOL
     while not converged and it < MAX_ITERS:
         x_new = ball.project(z + step * (a.T @ (y - az)))
@@ -236,16 +237,13 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
                      or cost <= floor)
         dx, dax = x_new - x, ax_new - ax
         x, ax = x_new, ax_new
-        if tried is not None:
+        if faces:
             pattern = np.sign(x)
             held = held + 1 if np.array_equal(pattern, signs) else 1
             signs = pattern
             if held == HOLD and not converged and (key := pattern.tobytes()) not in tried:
                 tried.add(key)
-                face = ball.face(x, gram, b)
-                if face is None:
-                    tried = None
-                elif (face := _certified(a, y, b, ball, x, *face)) is not None:
+                if (face := _certified(a, y, b, ball, x, *ball.face(x, gram, b))) is not None:
                     x, r = face
                     cost, converged, finish = float(r @ r), True, "face"
                     break

@@ -188,10 +188,11 @@ class BallSpec:
         return dual_norm(g, self.kind, self.block_size)
 
     def face(self, x: np.ndarray, gram, b: np.ndarray):
-        """The least-squares point on the face of the ball that holds x, and its
-        multiplier: (u, mu), or None.
+        """The least-squares point on the face of the l1 ball that holds x, and
+        its multiplier: (u, mu). Only the l1 ball's faces are linear, so the
+        solver calls it on that ball alone.
 
-        On the l1 ball, with S the support of x and s its signs, the point
+        With S the support of x and s its signs, the point
         minimises ||y - A u||^2 over u zero off S. For x on the sphere it keeps
         s . u_S = radius, which is one (|S|+1)-square KKT system (Osborne,
         Presnell & Turlach 2000)
@@ -202,11 +203,8 @@ class BallSpec:
         ball it solves G_SS u_S = b_S and takes mu = 0. x counts as inside when
         its norm is below radius by more than 1e-12 of it. The result is not
         checked: u may leave the face, and mu may be negative; a singular
-        system gives NaN. None on the l12 and nuclear balls, whose faces are
-        not linear.
+        system gives NaN.
         """
-        if self.kind != "l1":
-            return None
         support = np.flatnonzero(x)
         s = np.sign(x[support])
         k = support.size

@@ -38,6 +38,24 @@ SUPPORT_TOL = 1e-12
 RANK_TOL = 1e-10
 ORTHO_TOL = 1e-10
 
+# the most float64 entries one numpy array can hold: a larger count overflows
+# numpy's sampling, or crashes it, instead of failing as a structure error
+MAX_COUNT = np.iinfo(np.intp).max // np.dtype(float).itemsize
+_COUNT_NAMES = {"n": "ambient dimension", "k": "support size", "t": "block count",
+               "b": "block size", "d": "matrix side", "r": "rank"}
+
+
+def require_count(value, name: str, high: int = MAX_COUNT, low: int = 1) -> int:
+    """The structure count ``name`` as an int in [low, high]: TypeError naming
+    it unless it is an integer (numpy's included), InvalidStructureError out of
+    range. Every class, maker and :func:`proxmse.geometry.msd_lambda_exact_l1`
+    checks its counts here, the ambient dimension (t*b, d*d) as "n" too."""
+    value = require_int(value, name)
+    if not low <= value <= high:
+        limit = f"at most {high}" if value > high else "positive" if low else "nonnegative"
+        raise InvalidStructureError(f"{_COUNT_NAMES[name]} must be {limit}, got {name}={value}")
+    return value
+
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
@@ -113,9 +131,7 @@ class _SignedSupport(_Structure):
     plain sparse structure (unit weights) and the weighted one."""
 
     def __post_init__(self):
-        object.__setattr__(self, "n", require_int(self.n, "n"))
-        if self.n < 1:
-            raise InvalidStructureError("ambient dimension must be positive")
+        object.__setattr__(self, "n", require_count(self.n, "n"))
         object.__setattr__(self, "support", _frozen_indices(self.support, "support", self.n))
         object.__setattr__(self, "signs", _frozen_array(self.signs))
         if self.signs.shape != (self.k,) or not np.all(np.abs(self.signs) == 1.0):
@@ -264,9 +280,8 @@ class BlockSparseStructure(_Structure):
 
     def __post_init__(self):
         for name in ("t", "b"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if self.t < 1 or self.b < 1:
-            raise InvalidStructureError("block counts must be positive")
+            object.__setattr__(self, name, require_count(getattr(self, name), name))
+        require_count(self.ambient_dim, "n")
         object.__setattr__(self, "active", _frozen_indices(self.active, "active block", self.t))
         object.__setattr__(self, "directions", _frozen_array(self.directions))
         if self.directions.shape != (self.k, self.b):
@@ -350,14 +365,11 @@ class LowRankStructure(_Structure):
     descriptor_fields = ("d", "r")
 
     def __post_init__(self):
-        for name in ("d", "r"):
-            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        object.__setattr__(self, "d", require_count(self.d, "d"))
+        require_count(self.ambient_dim, "n")
+        object.__setattr__(self, "r", require_count(self.r, "r", self.d, low=0))
         object.__setattr__(self, "u", _frozen_array(self.u))
         object.__setattr__(self, "v", _frozen_array(self.v))
-        if self.d < 1:
-            raise InvalidStructureError("matrix side must be positive")
-        if self.r > self.d:
-            raise InvalidStructureError(f"rank {self.r} exceeds side {self.d}")
         if self.u.shape != (self.d, self.r) or self.v.shape != (self.d, self.r):
             raise InvalidStructureError("factors must have shape (d, r)")
         eye = np.eye(self.r)
@@ -582,11 +594,11 @@ def make_sparse(n: int, k: int, magnitude_law: str = "uniform", seed: int = 0) -
     Support positions are uniform without replacement, signs are uniform +-1,
     magnitudes follow ``magnitude_law`` ('unit' -> all ones, 'uniform' ->
     U[1,2], bounded away from zero so support detection is unambiguous).
-    Deterministic given (arguments, seed).
+    Deterministic given (arguments, seed). The counts pass
+    :func:`require_count`, the check and bound the CLI applies.
     """
-    n, k = require_int(n, "n"), require_int(k, "k")
-    if k < 1 or k > n:
-        raise InvalidStructureError(f"need 1 <= k <= n, got k={k}, n={n}")
+    n = require_count(n, "n")
+    k = require_count(k, "k", n)
     rng = stream(seed)
     support = np.sort(rng.choice(n, size=k, replace=False))
     signs = rng.choice([-1.0, 1.0], size=k)
@@ -601,19 +613,16 @@ def make_block_sparse(t: int, b: int, k: int, seed: int = 0,
     """Draw a block-sparse signal: k of t size-b blocks active.
 
     Each active block holds a uniformly random unit direction scaled by a
-    positive magnitude.
+    positive magnitude. The counts pass :func:`require_count`, as in the CLI.
     """
-    t, b, k = require_int(t, "t"), require_int(b, "b"), require_int(k, "k")
-    if k < 1 or k > t:
-        raise InvalidStructureError(f"need 1 <= k <= t, got k={k}, t={t}")
-    if b < 1:
-        raise InvalidStructureError("block size must be >= 1")
+    t, b = require_count(t, "t"), require_count(b, "b")
+    n, k = require_count(t * b, "n"), require_count(k, "k", t)
     rng = stream(seed)
     active = np.sort(rng.choice(t, size=k, replace=False))
     raw = rng.standard_normal((k, b))
     directions = raw / np.linalg.norm(raw, axis=1, keepdims=True)
     mags = _magnitudes(rng, k, magnitude_law)
-    values = np.zeros(t * b)
+    values = np.zeros(n)
     blocks = values.reshape(t, b)
     blocks[active] = mags[:, None] * directions
     return SignalInstance(BlockSparseStructure(t, b, active, directions), values)
@@ -626,11 +635,12 @@ def make_low_rank(d: int, r: int, seed: int = 0,
     U and V are the Q factors, with positive-diagonal triangular factors, of
     independent d x r Gaussian matrices (``haar_columns``: Cholesky QR when
     2r <= d, Householder otherwise), which makes them Haar distributed.
-    Singular values are positive (per ``magnitude_law``).
+    Singular values are positive (per ``magnitude_law``). The counts pass
+    :func:`require_count`, as in the CLI.
     """
-    d, r = require_int(d, "d"), require_int(r, "r")
-    if r < 1 or r > d:
-        raise InvalidStructureError(f"need 1 <= r <= d, got r={r}, d={d}")
+    d = require_count(d, "d")
+    require_count(d * d, "n")
+    r = require_count(r, "r", d)
     rng = stream(seed)
     u = haar_columns(rng, d, r)
     v = haar_columns(rng, d, r)
@@ -688,21 +698,12 @@ DESCRIPTOR_FIELDS = {cls.kind: cls.descriptor_fields
 
 def instance_from_descriptor(desc: dict, magnitude_law: str = "uniform") -> SignalInstance:
     """Build a SignalInstance from a JSON-style descriptor dict such as
-    {"kind": "sparse", "n": 500, "k": 20, "seed": 1}. Each count and the seed
-    must be a JSON integer: a float, a string or a boolean is rejected, not
-    truncated, and so is a count too large for one numpy array."""
+    {"kind": "sparse", "n": 500, "k": 20, "seed": 1}. The maker checks each
+    count and the seed: a float, a string, a boolean or a missing field raises
+    TypeError, not truncated, and a count out of range, or past
+    :data:`MAX_COUNT`, raises InvalidStructureError, as for any caller."""
     kind = desc.get("kind")
     if not isinstance(kind, str) or kind not in _MAKERS:
         raise InvalidStructureError(f"unknown structure kind {kind!r}")
     args = {name: desc.get(name) for name in (*DESCRIPTOR_FIELDS[kind], "seed")}
-    # a count past the float64 entries one numpy array can hold overflows (or
-    # crashes) numpy's sampling instead of failing as a configuration error
-    most = np.iinfo(np.intp).max // np.dtype(float).itemsize
-    for name, value in args.items():
-        if type(value) is not int:   # None when the field is missing
-            raise InvalidStructureError(f"descriptor field {name!r} must be an integer, "
-                                        f"got {value!r}")
-        if name != "seed" and value > most:
-            raise InvalidStructureError(f"descriptor field {name!r} must be at most "
-                                        f"{most}, got {value}")
     return _MAKERS[kind](**args, magnitude_law=desc.get("magnitude_law", magnitude_law))

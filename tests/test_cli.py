@@ -5,10 +5,15 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from proxmse import cli, denoise, geometry, streams
+from proxmse import cli, denoise, geometry, signals, streams
+from proxmse.errors import InvalidStructureError
 
 
 def run_cli(args):
@@ -40,6 +45,43 @@ def test_parse_grid_rejects_garbage():
         cli.parse_grid("a:b:c")
     with pytest.raises(cli.ConfigError):
         cli.parse_grid("0:-1:5")
+
+
+def loop_grid(text):
+    """The parser's earlier grid, one Python step per point, as the oracle of its bits."""
+    start, step, stop = (float(p) for p in text.split(":"))
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(count)]
+
+
+# every grid of tools/cli_jobs.py, perfbench/ and README, and of the tests here
+GRIDS = ["0:0.5:3", "0:0.1:3", "20:30:80", "40:30:100", "50:30:80", "200:200:400",
+         "20:20:400", "0.01:0.01:0.02", "0.01:0.01:0.03", "0.1:0.1:0.3", "0:0.5:1",
+         "0:0.5:2", "0:1:2", "10:15:40", "10:2.5:20", "8:10:28"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(start=st.floats(-1e6, 1e6), step=st.floats(1e-6, 1e3), span=st.floats(0, 300))
+def test_parse_grid_keeps_every_point_bit_for_bit(start, step, span):
+    for text in [*GRIDS, f"{start!r}:{step!r}:{start + span * step!r}"]:
+        grid = cli.parse_grid(text)
+        assert [type(v) for v in grid] == [float] * len(grid)
+        assert [v.hex() for v in grid] == [v.hex() for v in loop_grid(text)], text
+
+
+def test_grid_of_too_many_points_exits_2_at_once(tmp_path):
+    # the parser built every point in a Python loop before it counted them,
+    # and ran out of memory on this grid of 10^300 points
+    out = tmp_path / "never.csv"
+    began = time.perf_counter()
+    assert run_cli(["msd", "--structure", "sparse:40:4", "--seed", "1",
+                    "--lambda-grid", "0:1e-300:1", "--output", str(out)]) == 2
+    assert time.perf_counter() - began < 1.0
+    assert not out.exists()
+    # a point count that overflows to inf is rejected too, not an OverflowError
+    for text in ["0:1e-300:1", "0:1e-300:1e300", "-1e308:1e-300:1e308"]:
+        with pytest.raises(cli.ConfigError, match="more than 1152921504606846975 points"):
+            cli.parse_grid(text)
 
 
 def test_parse_structure_shorthand_and_json():
@@ -154,6 +196,91 @@ def test_huge_structure_count_exits_2_no_file(tmp_path, structure):
     code = run_cli(["bounds", "--structure", structure, "--seed", "1", "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def _count_or_1(value):
+    """value as an array dimension when numpy takes it, else 1 (the count check fires first)."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        np.zeros((0, value))
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return 1
+
+
+# each size field with the other fields small: the class (empty support, so
+# its arrays take any count), the maker, the shorthand and the JSON descriptor
+SIZE_FIELDS = {
+    "n": (lambda v: signals.SparseStructure(v, [], []),
+          lambda v: signals.make_sparse(v, 1), "sparse:{}:1", {"kind": "sparse", "k": 1}),
+    "t": (lambda v: signals.BlockSparseStructure(v, 2, [], np.zeros((0, 2))),
+          lambda v: signals.make_block_sparse(v, 2, 1), "block:{}:2:1",
+          {"kind": "block", "b": 2, "k": 1}),
+    "b": (lambda v: signals.BlockSparseStructure(2, v, [], np.zeros((0, _count_or_1(v)))),
+          lambda v: signals.make_block_sparse(2, v, 1), "block:2:{}:1",
+          {"kind": "block", "t": 2, "k": 1}),
+    "d": (lambda v: signals.LowRankStructure(v, 0, *2 * [np.zeros((_count_or_1(v), 0))]),
+          lambda v: signals.make_low_rank(v, 1), "lowrank:{}:1", {"kind": "lowrank", "r": 1}),
+}
+def _reads_as_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _outcome(build):
+    try:
+        build()
+    except MemoryError:   # n = 2^60 - 1 passed the check; numpy cannot allocate 8 EiB
+        return "accepted"
+    except (TypeError, InvalidStructureError, cli.ConfigError) as exc:
+        return type(exc)
+    return "accepted"
+
+
+# accepted counts are drawn small, or at 2^60 - 1 where the allocation fails at
+# once: the maker allocates every count it accepts
+SIZE_VALUES = st.one_of(
+    st.sampled_from([0, 2**60 - 1, 2**60, 2**63 - 1, 10**29, True, False, None, 7.0, 2.5]),
+    st.integers(1, 40), st.integers(max_value=-1), st.integers(min_value=2**60),
+    st.sampled_from([np.int8(-3), np.int64(0), np.int64(9), np.uint64(12), np.int32(2),
+                     np.int64(2**62), np.uint64(2**64 - 1)]),
+    st.floats(),
+    st.text().filter(lambda s: not _reads_as_int(s)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(sorted(SIZE_FIELDS)), value=SIZE_VALUES)
+def test_size_fields_are_checked_alike_everywhere(tmp_path, field, value):
+    # the class, the maker and the CLI (shorthand and JSON) accept a count or
+    # all reject it: TypeError for a non-integer, InvalidStructureError for an
+    # integer out of range, ConfigError and exit 2 with no file from the CLI
+    build, make, shorthand, desc = SIZE_FIELDS[field]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        expected = TypeError
+    else:
+        v = int(value)
+        ambient = {"n": v, "t": 2 * v, "b": 2 * v, "d": v * v}[field]   # capped too
+        expected = "accepted" if 1 <= v and ambient <= signals.MAX_COUNT else InvalidStructureError
+    assert _outcome(lambda: build(value)) == expected
+    assert _outcome(lambda: make(value)) == expected
+    if field == "n":   # the exact l1 curve takes the sparse counts too
+        assert _outcome(lambda: geometry.msd_lambda_exact_l1(value, 1, 1.0)) == expected
+    as_json = int(value) if isinstance(value, np.integer) else value
+    texts = [shorthand.format(as_json), json.dumps({**desc, field: as_json, "seed": 1})]
+    cli_expected = "accepted" if expected == "accepted" else cli.ConfigError
+    for text in texts:
+        assert _outcome(lambda: cli.parse_structure(text, 1, "uniform")) == cli_expected, text
+        if cli_expected is cli.ConfigError:
+            out = tmp_path / "never.csv"
+            assert run_cli(["bounds", "--structure", text, "--seed", "1",
+                            "--output", str(out)]) == 2
+            assert not out.exists()
 
 
 def test_config_structure_reproduces_magnitude_law(tmp_path):

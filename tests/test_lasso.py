@@ -138,6 +138,7 @@ class _CostlierBall:
     """An l1 ball of radius 2 whose projection keeps the start, then returns one
     feasible point costlier than it, (1, 0), whatever it is given."""
 
+    kind = "l1"
     radius = 2.0
 
     def __init__(self):
@@ -204,6 +205,25 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
     step = 1.0 / np.linalg.norm(a, 2) ** 2
     bound = 8 * ball.radius * lasso.TOL * np.linalg.norm(sol.x) / step
     assert -1e-15 <= sol.gap <= bound
+
+
+@pytest.mark.parametrize("make, m", [
+    (lambda: signals.make_block_sparse(20, 5, 3, seed=1), 60),
+    (lambda: signals.make_low_rank(10, 2, seed=1), 70),
+], ids=["block", "lowrank"])
+def test_block_and_lowrank_solves_never_solve_a_face(make, m, monkeypatch):
+    # only the l1 ball's faces are linear, so the solver tracks no sign
+    # pattern on the l1,2 and nuclear balls and never asks for their face
+    def face(self, *args):
+        raise AssertionError(f"a face solved on the {self.kind} ball")
+
+    monkeypatch.setattr(prox.BallSpec, "face", face)
+    inst = make()
+    a = stream(5).standard_normal((m, inst.ambient_dim))
+    y = a @ inst.values + 0.01 * stream(6).standard_normal(m)
+    sol = lasso.solve_constrained_lasso(a, y, lasso.ball_for(inst))
+    assert sol.converged and sol.finish == "step"
+    assert sol.iterations > 10 * lasso.HOLD
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

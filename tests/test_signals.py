@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,28 @@ def test_make_sparse_rejects_bad_k():
     for n, k, field in [(30.0, 3, "n"), (30, True, "k"), (30, 3.0, "k"), ("30", 3, "n")]:
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             signals.make_sparse(n, k)
+
+
+HUGE_COUNTS = """
+import sys
+from proxmse import signals
+from proxmse.errors import InvalidStructureError
+for make, args in ((signals.make_sparse, (2**63 - 1, 2**63 - 1)),
+                   (signals.make_block_sparse, (2**63 - 1, 1, 2**63 - 1))):
+    try:
+        make(*args)
+    except InvalidStructureError:
+        continue
+    sys.exit(f"{make.__name__}{args} returned")
+"""
+
+
+def test_huge_counts_raise_instead_of_crashing_numpy():
+    # these counts once reached numpy's choice and killed the process with a
+    # segmentation fault; run apart, a regression fails here instead
+    proc = subprocess.run([sys.executable, "-c", HUGE_COUNTS], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_make_block_sparse_contract():
