@@ -16,7 +16,9 @@ fully resolved configuration (CSV: leading '#' line; JSON: a "config" field).
 
 Exit codes: 0 success, 2 configuration error (an output directory that does
 not exist is found before any work, and a file that cannot be written exits
-2 too), 3 numerical/run-quality error; a failed run leaves no partial file.
+2 too, as does a configuration whose arrays cannot be allocated: valid counts
+whose memory the machine does not have), 3 numerical/run-quality error; a
+failed run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -325,6 +327,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:   # ConfigError and InvalidStructureError among them
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -649,6 +649,23 @@ def make_low_rank(d: int, r: int, seed: int = 0,
     return SignalInstance(LowRankStructure(d, r, u, v), as_vector(x))
 
 
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """The inverse of a nonsingular lower-triangular k x k matrix L.
+
+    ``np.linalg.inv`` solves L X = I by LU, about 8 times the flops of a
+    triangular inverse, so past k = 64 L is split at h = k // 2 into
+    [[A, 0], [C, D]] and the inverse is [[A^-1, 0], [-D^-1 C A^-1, D^-1]],
+    with A^-1 and D^-1 by the same rule and the rest two matrix products.
+    Up to k = 64 it is ``np.linalg.inv(L)``, bit for bit.
+    """
+    k = l.shape[0]
+    if k <= 64:
+        return np.linalg.inv(l)
+    h = k // 2
+    a_inv, d_inv = _lower_inverse(l[:h, :h]), _lower_inverse(l[h:, h:])
+    return np.block([[a_inv, np.zeros((h, k - h))], [-(d_inv @ (l[h:, :h] @ a_inv)), d_inv]])
+
+
 def haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
     """Haar-random d x r matrix with orthonormal columns: the Q factor of a
     d x r Gaussian matrix G whose triangular factor has a positive diagonal.
@@ -656,14 +673,15 @@ def haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
     Both branches draw only G, so they leave the stream in the same place.
     When 2r <= d, Q comes by Cholesky QR, Q = G L^-T with L L^T = G^T G:
     such a G has cond(G) near (sqrt d + sqrt r) / (sqrt d - sqrt r) <= 5.8,
-    so Q is orthonormal to a few eps. Cholesky QR's error grows like
-    cond(G)^2 eps, and a G with 2r > d can be arbitrarily ill conditioned,
-    so there Householder QR runs, with the triangular factor's diagonal
-    signs absorbed into Q.
+    so Q is orthonormal to a few eps. L^-1 is ``_lower_inverse``'s blocked
+    triangular inverse, which is ``np.linalg.inv`` itself when r <= 64.
+    Cholesky QR's error grows like cond(G)^2 eps, and a G with 2r > d can be
+    arbitrarily ill conditioned, so there Householder QR runs, with the
+    triangular factor's diagonal signs absorbed into Q.
     """
     g = rng.standard_normal((d, r))
     if 2 * r <= d:
-        return g @ np.linalg.inv(np.linalg.cholesky(g.T @ g)).T
+        return g @ _lower_inverse(np.linalg.cholesky(g.T @ g)).T
     q, rr = np.linalg.qr(g)
     signs = np.sign(np.diag(rr))
     signs[signs == 0] = 1.0

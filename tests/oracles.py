@@ -118,6 +118,14 @@ def householder_haar_columns(rng: np.random.Generator, d: int, r: int) -> np.nda
     return q * signs
 
 
+def lu_inverse_haar_columns(rng: np.random.Generator, d: int, r: int) -> np.ndarray:
+    """Cholesky QR of a d x r Gaussian matrix with the triangular factor
+    inverted by ``np.linalg.inv`` (an LU solve) at every width, for 2r <= d
+    (``signals.haar_columns`` inverts it blockwise past r = 64)."""
+    g = rng.standard_normal((d, r))
+    return g @ np.linalg.inv(np.linalg.cholesky(g.T @ g)).T
+
+
 def soft_tail_moment_quadrature(lam):
     """E max(|g| - lam, 0)^2 for standard normal g, by adaptive quadrature.
 

@@ -57,7 +57,7 @@ def loop_grid(text):
 # every grid of tools/cli_jobs.py, perfbench/ and README, and of the tests here
 GRIDS = ["0:0.5:3", "0:0.1:3", "20:30:80", "40:30:100", "50:30:80", "200:200:400",
          "20:20:400", "0.01:0.01:0.02", "0.01:0.01:0.03", "0.1:0.1:0.3", "0:0.5:1",
-         "0:0.5:2", "0:1:2", "10:15:40", "10:2.5:20", "8:10:28"]
+         "0:0.5:2", "0:1:2", "10:15:40", "10:2.5:20", "8:10:28", "80:130:210"]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -196,6 +196,22 @@ def test_huge_structure_count_exits_2_no_file(tmp_path, structure):
     code = run_cli(["bounds", "--structure", structure, "--seed", "1", "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, size", [
+    (["bounds", "--structure", f"sparse:{signals.MAX_COUNT}:1"], "8.00 EiB"),
+    (["msd", "--structure", "sparse:40:4", "--lambda-grid", "0:1e-15:1"], "7.11 PiB"),
+], ids=["signal", "grid"])
+def test_unallocatable_counts_exit_2_naming_the_allocation(tmp_path, capsys, args, size):
+    # the counts pass their checks, but no machine holds their arrays: malloc
+    # refuses each at once, and the runs once exited 1 with a MemoryError traceback
+    out = tmp_path / "never.csv"
+    code = run_cli(args + ["--seed", "1", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: Unable to allocate {size}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def _count_or_1(value):

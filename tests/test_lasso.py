@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -432,6 +433,85 @@ def test_declined_face_leaves_fista_bit_for_bit(monkeypatch, breaks):
     assert np.array_equal(sol.x, fista.x)
     assert (sol.iterations, sol.restarts, sol.cost, sol.gap) == (
         fista.iterations, fista.restarts, fista.cost, fista.gap)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["gaussian", "projector", "complement"]), n=st.integers(2, 40),
+       m_frac=st.floats(0.2, 2.0), seed=st.integers(0, 2**20), frac=st.floats(0.05, 1.5),
+       noise=st.sampled_from([0.0, 0.01, 1.0]))
+def test_walked_faces_are_positive_cost_optima(kind, n, m_frac, seed, frac, noise):
+    a, y, grad, x_ref = _l1_problem(kind, n, m_frac, seed, noise)
+    ball = lasso.BallSpec("l1", frac * float(np.abs(x_ref).sum()))
+    sol = lasso.solve_constrained_lasso(a, y, ball)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lasso, "WALK", 1)
+        single = lasso.solve_constrained_lasso(a, y, ball)
+    assert sol.converged and single.converged
+    if sol.iterations == single.iterations:
+        # the walk declined, or its first face was certified: the same run
+        assert np.array_equal(sol.x, single.x)
+        assert (sol.restarts, sol.cost, sol.gap, sol.finish) == (
+            single.restarts, single.cost, single.gap, single.finish)
+        return
+    # a walked face ended the run, before FISTA's own attempt would have
+    assert sol.finish == "face" and sol.iterations < single.iterations
+    # x_ref has zero residual and lies in the ball: the optimal cost is zero
+    r_ref = y - a @ x_ref
+    assert not (frac >= 1 and float(r_ref @ r_ref) <= 1e-20 * float(y @ y))
+    # the KKT certificate from the explicit matrix, with mu = max |g| > 0: x on
+    # the sphere and g_S = mu sign(x_S)
+    x = sol.x
+    g = grad(x)
+    on = x != 0
+    mu = float(np.abs(g).max())
+    tol = 1e-10 * float(np.abs(grad(np.zeros_like(x))).max())
+    assert mu > tol
+    assert np.abs(g[on] - mu * np.sign(x[on])).max() <= tol
+    assert abs(float(np.abs(x).sum()) - ball.radius) <= 1e-12 * ball.radius
+
+
+def test_walk_leaves_a_zero_cost_face_to_fista():
+    # min (2 - x_0 - 2 x_1)^2 over ||x||_1 <= 1.5 has optimal cost 0. x's face
+    # {0} gives u = (1.5, 0) with mu = 0.5 and |g_1| = 1 > mu, so the walk adds
+    # coordinate 1 and reaches the zero-cost face {0, 1}: u = (1, 0.5), mu = 0,
+    # certified, but only FISTA's own attempt may finish there
+    a, y, ball = np.array([[1.0, 2.0]]), np.array([2.0]), lasso.BallSpec("l1", 1.5)
+    b = a.T @ y
+
+    def gram(support):
+        return a[:, support].T @ a[:, support]
+
+    x, zero = np.array([1.5, 0.0]), np.array([0.75, 0.75])
+    u, mu = ball.face(zero, gram, b)
+    assert mu == 0.0 and lasso._certified(a, y, b, ball, zero, u, mu) is not None
+    assert lasso._face_walk(a, y, b, ball, x, gram, lasso.WALK) is None
+    found = lasso._face_walk(a, y, b, ball, zero, gram, lasso.WALK)
+    assert found is not None and np.array_equal(found[0], u)
+
+
+def test_walk_keeps_every_trial_statistic_and_never_adds_iterations(monkeypatch):
+    # around and above the transition of sparse:500:20 (cone MSD ~86), where
+    # most trials finish on a face; every walked face is the one FISTA would
+    # have certified later, so only the iteration and restart counts move
+    inst = signals.make_sparse(500, 20, "unit", seed=1)
+    m_grid = list(range(80, 201, 20))
+
+    def sweep():
+        return lasso.sweep_measurements(inst, m_grid, trials=10, seed=7,
+                                        d_reference=86.0, collect=True)[1]
+
+    walked = sweep()
+    monkeypatch.setattr(lasso, "WALK", 1)
+    single = sweep()
+    saved = 0
+    for m in m_grid:
+        assert len(walked[m]) == len(single[m]) == 10
+        for d, e in zip(walked[m], single[m]):
+            assert dataclasses.replace(d, iterations=0, restarts=0) == dataclasses.replace(
+                e, iterations=0, restarts=0)
+            assert d.iterations <= e.iterations
+            saved += e.iterations - d.iterations
+    assert saved > 0
 
 
 # ---------------------------------------------------------------------------

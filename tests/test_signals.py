@@ -9,6 +9,7 @@ from oracles import (
     block_at,
     householder_haar_columns,
     lowrank_at,
+    lu_inverse_haar_columns,
     same_subdifferential,
     signed_support_at,
 )
@@ -148,6 +149,24 @@ def test_haar_columns_match_householder(data, d, seed):
 def test_haar_columns_match_householder_at_sweep_widths(d, r):
     for seed in range(3):
         _assert_haar_columns_match_householder(d, r, seed)
+
+
+@pytest.mark.parametrize("d, r", [(2, 1), (40, 20), (129, 64), (500, 1), (500, 64)])
+def test_haar_columns_keep_the_lu_inverse_bits_up_to_width_64(d, r):
+    for seed in range(3):
+        q = signals.haar_columns(np.random.default_rng(seed), d, r)
+        assert np.array_equal(q, lu_inverse_haar_columns(np.random.default_rng(seed), d, r))
+
+
+@pytest.mark.parametrize("r", [65, 99, 140, 200, 250])
+def test_haar_columns_blocked_inverse_past_width_64(r):
+    # the blocked triangular inverse moves Q in its last bits only
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        q, ref = signals.haar_columns(rng, 500, r), lu_inverse_haar_columns(ref_rng, 500, r)
+        assert np.abs(q.T @ q - np.eye(r)).max() <= 1e-14
+        assert np.abs(q - ref).max() <= 1e-13
+        assert np.array_equal(rng.standard_normal(500), ref_rng.standard_normal(500))
 
 
 def test_make_low_rank_rejects_bad_rank():

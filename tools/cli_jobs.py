@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/cli_jobs.py OUTDIR
 
-Each of the 19 jobs below is one `proxmse` command line with a fixed seed.
+Each of the 20 jobs below is one `proxmse` command line with a fixed seed.
 It writes one result file, `OUTDIR/<name>.csv` or `.json`, and under its
 seed the file is byte-identical from run to run (acceptance criterion 11).
 The script exits 1 if any job exits nonzero, after running all of them.
@@ -61,6 +61,13 @@ JOBS = {
     "lasso_lowrank": LASSO + ["--structure", "lowrank:10:2", "--m-grid", "40:30:100"],
     "lasso_sparse_gaussian": LASSO + ["--structure", "sparse:100:5", "--m-grid", "50:30:80",
                                       "--matrix", "gaussian"],
+    # Haar bases of k = 80 (P = Q Q^T) and 90 (P = I - Q Q^T) columns, past the
+    # width (64) where haar_columns inverts its triangular factor blockwise,
+    # and trials that finish on a walked face. From about k = 99 columns on,
+    # OpenBLAS's Gram product (syrk) and Cholesky factor of the basis round
+    # differently at two threads than at one, so a wider basis would fail the
+    # comparison of result files across thread counts
+    "lasso_sparse_wide": LASSO + ["--structure", "sparse:300:10", "--m-grid", "80:130:210"],
 }
 
 
