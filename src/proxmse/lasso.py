@@ -9,11 +9,12 @@ returned point; it reports the Frank-Wolfe duality gap there as well. On the
 l1 ball it finishes early and exactly: once FISTA's sign pattern settles, it
 solves the least-squares problem on that face of the ball, one KKT system
 (Osborne, Presnell & Turlach 2000), and returns the solution if an exact
-optimality certificate holds there. The first settled pattern starts a walk
-with the active-set steps of the same paper: from a declined face it drops
-the support coordinate whose sign breaks first, or adds the coordinate whose
-gradient most exceeds the multiplier, and solves the next face, over at most
-``WALK`` faces, accepting only a positive-cost optimum on the sphere.
+optimality certificate holds there. From a declined face it walks on with
+the active-set steps of the same paper: it drops the support coordinate
+whose sign breaks first, or adds the coordinate whose gradient most exceeds
+the multiplier, and solves the next face, over at most ``WALK`` faces,
+accepting a walked face only as a positive-cost optimum on the sphere.
+Every settled sign pattern starts such a walk, once.
 
 A partial-unitary problem depends on A only through the projector
 P = A^T A and w = A^T y: the gradient is A^T (y - A x) = w - P x, and
@@ -54,9 +55,9 @@ from .streams import stream
 # length, and the iteration count at which a run ends flagged non-converged
 TOL = 1e-12
 MAX_ITERS = 600_000
-# the face finish: the iterations a sign pattern must hold before its face is
-# solved, the relative rounding slack of the face's KKT certificate, and the
-# most faces the first attempt walks over
+# the face finish: the iterations a sign pattern must hold before its walk
+# starts, the relative rounding slack of a face's KKT certificate, and the
+# most faces a walk solves
 HOLD = 8
 SLACK = 1e-12
 WALK = 8
@@ -204,21 +205,19 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
 
     On the l1 ball it also finishes exactly. Proximal-gradient iterates
     identify the optimum's face in finitely many steps (Hare & Lewis 2004),
-    and there the problem is one linear system. Once the sign pattern of x+
-    (its support S and signs s) has held for ``HOLD`` iterations in a row,
-    ``BallSpec.face`` solves that face, with the Gram block (A^T A)_SS from
-    ``_operator_step``: |S|^2 k flops on a ``Projector``. The solution is
-    returned only if it passes the KKT certificate of ``_certified``;
-    otherwise FISTA goes on from its own iterate, its steps unchanged. Each
-    sign pattern is tried at most once. The first attempt of a run walks
-    on from a declined face over at most ``WALK`` faces (``_face_walk``),
-    each later one on the sphere and accepted only as a positive-cost
-    optimum, the face FISTA itself would certify later, so it returns the
-    same bits in fewer iterations; its finish is reported as "face" too. A
-    declined walk leaves FISTA's iterate, momentum and counters as they
-    were, and every later pattern gets the single attempt. The walk stops
-    where the multiplier falls to rounding, so a zero-cost optimum is left
-    to FISTA and the cost floor. The l1,2 and nuclear faces are not
+    and there the problem is one linear system. Once the sign pattern s of
+    x+ (its support S and signs) has held for ``HOLD`` iterations in a row,
+    and has not been tried before, ``_face_walk`` solves its face with the
+    Gram block (A^T A)_SS from ``_operator_step`` (|S|^2 k flops on a
+    ``Projector``) and returns the solution if it passes the face's KKT
+    certificate. From a declined face it walks on over at most ``WALK``
+    faces in all, each on the sphere and accepted only as a positive-cost
+    optimum: the face FISTA itself would certify later, whose solution
+    depends only on its sign pattern, so the walk returns the same bits in
+    fewer iterations; its finish is reported as "face" too. A declined walk
+    leaves FISTA's iterate, momentum and counters as they were. The walk
+    stops where the multiplier falls to rounding, so a zero-cost optimum
+    is left to FISTA and the cost floor. The l1,2 and nuclear faces are not
     linear, so on those balls (``ball.kind`` other than "l1") the solver
     tracks no sign pattern and never finishes this way. ``finish`` says what
     ended the run: "face", "step" (the step-length rule), "floor" (the cost
@@ -236,9 +235,9 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     z, az, t = x, ax, 1.0
     converged = cost <= floor
     it = restarts = held = 0
-    b = a.T @ y
     signs, tried, finish = None, set(), None
     faces = ball.kind == "l1"   # the one ball whose faces are linear
+    b = a.T @ y if faces else None
     tol_sq = TOL * TOL
     while not converged and it < MAX_ITERS:
         x_new = ball.project(z + step * (a.T @ (y - az)))
@@ -256,9 +255,8 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
             held = held + 1 if np.array_equal(pattern, signs) else 1
             signs = pattern
             if held == HOLD and not converged and (key := pattern.tobytes()) not in tried:
-                walk = 1 if tried else WALK
                 tried.add(key)
-                if (face := _face_walk(a, y, b, ball, x, gram, walk)) is not None:
+                if (face := _face_walk(a, y, b, ball.radius, pattern, x, gram)) is not None:
                     x, r = face
                     cost, converged, finish = float(r @ r), True, "face"
                     break
@@ -278,76 +276,91 @@ def solve_constrained_lasso(a: np.ndarray, y: np.ndarray, ball: BallSpec,
     return LassoSolution(x, cost, it, converged, restarts, gap, finish)
 
 
-def _face_walk(a, y: np.ndarray, b: np.ndarray, ball: BallSpec, x: np.ndarray, gram,
-               faces: int):
-    """Solve x's face of the l1 ball and walk on over at most ``faces`` faces
-    in all, the active-set steps of Osborne, Presnell & Turlach (2000).
+def _face_walk(a, y: np.ndarray, b: np.ndarray, radius: float, signs: np.ndarray,
+               x: np.ndarray, gram):
+    """Solve the face of the l1 ball that holds FISTA's iterate x, whose sign
+    pattern is ``signs``, and walk on over at most ``WALK`` faces in all, the
+    active-set steps of Osborne, Presnell & Turlach (2000); b = A^T y.
 
-    Returns (u, y - A u) for a certified optimum u, else None. The first face
-    is x's own, accepted on ``_certified`` alone. Each later face is on the
-    sphere and is accepted only if ``_certified`` holds and its multiplier
-    mu exceeds ``SLACK`` max |b|: a positive-cost optimum, which is the face
-    FISTA would certify later, so u has the same bits. From a declined face
-    with such a mu (the walk stops at any other) the step is one of two. If
-    a support coordinate of u has the wrong sign, the walk moves from its
-    current point toward u, stops at the first sign change and drops that
-    coordinate. Otherwise it adds the off-support coordinate with the largest
-    |g_j| > mu, g = A^T (y - A u), with the sign of g_j. ``BallSpec.face``
-    then solves the new sign pattern s from the sphere point s R / |S|.
+    Returns (u, y - A u) for a certified optimum u, else None. A face's
+    solution u, with multiplier mu (``_face``), is certified when it keeps
+    the pattern s (and so the support S), mu >= 0, s . u = ||u||_1 <= radius,
+    and the gradient g = A^T (y - A u) has g_S = mu s_S and |g_i| <= mu off
+    S; the last three hold to within ``SLACK`` of the radius or of max |b|,
+    the scale of the rounding in g. The first face is x's own, on the sphere
+    unless ||x||_1 is below the radius by more than 1e-12 of it, and is
+    accepted on its certificate alone. Each later face is on the sphere and
+    is accepted only if also mu > ``SLACK`` max |b|: a positive-cost
+    optimum, which is the face FISTA would certify later, so u has the same
+    bits. From a declined face with such a mu (the walk stops at any other)
+    the step is one of two. If a support coordinate of u has the wrong sign,
+    the walk moves from its current point toward u, stops at the first sign
+    change and drops that coordinate. Otherwise it adds the off-support
+    coordinate with the largest |g_j| > mu, with the sign of g_j.
     """
-    u, mu = ball.face(x, gram, b)
-    if (found := _certified(a, y, b, ball, x, u, mu)) is not None:
-        return found
-    floor = SLACK * float(np.abs(b).max())
-    signs, point = np.sign(x), x
-    for _ in range(faces - 1):
-        if not mu > floor:
+    slack = SLACK * float(np.abs(b).max())
+    signs, point = signs.copy(), x   # the solver keeps its pattern to compare
+    on_sphere = float(signs @ x) >= radius * (1 - 1e-12)
+    for walked in range(WALK):
+        u, mu = _face(signs, on_sphere, radius, gram, b)
+        kept = np.array_equal(np.sign(u), signs)
+        if kept and mu >= 0:
+            r = y - a @ u
+            g = a.T @ r
+            if (float(signs @ u) <= radius * (1 + SLACK) and (mu > slack or not walked)
+                    and (np.abs(g - mu * signs) <= slack + mu * (signs == 0)).all()):
+                return u, r
+        if not mu > slack:
             return None
-        broken = np.flatnonzero((signs != 0) & (np.sign(u) != signs))
-        if broken.size:
+        if not kept:
+            broken = np.flatnonzero(np.sign(u) != signs)   # u is zero off S
             # 0 <= point_i / (point_i - u_i) <= 1 where u_i's sign breaks s_i
             den = point[broken] - u[broken]
             frac = np.divide(point[broken], den, out=np.zeros(den.size), where=den != 0)
             drop = int(np.argmin(frac))
             point = point + max(float(frac[drop]), 0.0) * (u - point)
             point[broken[drop]] = signs[broken[drop]] = 0.0
-        else:
-            g = a.T @ (y - a @ u)
+        else:   # kept and mu > slack >= 0, so g is this face's gradient
             off = np.where(signs == 0, np.abs(g), 0.0)
             add = int(np.argmax(off))
             if not off[add] > mu:
                 return None
             point = u
             signs[add] = np.sign(g[add])
-        sphere = signs * (ball.radius / np.count_nonzero(signs))
-        u, mu = ball.face(sphere, gram, b)
-        if (found := _certified(a, y, b, ball, sphere, u, mu)) is not None and mu > floor:
-            return found
+        on_sphere = True
     return None
 
 
-def _certified(a, y: np.ndarray, b: np.ndarray, ball: BallSpec, x: np.ndarray,
-               u: np.ndarray, mu: float):
-    """The KKT certificate of u, the solution on x's face of the l1 ball with
-    multiplier mu (``BallSpec.face``), with b = A^T y.
+def _face(signs: np.ndarray, on_sphere: bool, radius: float, gram, b: np.ndarray):
+    """The least-squares point on the face of the l1 ball with sign pattern
+    s = ``signs``, and its multiplier: (u, mu).
 
-    Returns (u, y - A u) if u is optimal over the ball, else None. With s the
-    signs of x, u is certified when sign(u) = s, so u keeps x's support S
-    and signs; s . u = ||u||_1 <= radius; mu >= 0; and the gradient
-    g = A^T (y - A u), one product with A and one with A^T, has g_S = mu s_S
-    and |g_i| <= mu off S. The last three hold to within ``SLACK`` of the
-    radius or of max |b|, the scale of the rounding in g.
+    With S the support of s, the point minimises ||y - A u||^2 over u zero
+    off S. On the sphere it keeps s . u = radius, which is one (|S|+1)-square
+    KKT system (Osborne, Presnell & Turlach 2000)
+
+        [[G_SS, s_S], [s_S^T, 0]] [u_S; mu] = [b_S; radius],
+
+    with G_SS = ``gram(S)`` = (A^T A)_SS and b = A^T y; inside the ball it
+    solves G_SS u_S = b_S and takes mu = 0. The result is not checked: u may
+    leave the face, and mu may be negative; a singular system gives NaN.
     """
-    s = np.sign(x)
-    if not (np.array_equal(np.sign(u), s) and mu >= 0
-            and float(s @ u) <= ball.radius * (1 + SLACK)):
-        return None
-    r = y - a @ u
-    g = a.T @ r
-    slack = SLACK * float(np.abs(b).max())
-    if not (np.abs(g - mu * s) <= slack + mu * (s == 0)).all():
-        return None
-    return u, r
+    support = np.flatnonzero(signs)
+    k = support.size
+    if on_sphere:
+        kkt = np.zeros((k + 1, k + 1))
+        kkt[:k, :k] = gram(support)
+        kkt[:k, k] = kkt[k, :k] = signs[support]
+        rhs = np.append(b[support], radius)
+    else:
+        kkt, rhs = gram(support), b[support]
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full(rhs.size, np.nan)
+    u = np.zeros(signs.size)
+    u[support] = sol[:k]
+    return u, float(sol[k]) if on_sphere else 0.0
 
 
 def default_sigma(inst: SignalInstance, scale: float = 1e-4) -> float:
@@ -438,10 +451,10 @@ def sweep_measurements(inst: SignalInstance, m_grid, sigma: float | None = None,
             sol = solve_constrained_lasso(a, y, ball, x_init=x0)
             if not sol.converged:
                 continue
-            proj_err = a @ (sol.x - x0)
+            err = sol.x - x0
+            proj_err = a @ err
             eta = float(proj_err @ proj_err) / s2
             f_val = sol.cost / s2
-            err = sol.x - x0
             e_val = float(err @ err) / s2
             diags.append(TrialDiagnostics(
                 eta=eta, f=f_val, e=e_val, energy=eta + f_val,

@@ -16,7 +16,8 @@ thresholds ``soft_threshold``, ``weighted_soft_threshold``,
 on a norm family, a shrink level per magnitude and a block size, and build
 no structure object. The ball's threshold is the sort-then-threshold rule
 :func:`threshold_root`, which also gives each sample's cone minimum in
-:mod:`proxmse.geometry`.
+:mod:`proxmse.geometry`. :class:`BallSpec` holds one ball, the constraint
+set of :mod:`proxmse.lasso`, and gives its projection and dual norm.
 
 Every operator also takes a stack of points along leading batch axes, in
 the layout of :func:`proxmse.signals.split` ((..., n) vectors, (..., d, d)
@@ -177,6 +178,9 @@ def dual_norm(g: np.ndarray, kind: str, block_size: int | None = None) -> float 
 
 @dataclass(frozen=True)
 class BallSpec:
+    """The ball {x : f(x) <= radius} of a norm family: its projection and its
+    dual norm, the two maps the LASSO solver takes from it."""
+
     kind: str                      # "l1" | "l12" | "nuclear"
     radius: float
     block_size: int | None = None
@@ -186,42 +190,6 @@ class BallSpec:
 
     def dual_norm(self, g: np.ndarray) -> float:
         return dual_norm(g, self.kind, self.block_size)
-
-    def face(self, x: np.ndarray, gram, b: np.ndarray):
-        """The least-squares point on the face of the l1 ball that holds x, and
-        its multiplier: (u, mu). Only the l1 ball's faces are linear, so the
-        solver calls it on that ball alone.
-
-        With S the support of x and s its signs, the point
-        minimises ||y - A u||^2 over u zero off S. For x on the sphere it keeps
-        s . u_S = radius, which is one (|S|+1)-square KKT system (Osborne,
-        Presnell & Turlach 2000)
-
-            [[G_SS, s], [s^T, 0]] [u_S; mu] = [b_S; radius],
-
-        with G_SS = ``gram(S)`` = (A^T A)_SS and b = A^T y; for x inside the
-        ball it solves G_SS u_S = b_S and takes mu = 0. x counts as inside when
-        its norm is below radius by more than 1e-12 of it. The result is not
-        checked: u may leave the face, and mu may be negative; a singular
-        system gives NaN.
-        """
-        support = np.flatnonzero(x)
-        s = np.sign(x[support])
-        k = support.size
-        if float(s @ x[support]) < self.radius * (1 - 1e-12):
-            kkt, rhs = gram(support), b[support]
-        else:
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = gram(support)
-            kkt[:k, k] = kkt[k, :k] = s
-            rhs = np.append(b[support], self.radius)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.full(rhs.size, np.nan)
-        u = np.zeros_like(x)
-        u[support] = sol[:k]
-        return u, float(sol[k]) if k < sol.size else 0.0
 
 
 def ball_for(inst: SignalInstance) -> BallSpec:

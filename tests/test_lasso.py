@@ -215,11 +215,12 @@ def test_solver_block_and_nuclear_balls(make, m, matrix_kind):
 def test_block_and_lowrank_solves_never_solve_a_face(make, m, monkeypatch):
     # only the l1 ball's faces are linear, so the solver tracks no sign
     # pattern on the l1,2 and nuclear balls and never asks for their face
-    def face(self, *args):
-        raise AssertionError(f"a face solved on the {self.kind} ball")
-
-    monkeypatch.setattr(prox.BallSpec, "face", face)
     inst = make()
+
+    def face(*args):
+        raise AssertionError(f"a face solved on the {inst.structure.family} ball")
+
+    monkeypatch.setattr(lasso, "_face", face)
     a = stream(5).standard_normal((m, inst.ambient_dim))
     y = a @ inst.values + 0.01 * stream(6).standard_normal(m)
     sol = lasso.solve_constrained_lasso(a, y, lasso.ball_for(inst))
@@ -410,11 +411,11 @@ def test_declined_face_leaves_fista_bit_for_bit(monkeypatch, breaks):
     a, y, _, x_ref = _l1_problem("gaussian", 12, 1.5, 41, 0.01)
     ball = lasso.BallSpec("l1", 0.5 * float(np.abs(x_ref).sum()))
     assert lasso.solve_constrained_lasso(a, y, ball).finish == "face"
-    face = prox.BallSpec.face
+    face = lasso._face
     spoiled = []
 
-    def spoiled_face(self, x, gram, b):
-        u, mu = face(self, x, gram, b)
+    def spoiled_face(signs, on_sphere, radius, gram, b):
+        u, mu = face(signs, on_sphere, radius, gram, b)
         if breaks == "sign":
             u[np.argmax(np.abs(u))] *= -1
         else:
@@ -422,7 +423,7 @@ def test_declined_face_leaves_fista_bit_for_bit(monkeypatch, breaks):
         spoiled.append(mu)
         return u, mu
 
-    monkeypatch.setattr(prox.BallSpec, "face", spoiled_face)
+    monkeypatch.setattr(lasso, "_face", spoiled_face)
     sol = lasso.solve_constrained_lasso(a, y, ball)
     assert spoiled
     if breaks == "multiplier":
@@ -475,17 +476,19 @@ def test_walk_leaves_a_zero_cost_face_to_fista():
     # {0} gives u = (1.5, 0) with mu = 0.5 and |g_1| = 1 > mu, so the walk adds
     # coordinate 1 and reaches the zero-cost face {0, 1}: u = (1, 0.5), mu = 0,
     # certified, but only FISTA's own attempt may finish there
-    a, y, ball = np.array([[1.0, 2.0]]), np.array([2.0]), lasso.BallSpec("l1", 1.5)
+    a, y, radius = np.array([[1.0, 2.0]]), np.array([2.0]), 1.5
     b = a.T @ y
 
     def gram(support):
         return a[:, support].T @ a[:, support]
 
     x, zero = np.array([1.5, 0.0]), np.array([0.75, 0.75])
-    u, mu = ball.face(zero, gram, b)
-    assert mu == 0.0 and lasso._certified(a, y, b, ball, zero, u, mu) is not None
-    assert lasso._face_walk(a, y, b, ball, x, gram, lasso.WALK) is None
-    found = lasso._face_walk(a, y, b, ball, zero, gram, lasso.WALK)
+    u, mu = lasso._face(np.sign(zero), True, radius, gram, b)
+    assert mu == 0.0
+    assert lasso._face_walk(a, y, b, radius, np.sign(x), x, gram) is None
+    # a walk's first face is accepted on its certificate alone, and with mu = 0
+    # the walk goes no further: so {0, 1} is certified
+    found = lasso._face_walk(a, y, b, radius, np.sign(zero), zero, gram)
     assert found is not None and np.array_equal(found[0], u)
 
 
@@ -512,6 +515,27 @@ def test_walk_keeps_every_trial_statistic_and_never_adds_iterations(monkeypatch)
             assert d.iterations <= e.iterations
             saved += e.iterations - d.iterations
     assert saved > 0
+
+
+def test_every_settled_pattern_walks(monkeypatch):
+    # in trial 10 of sparse:500:20 at m = 100 the walk of the first settled
+    # sign pattern is declined, and only a later pattern's walk reaches the
+    # optimum: at 1,023 iterations, against 2,527 when each pattern solves
+    # its own face alone, so a run that walked only once would tie
+    inst = signals.make_sparse(500, 20, "unit", seed=1)
+
+    def trial_10():
+        diags = lasso.sweep_measurements(inst, [100], trials=11, seed=7,
+                                         d_reference=89.0, collect=True)[1][100]
+        assert len(diags) == 11
+        return diags[10]
+
+    walked = trial_10()
+    monkeypatch.setattr(lasso, "WALK", 1)
+    single = trial_10()
+    assert walked.iterations < single.iterations
+    assert dataclasses.replace(walked, iterations=0, restarts=0) == dataclasses.replace(
+        single, iterations=0, restarts=0)
 
 
 # ---------------------------------------------------------------------------
